@@ -119,68 +119,35 @@ def bifurcation_samples(mus, settle, keep, x0, k):
 
 
 @njit(cache=True)
-def coupled_sync(mu, k, rho, x0, y0, n_steps):
-    """Drive/response pair with the feedback controller, source off.
-
-    Returns (x, y, u, escape_index); u[n] is the control applied on the
-    n -> n+1 transition (u[n_steps] is unused and left 0).
-    """
-    xs = np.zeros(n_steps + 1)
-    ys = np.zeros(n_steps + 1)
-    us = np.zeros(n_steps + 1)
-    xs[0] = x0
-    ys[0] = y0
-    x = x0
-    y = y0
-    for n in range(n_steps):
-        e = y - x
-        u = (mu * (e + 2.0 * x - k) + rho * k) * e / k
-        us[n] = u
-        y = mu * y * (1.0 - y / k) + u
-        x = mu * x * (1.0 - x / k)
-        xs[n + 1] = x
-        ys[n + 1] = y
-        if not (0.0 < x < k):
-            return xs, ys, us, n + 1
-    return xs, ys, us, -1
+def control_effort(mu, k, rho, e, d):
+    """The feedback law u = [mu(e + 2d - k) + rho*k] * e / k for error e
+    against the drive-side sample d; see chaoslink.control."""
+    return (mu * (e + 2.0 * d - k) + rho * k) * e / k
 
 
 @njit(cache=True)
-def additive_transmit(mu, k, rho, x0, y0, info, disturbance, guard):
-    """Masked transmission with the additive operator.
+def response_track(mu, k, rho, y0, z, guard):
+    """Response map driven by the line samples z under the feedback law.
 
-    info[n] is the information sample composed onto the line at step n;
-    disturbance[n] is added to the line signal (zeros for an ideal
-    channel).  Returns per-step arrays plus (escape_index, diverge_index).
-    Line-related arrays have length n_steps (one entry per transition);
-    state arrays have length n_steps + 1.
+    Step n applies control_effort(y - z[n], z[n]).  Returns (ys, us,
+    diverge_index): ys has one sample more than z, us[n] is the control
+    on the n -> n+1 transition, and diverge_index is the first index with
+    |y| > guard (samples past it are left at 0), or -1 if none.
     """
-    n_steps = info.size
-    xs = np.zeros(n_steps + 1)
+    n_steps = z.size
     ys = np.zeros(n_steps + 1)
-    zs = np.zeros(n_steps)
     us = np.zeros(n_steps)
-    eps = np.zeros(n_steps)
-    xs[0] = x0
     ys[0] = y0
-    x = x0
     y = y0
     for n in range(n_steps):
-        z = x + info[n] + disturbance[n]
-        zs[n] = z
-        e = y - z
-        eps[n] = e
-        u = (mu * (e + 2.0 * z - k) + rho * k) * e / k
+        d = float(z[n])  # a Python float keeps the fallback's arithmetic fast
+        u = control_effort(mu, k, rho, y - d, d)
         us[n] = u
         y = mu * y * (1.0 - y / k) + u
-        x = mu * x * (1.0 - x / k)
-        xs[n + 1] = x
         ys[n + 1] = y
-        if not (0.0 < x < k):
-            return xs, ys, zs, us, eps, n + 1, -1
         if abs(y) > guard:
-            return xs, ys, zs, us, eps, -1, n + 1
-    return xs, ys, zs, us, eps, -1, -1
+            return ys, us, n + 1
+    return ys, us, -1
 
 
 @njit(cache=True)

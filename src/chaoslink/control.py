@@ -8,7 +8,8 @@ during transmission).
 
 from dataclasses import dataclass
 
-from .core import LogisticParams
+from . import _accel
+from .core import LogisticParams, step
 
 DEGENERATE_TOL_FACTOR = 1e-12
 
@@ -38,24 +39,6 @@ class ControllerGains:
         return UNSTABLE
 
 
-@dataclass(frozen=True)
-class CoupledState:
-    """Drive state (basin-confined) and response state (any real)."""
-
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class SyncDiagnostics:
-    """Error, Lyapunov value V = e^2, its one-step change, and control effort."""
-
-    e: float
-    V: float
-    dV: float
-    u: float
-
-
 def error(y: float, x: float) -> float:
     """Synchronization error e = y - x."""
     return y - x
@@ -63,9 +46,7 @@ def error(y: float, x: float) -> float:
 
 def control(gains: ControllerGains, e: float, d: float) -> float:
     """Control effort for error e and drive-side value d."""
-    mu = gains.params.mu
-    k = gains.params.k
-    return (mu * (e + 2.0 * d - k) + gains.rho * k) * e / k
+    return _accel.control_effort(gains.params.mu, gains.params.k, gains.rho, e, d)
 
 
 def step_response(gains: ControllerGains, y: float, d: float) -> float:
@@ -74,9 +55,7 @@ def step_response(gains: ControllerGains, y: float, d: float) -> float:
     Satisfies step_response(y, d) - step(d) = rho * (y - d) for all real
     y and d.
     """
-    mu = gains.params.mu
-    k = gains.params.k
-    return mu * y * (1.0 - y / k) + control(gains, y - d, d)
+    return step(gains.params, y) + control(gains, y - d, d)
 
 
 def predict_error(rho: float, e0: float, n: int) -> float:
@@ -87,17 +66,6 @@ def predict_error(rho: float, e0: float, n: int) -> float:
 def lyapunov_delta(rho: float, e: float) -> float:
     """One-step change of V = e^2 under e' = rho*e: -e^2 (1 - rho^2)."""
     return -(e * e) * (1.0 - rho * rho)
-
-
-def diagnostics(gains: ControllerGains, y: float, d: float) -> SyncDiagnostics:
-    """Error, Lyapunov bookkeeping, and control effort at one step."""
-    e = y - d
-    return SyncDiagnostics(
-        e=e,
-        V=e * e,
-        dV=lyapunov_delta(gains.rho, e),
-        u=control(gains, e, d),
-    )
 
 
 def check_degenerate_sync(x: float, y: float, k: float) -> bool:

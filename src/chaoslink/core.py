@@ -5,7 +5,7 @@ basin (0, k); leaving it is treated as an error (the absorbing zero
 fixed point is useless for communication).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

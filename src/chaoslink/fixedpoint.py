@@ -7,7 +7,7 @@ toward negative infinity, and 16-bit overflow saturates instead of
 wrapping.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

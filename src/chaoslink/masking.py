@@ -19,22 +19,18 @@ _MULTIPLICATIVE_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class InvertibleOperator:
-    """Forward scramble and its exact inverse, registered by name."""
+    """Forward scramble and its exact inverse, registered by name.
+
+    Both also take numpy arrays and then work elementwise.
+    """
 
     name: str
     forward: Callable[[float, float], float]
     recover: Callable[[float, float], float]
 
 
-@dataclass(frozen=True)
-class InfoSymbol:
-    """One information sample (for binary sources, bit * amplitude)."""
-
-    value: float
-
-
-def _mul_recover(z: float, y: float) -> float:
-    if abs(y) < _MULTIPLICATIVE_GUARD:
+def _mul_recover(z, y):
+    if np.any(np.abs(y) < _MULTIPLICATIVE_GUARD):
         raise ZeroDivisionError(
             "multiplicative recovery undefined: receiver state too close to 0"
         )

@@ -8,15 +8,16 @@ session is deterministic in (config, seed).
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _accel
 from .bitcodec import FrameSpec, correlate, decide, lsb_bits, mask_bits, spread
-from .core import BasinEscapeError, LogisticParams
+from .core import BasinEscapeError, LogisticParams, step
 from .fixedpoint import FixedParams, fx_run_sync
-from .hopper import ChannelTable, build_default_table, hop_trigger, select_channel
+from .hopper import ChannelTable, build_default_table, hop_session, hop_trigger
 from .masking import (
     DEFAULT_HOLD,
     DEFAULT_OPERATOR,
@@ -82,8 +83,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
-        if not 0.0 < self.x0_real < self.k_real:
-            raise ConfigError(f"x0 must lie in (0, {self.k_real})")
+        if not 0.0 < float(self.x0) < float(self.k):
+            raise ConfigError(f"x0 must lie in (0, {float(self.k)})")
         if self.settle >= self.steps:
             raise ConfigError("settle must be smaller than steps")
         if self.source not in (SOURCE_OFF, SOURCE_BERNOULLI, SOURCE_PATTERN):
@@ -98,14 +99,6 @@ class ScenarioConfig:
             raise ConfigError("pattern must be a nonempty string over {0,1}")
         if self.source == SOURCE_PATTERN and not self.pattern:
             raise ConfigError("pattern must be a nonempty string over {0,1}")
-
-    @property
-    def k_real(self) -> float:
-        return float(self.k)
-
-    @property
-    def x0_real(self) -> float:
-        return float(self.x0)
 
     @property
     def detect_threshold(self) -> float:
@@ -126,8 +119,6 @@ class ScenarioConfig:
         return FixedParams.from_real(self.mu, self.rho, k=int(self.k),
                                      frac_bits=self.frac_bits)
 
-
-_BOOLISH = ()
 
 _FIELD_PARSERS = {
     "mu": float, "k": float, "rho": float, "x0": float, "y0": float,
@@ -178,9 +169,16 @@ class SessionTrace:
     def empty(cls) -> "SessionTrace":
         return cls(data={name: [] for name in TRACE_COLUMNS})
 
-    def append(self, **fields) -> None:
+    def extend(self, rows: int, **columns) -> None:
+        """Append `rows` rows, numbered on from len(self), from whole columns:
+        arrays land as Python scalars, a short column is padded with None and
+        an absent one is all None."""
+        start = len(self)
+        columns["n"] = range(start, start + rows)
         for name in TRACE_COLUMNS:
-            self.data[name].append(fields.get(name))
+            values = columns.get(name, ())
+            values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+            self.data[name] += values + [None] * (rows - len(values))
 
     def __len__(self):
         return len(self.data["n"])
@@ -190,9 +188,7 @@ class SessionTrace:
 
     def array(self, name: str) -> np.ndarray:
         """Column as float array with NaN for absent entries."""
-        return np.array(
-            [math.nan if v is None else float(v) for v in self.data[name]]
-        )
+        return np.array(self.data[name], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -263,25 +259,52 @@ def _symbol_stream(cfg: ScenarioConfig, n_blocks: int, rng) -> np.ndarray:
     return np.zeros(n_blocks, dtype=np.uint8)
 
 
+def _block_ends(values: list, block: int) -> list:
+    """Column with values[j] on the last row of block j, None elsewhere."""
+    column = [None] * (block * len(values))
+    column[block - 1::block] = values
+    return column
+
+
+def _track(cfg: ScenarioConfig, op, x0, y0, info, dist=0.0, start: int = 0):
+    """Drive orbit from x0, line z = op.forward(x, info) + dist, response
+    from y0 driven by z.  Returns (x, y, z, u, i_hat), x and y one sample
+    longer than the line.
+
+    Failures are raised as a step-by-step loop meets them: the earliest step
+    wins, a drive escape beats a divergence at the same step, and recovery
+    near y = 0 fails before its own step's update.  start numbers the first
+    step in error messages.
+    """
+    steps = len(info)
+    x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, x0, steps)
+    z = op.forward(x[:-1], info) + dist
+    guard = cfg.guard * cfg.k
+    y, u, diverge = _accel.response_track(cfg.mu, cfg.k, cfg.rho, y0, z, guard)
+    stop = min((i for i in (escape, diverge) if i >= 0), default=steps)
+    i_hat = op.recover(z[:stop], y[:stop])
+    if stop == escape:
+        raise BasinEscapeError(start + escape, x[escape])
+    if stop == diverge:
+        raise DivergenceError(
+            f"response exceeded guard {guard} at step {start + diverge}"
+        )
+    return x, y, z, u, i_hat
+
+
 def run_sync_session(cfg: ScenarioConfig):
     """Idle synchronization: drive on its orbit, response tracking it."""
     if cfg.source != SOURCE_OFF:
         raise ConfigError("sync session requires source=off")
     cfg.logistic  # validate parameters
-    xs, ys, us, escape = _accel.coupled_sync(
-        cfg.mu, cfg.k, cfg.rho, cfg.x0, cfg.y0, cfg.steps
-    )
-    if escape >= 0:
-        raise BasinEscapeError(escape, xs[escape])
+    # the bare drive state is the additive line with no information on it
+    x, y, _, u, _ = _track(cfg, get_operator("additive"), cfg.x0, cfg.y0,
+                           np.zeros(cfg.steps))
+    errors = y - x
     trace = SessionTrace.empty()
-    for n in range(cfg.steps + 1):
-        trace.append(
-            n=n, x=xs[n], y=ys[n], e=ys[n] - xs[n],
-            u=us[n] if n < cfg.steps else None,
-        )
-    errors = [ys[n] - xs[n] for n in range(cfg.steps + 1)]
+    trace.extend(cfg.steps + 1, x=x, y=y, e=errors, u=u)
     metrics = Metrics(
-        sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
+        sync_step=_sync_step(trace.column("e"), cfg.sync_tol, cfg.sync_window),
         max_abs_error=float(np.max(np.abs(errors))),
     )
     return trace, metrics
@@ -304,68 +327,23 @@ def run_transmit_session(cfg: ScenarioConfig):
         dist = rng.uniform(-cfg.disturbance, cfg.disturbance, cfg.steps)
     else:
         dist = np.zeros(cfg.steps)
-    guard = cfg.guard * cfg.k
 
-    op = get_operator(cfg.operator)
-    if cfg.operator == DEFAULT_OPERATOR:
-        xs, ys, zs, us, eps, escape, diverge = _accel.additive_transmit(
-            cfg.mu, cfg.k, cfg.rho, cfg.x0, cfg.y0, info, dist, guard
-        )
-        if escape >= 0:
-            raise BasinEscapeError(escape, xs[escape])
-        if diverge >= 0:
-            raise DivergenceError(
-                f"response exceeded guard {guard} at step {diverge}"
-            )
-        ihat = zs - ys[:-1]
-    else:
-        xs = np.zeros(cfg.steps + 1)
-        ys = np.zeros(cfg.steps + 1)
-        zs = np.zeros(cfg.steps)
-        us = np.zeros(cfg.steps)
-        eps = np.zeros(cfg.steps)
-        ihat = np.zeros(cfg.steps)
-        xs[0], ys[0] = cfg.x0, cfg.y0
-        x, y = cfg.x0, cfg.y0
-        mu, k, rho = cfg.mu, cfg.k, cfg.rho
-        for n in range(cfg.steps):
-            z = op.forward(x, info[n]) + dist[n]
-            zs[n] = z
-            e = y - z
-            eps[n] = e
-            ihat[n] = op.recover(z, y)
-            u = (mu * (e + 2.0 * z - k) + rho * k) * e / k
-            us[n] = u
-            y = mu * y * (1.0 - y / k) + u
-            x = mu * x * (1.0 - x / k)
-            xs[n + 1] = x
-            ys[n + 1] = y
-            if not 0.0 < x < k:
-                raise BasinEscapeError(n + 1, x)
-            if abs(y) > guard:
-                raise DivergenceError(f"response exceeded guard {guard} at step {n + 1}")
-
+    x, y, z, u, ihat = _track(cfg, get_operator(cfg.operator), cfg.x0, cfg.y0,
+                              info, dist)
     decisions = threshold_detect(ihat, cfg.hold, cfg.detect_threshold)
 
+    errors = y - x
     trace = SessionTrace.empty()
-    for n in range(cfg.steps + 1):
-        last_of_block = n < cfg.steps and (n + 1) % cfg.hold == 0
-        trace.append(
-            n=n, x=xs[n], y=ys[n], e=ys[n] - xs[n],
-            z=zs[n] if n < cfg.steps else None,
-            epsilon=eps[n] if n < cfg.steps else None,
-            u=us[n] if n < cfg.steps else None,
-            i=info[n] if n < cfg.steps else None,
-            i_hat=ihat[n] if n < cfg.steps else None,
-            bit=int(decisions[n // cfg.hold]) if last_of_block else None,
-        )
+    trace.extend(
+        cfg.steps + 1, x=x, y=y, e=errors, z=z, epsilon=y[:-1] - z, u=u,
+        i=info, i_hat=ihat, bit=_block_ends(decisions.tolist(), cfg.hold),
+    )
 
     post = np.arange(n_blocks) * cfg.hold >= cfg.settle
     bit_errors = int(np.count_nonzero(decisions[post] != bits[post]))
     bits_total = int(np.count_nonzero(post))
-    errors = ys - xs
     metrics = Metrics(
-        sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
+        sync_step=_sync_step(trace.column("e"), cfg.sync_tol, cfg.sync_window),
         max_abs_error=float(np.max(np.abs(errors))),
         ber=bit_errors / bits_total if bits_total else None,
         bits_total=bits_total,
@@ -398,7 +376,7 @@ def run_digital_session(cfg: ScenarioConfig):
 
     line = np.zeros(cfg.steps, dtype=np.uint8)
     spread_all = np.zeros(cfg.steps, dtype=np.uint8)
-    ihat_all = np.full(cfg.steps, np.nan)
+    soft = np.zeros(n_frames * spec.n)
     decided = np.zeros(n_frames * spec.n, dtype=np.uint8)
     for f in range(n_frames):
         lo = f * spec.m
@@ -409,25 +387,17 @@ def run_digital_session(cfg: ScenarioConfig):
         line[lo:lo + spec.m] = masked
         unmasked = mask_bits(masked, rx_carrier[lo:lo + spec.m])
         means = correlate(unmasked, spec)
+        soft[f * spec.n:(f + 1) * spec.n] = means
         decided[f * spec.n:(f + 1) * spec.n] = decide(means)
-        # correlator soft outputs land on the final step of each r-block
-        for p in range(spec.n):
-            ihat_all[lo + (p + 1) * spec.r - 1] = means[p]
 
+    # correlator soft outputs and decisions land on each r-block's last step
     trace = SessionTrace.empty()
-    r = spec.r
-    for n in range(cfg.steps + 1):
-        in_run = n < cfg.steps
-        block_end = in_run and (n + 1) % r == 0
-        idx = (n // spec.m) * spec.n + (n % spec.m) // r if in_run else 0
-        trace.append(
-            n=n, x=float(run.x[n]), y=float(run.y[n]),
-            e=float(run.y[n] - run.x[n]),
-            z=float(line[n]) if in_run else None,
-            i=float(spread_all[n]) if in_run else None,
-            i_hat=float(ihat_all[n]) if block_end else None,
-            bit=int(decided[idx]) if block_end else None,
-        )
+    trace.extend(
+        cfg.steps + 1, x=run.x.astype(float), y=run.y.astype(float),
+        e=(run.y - run.x).astype(float), z=line.astype(float),
+        i=spread_all.astype(float), i_hat=_block_ends(soft.tolist(), spec.r),
+        bit=_block_ends(decided.tolist(), spec.r),
+    )
 
     sync_at = run.first_equal if run.held else None
     if sync_at is not None:
@@ -464,78 +434,78 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     """
     if table is None:
         table = build_default_table()
-    cfg.logistic  # validate parameters
+    params = cfg.logistic
     rng = np.random.default_rng(cfg.seed)
-    mu, k, rho = cfg.mu, cfg.k, cfg.rho
     guard = cfg.guard * cfg.k
     op = get_operator(cfg.operator)
+    transmit = cfg.source != SOURCE_OFF and cfg.active_steps > 0
     x, y = cfg.x0, cfg.y0
     trace = SessionTrace.empty()
     hops = []
-    n = 0
-    eps_hist: list[float] = []
+    # The trigger reads only the last sync_window innovations; hop_trigger
+    # itself rejects a window below 1.
+    recent = deque(maxlen=max(cfg.sync_window, 1))
 
-    def advance(d, u_val):
-        nonlocal x, y
-        y = mu * y * (1.0 - y / k) + u_val
-        x = mu * x * (1.0 - x / k)
-        if not 0.0 < x < k:
-            raise BasinEscapeError(n + 1, x)
-        if abs(y) > guard:
-            raise DivergenceError(f"response exceeded guard {guard} at step {n + 1}")
-
-    max_err = abs(y - x)
     for session in range(cfg.sessions):
         # idle phase: line carries the bare drive state
-        idle = 0
+        idle = []
         while True:
             e = y - x
-            eps_hist.append(e)
-            max_err = max(max_err, abs(e))
-            u = (mu * (e + 2.0 * x - k) + rho * k) * e / k
-            trace.append(n=n, x=x, y=y, e=e, epsilon=e, u=u, z=x, i=0.0)
-            advance(x, u)
-            n += 1
-            idle += 1
-            if len(eps_hist) >= cfg.sync_window and hop_trigger(
-                eps_hist, cfg.sync_tol, cfg.sync_window
+            u = _accel.control_effort(cfg.mu, cfg.k, cfg.rho, e, x)
+            idle.append((x, y, e, u))
+            recent.append(e)
+            x, y = step(params, x), step(params, y) + u
+            n = len(trace) + len(idle)
+            if not 0.0 < x < cfg.k:
+                raise BasinEscapeError(n, x)
+            if abs(y) > guard:
+                raise DivergenceError(f"response exceeded guard {guard} at step {n}")
+            if len(recent) >= cfg.sync_window and hop_trigger(
+                recent, cfg.sync_tol, cfg.sync_window
             ):
                 break
-            if idle > MAX_IDLE_STEPS:
+            if len(idle) > MAX_IDLE_STEPS:
                 raise DivergenceError(
                     f"no sync trigger within {MAX_IDLE_STEPS} idle steps"
                 )
+        xs, ys, es, us = zip(*idle)
+        trace.extend(len(idle), x=xs, y=ys, e=es, epsilon=es, u=us, z=xs,
+                     i=[0.0] * len(idle))
         # hop on the first post-trigger drive sample
-        j_tx = select_channel(x, k, table)
-        j_rx = select_channel(y, k, table)
-        hops.append(HopRecord(session=session, step=n, j_tx=j_tx, j_rx=j_rx,
-                              error=j_tx - j_rx))
-        # active phase: masked transmission on the new channel
-        if cfg.source != SOURCE_OFF and cfg.active_steps > 0:
-            n_blocks = -(-cfg.active_steps // cfg.hold)
-            bits = _symbol_stream(cfg, n_blocks, rng)
+        n = len(trace)
+        hops.append(HopRecord(session, n, *hop_session(x, y, cfg.k, table)))
+        if transmit:
+            # active phase: masked transmission on the new channel
+            bits = _symbol_stream(cfg, -(-cfg.active_steps // cfg.hold), rng)
             info = np.repeat(bits.astype(float) * cfg.amplitude, cfg.hold)
-            for step_i in range(cfg.active_steps):
-                z = op.forward(x, info[step_i])
-                e = y - z
-                eps_hist.append(e)
-                max_err = max(max_err, abs(y - x))
-                u = (mu * (e + 2.0 * z - k) + rho * k) * e / k
-                trace.append(
-                    n=n, x=x, y=y, e=y - x, epsilon=e, u=u, z=z,
-                    i=info[step_i], i_hat=op.recover(z, y),
-                    channel=j_tx if step_i == 0 else None,
-                )
-                advance(z, u)
-                n += 1
+            info = info[:cfg.active_steps]
+            xs, ys, z, u, ihat = _track(cfg, op, x, y, info, start=n)
+            epsilon = ys[:-1] - z
+            recent.extend(epsilon.tolist())
+            trace.extend(
+                cfg.active_steps, x=xs[:-1], y=ys[:-1], e=ys[:-1] - xs[:-1],
+                epsilon=epsilon, u=u, z=z, i=info, i_hat=ihat, channel=[hops[-1].j_tx],
+            )
         else:
-            trace.append(n=n, x=x, y=y, e=y - x, epsilon=y - x, channel=j_tx)
-            advance(x, (mu * ((y - x) + 2.0 * x - k) + rho * k) * (y - x) / k)
-            n += 1
-    trace.append(n=n, x=x, y=y, e=y - x)
+            # one bare step on the new channel, its control not recorded
+            trace.extend(1, x=[x], y=[y], e=[y - x], epsilon=[y - x],
+                         channel=[hops[-1].j_tx])
+            xs, ys, *_ = _track(cfg, get_operator("additive"), x, y,
+                                np.zeros(1), start=n)
+        x, y = float(xs[-1]), float(ys[-1])
+    trace.extend(1, x=[x], y=[y], e=[y - x])
 
+    # The maximum error skips rows without control (bare hop steps and the
+    # final row).  A step-by-step loop held it as a numpy scalar once the
+    # response had taken a masked line sample; the CLI prints its repr.
+    errors, controls = trace.column("e"), trace.column("u")
+    peak = max((r for r, u in enumerate(controls) if r == 0 or u is not None),
+               key=lambda r: abs(errors[r]))
+    max_err = abs(errors[peak])
+    if transmit and hops and peak > hops[0].step:
+        max_err = np.float64(max_err)
     metrics = Metrics(
-        sync_step=_sync_step(trace.column("e"), cfg.sync_tol, cfg.sync_window),
+        sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
         max_abs_error=max_err,
         channel_error_count=sum(1 for h in hops if h.error != 0),
         hops=tuple(hops),
@@ -568,10 +538,8 @@ def load_trace_csv(path) -> SessionTrace:
         if tuple(reader.fieldnames or ()) != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace header in {path}")
         for row in reader:
-            trace.append(**{
-                name: (float(row[name]) if row[name] != "" else None)
-                for name in TRACE_COLUMNS
-            })
+            for name in TRACE_COLUMNS:
+                trace.data[name].append(float(row[name]) if row[name] != "" else None)
     return trace
 
 

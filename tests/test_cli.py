@@ -183,3 +183,26 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "guard" in err
+
+    def test_sync_divergence_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "div.cfg"
+        cfg.write_text("rho = 3\nsteps = 1000\n")
+        code, _, err = run(
+            ["sync", "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert "guard" in err
+
+    def test_multiplicative_recovery_near_zero_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "mul.cfg"
+        cfg.write_text(
+            "operator = multiplicative\nsource = bernoulli\nseed = 1\n"
+            "y0 = 0\nsteps = 80\n"
+        )
+        code, _, err = run(
+            ["transmit", "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: multiplicative recovery")

@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import chaoslink.simkit as simkit
 from chaoslink.core import BasinEscapeError
+from chaoslink.hopper import hop_trigger
 from chaoslink.simkit import (
     ConfigError,
     DivergenceError,
@@ -95,6 +97,10 @@ class TestSyncSession:
         assert np.all(np.diff(errs) > 0)
         assert metrics.sync_step is None
 
+    def test_unstable_gain_hits_guard(self):
+        with pytest.raises(DivergenceError, match="guard"):
+            run_sync_session(replace(SYNC_CFG, rho=3.0, steps=1000))
+
     def test_source_must_be_off(self):
         with pytest.raises(ConfigError):
             run_sync_session(replace(SYNC_CFG, source="pattern", pattern="1"))
@@ -151,6 +157,20 @@ class TestTransmitSession:
             run_transmit_session(
                 replace(TRANSMIT_CFG, rho=1.6, steps=2000, guard=100.0)
             )
+
+    def test_escape_beats_divergence_at_same_step(self):
+        # x: 0.5 -> 1.0 leaves the basin at step 1, where y also passes the guard
+        cfg = replace(TRANSMIT_CFG, mu=4.0, x0=0.5, y0=999.0, rho=3.0, steps=80)
+        with pytest.raises(BasinEscapeError) as info:
+            run_transmit_session(cfg)
+        assert info.value.step == 1
+
+    def test_recovery_near_zero_fails_before_the_step_update(self):
+        # recovery at step 0 (y = 0) comes before the escape at step 1
+        cfg = replace(TRANSMIT_CFG, mu=4.0, x0=0.5, y0=0.0, steps=80,
+                      operator="multiplicative")
+        with pytest.raises(ZeroDivisionError):
+            run_transmit_session(cfg)
 
     def test_multiplicative_operator_runs(self):
         cfg = replace(TRANSMIT_CFG, operator="multiplicative", amplitude=0.2,
@@ -220,6 +240,18 @@ class TestHopSession:
         b, mb = run_hop_session(HOP_CFG)
         assert ma.hops == mb.hops
         assert a.column("x") == b.column("x")
+
+    def test_trigger_sees_only_the_window(self, monkeypatch):
+        seen = []
+
+        def spy(history, tol, window):
+            seen.append(len(history))
+            return hop_trigger(history, tol, window)
+
+        monkeypatch.setattr(simkit, "hop_trigger", spy)
+        _, metrics = run_hop_session(replace(HOP_CFG, sessions=50))
+        assert len(metrics.hops) == 50
+        assert seen and max(seen) <= HOP_CFG.sync_window
 
     def test_hops_csv(self, tmp_path):
         _, metrics = run_hop_session(HOP_CFG)
