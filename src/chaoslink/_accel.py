@@ -151,72 +151,48 @@ def response_track(mu, k, rho, y0, z, guard):
 
 
 @njit(cache=True)
-def fx_drive_orbit(mu_q, frac, k, x0, n_steps):
-    """Quantized drive orbit.  Returns (states, escape_index)."""
-    out = np.zeros(n_steps + 1, dtype=np.int64)
-    out[0] = x0
-    x = np.int64(x0)
-    denom = np.int64(frac) * np.int64(k)
-    for i in range(n_steps):
-        x = (np.int64(mu_q) * x * (np.int64(k) - x)) // denom
-        if x > _I16_MAX:
-            x = np.int64(_I16_MAX)
-        elif x < _I16_MIN:
-            x = np.int64(_I16_MIN)
-        out[i + 1] = x
-        if x <= 0 or x >= k:
-            return out, i + 1
-    return out, -1
-
-
-@njit(cache=True)
 def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     """Quantized drive/response pair with quantized control.
 
     The response update keeps mu_q*y*(k-y) + u's numerator in one wide
     integer and applies the shift/divide and 16-bit saturation once, so
-    the float-domain cancellation survives quantization.
+    the float-domain cancellation survives quantization.  Once x == y the
+    error is 0 and both sides apply the same update, so equality holds.
 
-    Returns (x, y, first_equal, held, saturations); first_equal is the
-    first index with x == y (or -1), held says equality persisted to the
-    end, saturations counts clipped response states.
+    Returns (x, y, first_equal, escape_index, saturations): first_equal is
+    the first index with x == y (or -1); escape_index is the first index
+    with the drive outside the open basin (0, k), or -1 if none, and
+    samples past it are left at 0, as in logistic_orbit; saturations counts
+    clipped response states.  The arguments are plain ints, which keeps the
+    fallback's arithmetic fast.
     """
     xs = np.zeros(n_steps + 1, dtype=np.int64)
     ys = np.zeros(n_steps + 1, dtype=np.int64)
     xs[0] = x0
     ys[0] = y0
-    x = np.int64(x0)
-    y = np.int64(y0)
-    mu_w = np.int64(mu_q)
-    rho_w = np.int64(rho_q)
-    kw = np.int64(k)
-    denom = np.int64(frac) * kw
-    first = np.int64(-1)
-    if x == y:
-        first = np.int64(0)
-    held = True
-    saturations = np.int64(0)
+    first = 0 if x0 == y0 else -1
+    saturations = 0
+    if not (0 < x0 < k):
+        return xs, ys, first, 0, saturations
+    x = x0
+    y = y0
+    denom = frac * k
     for n in range(n_steps):
         e = y - x
-        wide = mu_w * y * (kw - y) + (mu_w * (e + 2 * x - kw) + rho_w * kw) * e
-        q = wide // denom
-        if q > _I16_MAX:
-            q = np.int64(_I16_MAX)
+        y = (mu_q * y * (k - y) + (mu_q * (e + 2 * x - k) + rho_q * k) * e) // denom
+        if y > _I16_MAX:
+            y = _I16_MAX
             saturations += 1
-        elif q < _I16_MIN:
-            q = np.int64(_I16_MIN)
+        elif y < _I16_MIN:
+            y = _I16_MIN
             saturations += 1
-        x = (mu_w * x * (kw - x)) // denom
-        if x > _I16_MAX:
-            x = np.int64(_I16_MAX)
-        elif x < _I16_MIN:
-            x = np.int64(_I16_MIN)
-        y = q
+        x = (mu_q * x * (k - x)) // denom
+        if x > _I16_MAX:  # x lies in (0, k), so its image is never negative
+            x = _I16_MAX
         xs[n + 1] = x
         ys[n + 1] = y
-        if x == y:
-            if first < 0:
-                first = np.int64(n + 1)
-        elif first >= 0:
-            held = False
-    return xs, ys, first, held, saturations
+        if first < 0 and x == y:
+            first = n + 1
+        if not (0 < x < k):
+            return xs, ys, first, n + 1, saturations
+    return xs, ys, first, -1, saturations

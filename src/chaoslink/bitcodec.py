@@ -34,17 +34,20 @@ class FrameSpec:
         return self.m // self.n
 
 
-def _as_bits(seq, length: int | None = None) -> np.ndarray:
+def _as_bits(seq, block: int = 1) -> np.ndarray:
     bits = np.asarray(seq, dtype=np.int64)
     if not np.isin(bits, (0, 1)).all():
         raise ValueError("bit sequence must contain only 0 and 1")
-    if length is not None and bits.size != length:
-        raise ValueError(f"expected {length} bits, got {bits.size}")
+    if bits.size % block != 0:
+        raise ValueError(f"expected a multiple of {block} bits, got {bits.size}")
     return bits.astype(np.uint8)
 
 
 def spread(info, spec: FrameSpec) -> np.ndarray:
-    """Repetition expansion: each info bit duplicated r times."""
+    """Repetition expansion: each info bit duplicated r times.
+
+    Takes any whole number of n-bit words.
+    """
     return np.repeat(_as_bits(info, spec.n), spec.r)
 
 
@@ -60,11 +63,12 @@ def mask_bits(spread_bits, carrier_bits) -> np.ndarray:
 def correlate(received, spec: FrameSpec) -> np.ndarray:
     """Block means: r received bits per information position.
 
-    Each value lies in [0, 1]; exactly 1 (0) when the whole block is
-    ones (zeros), strictly interior otherwise.
+    Takes any whole number of m-bit frames.  Each value lies in [0, 1];
+    exactly 1 (0) when the whole block is ones (zeros), strictly interior
+    otherwise.
     """
     bits = _as_bits(received, spec.m)
-    return bits.reshape(spec.n, spec.r).mean(axis=1)
+    return bits.reshape(-1, spec.r).mean(axis=1)
 
 
 def decide(block_means, threshold: float = 0.5) -> np.ndarray:

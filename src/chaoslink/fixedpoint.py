@@ -12,12 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
+from .core import BasinEscapeError
 
 I16_MIN = -32768
 I16_MAX = 32767
 
 DEFAULT_FRAC_BITS = 12
 DEFAULT_K = 1024
+MAX_K = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,16 @@ class FixedParams:
     frac_bits: int = DEFAULT_FRAC_BITS
 
     def __post_init__(self):
+        # These bounds keep every wide product of fx_sync_run below 2**62, so
+        # int64 (numba) and Python ints (fallback) agree.
+        QFormat(frac_bits=self.frac_bits)
         frac = 1 << self.frac_bits
         if not 0 < self.mu_q / frac <= 4.0:
             raise ValueError(f"mu_q/{frac} must lie in (0, 4], got {self.mu_q}")
+        if not -8 * frac <= self.rho_q < 8 * frac:
+            raise ValueError(f"rho_q/{frac} must lie in [-8, 8), got {self.rho_q}")
+        if not (isinstance(self.k, int) and 0 < self.k <= MAX_K):
+            raise ValueError(f"k must be an integer in (0, {MAX_K}], got {self.k!r}")
 
     @classmethod
     def from_real(cls, mu: float, rho: float, k: int = DEFAULT_K,
@@ -77,7 +86,6 @@ class FixedSyncRun:
     x: np.ndarray
     y: np.ndarray
     first_equal: int | None
-    held: bool
     saturations: int
 
 
@@ -135,43 +143,21 @@ def fx_run_sync(params: FixedParams, x0: int, y0: int, steps: int) -> FixedSyncR
     The response numerator mu_q*y*(k-y) + u_num is kept in one wide
     integer and shifted/divided once, so the error contraction survives
     truncation; saturation applies to the final 16-bit state only.
-    Response saturation events are recorded, not fatal.
+    Response saturation events are recorded, not fatal; a drive that
+    leaves (0, k) raises BasinEscapeError.
     """
     if not 0 < x0 < params.k:
         raise ValueError(f"drive initial state must lie in (0, {params.k})")
-    xs, ys, first, held, sats = _accel.fx_sync_run(
+    if not I16_MIN <= y0 <= I16_MAX:
+        raise ValueError(f"response initial state {y0} outside 16-bit range")
+    xs, ys, first, escape, sats = _accel.fx_sync_run(
         params.mu_q, params.rho_q, params.frac, params.k, x0, y0, steps
     )
+    if escape >= 0:
+        raise BasinEscapeError(escape, int(xs[escape]))
     return FixedSyncRun(
-        x=np.asarray(xs),
-        y=np.asarray(ys),
+        x=xs,
+        y=ys,
         first_equal=None if first < 0 else int(first),
-        held=bool(held),
         saturations=int(sats),
     )
-
-
-def fx_drive_orbit(params: FixedParams, x0: int, steps: int) -> np.ndarray:
-    """Quantized drive-only orbit; raises if the state leaves (0, k)."""
-    out, escape = _accel.fx_drive_orbit(params.mu_q, params.frac, params.k, x0, steps)
-    if escape >= 0:
-        raise ValueError(
-            f"quantized drive left (0, {params.k}) at step {escape}: {out[escape]}"
-        )
-    return np.asarray(out)
-
-
-def to_bin16(value: int) -> str:
-    """16-character two's-complement binary string (logic-analyzer style)."""
-    return format(value & 0xFFFF, "016b")
-
-
-def export_logic_trace(run: FixedSyncRun, path) -> None:
-    """Logic-analyzer style CSV: step, binary and decimal states, equal flag."""
-    with open(path, "w", newline="") as fh:
-        fh.write("step,x_bin,x_dec,y_bin,y_dec,equal\n")
-        for n, (x, y) in enumerate(zip(run.x, run.y)):
-            fh.write(
-                f"{n},{to_bin16(int(x))},{int(x)},{to_bin16(int(y))},{int(y)},"
-                f"{1 if x == y else 0}\n"
-            )

@@ -83,6 +83,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.hold < 1:
+            raise ConfigError("hold must be >= 1")
+        if self.sync_window < 1:
+            raise ConfigError("sync_window must be >= 1")
+        if self.sessions < 0 or self.active_steps < 0:
+            raise ConfigError("sessions and active_steps must be >= 0")
         if not 0.0 < float(self.x0) < float(self.k):
             raise ConfigError(f"x0 must lie in (0, {float(self.k)})")
         if self.settle >= self.steps:
@@ -365,50 +371,29 @@ def run_digital_session(cfg: ScenarioConfig):
     params = cfg.fixed_params
     if cfg.steps % spec.m != 0:
         raise ConfigError("steps must be a multiple of frame_m")
-    x0, y0 = int(cfg.x0), int(cfg.y0)
-    run = fx_run_sync(params, x0, y0, cfg.steps)
+    run = fx_run_sync(params, int(cfg.x0), int(cfg.y0), cfg.steps)
     rng = np.random.default_rng(cfg.seed)
-    n_frames = cfg.steps // spec.m
-    info_bits = _symbol_stream(cfg, n_frames * spec.n, rng)
+    info_bits = _symbol_stream(cfg, cfg.steps // spec.r, rng)
 
-    tx_carrier = lsb_bits(run.x[:-1])
-    rx_carrier = lsb_bits(run.y[:-1])
-
-    line = np.zeros(cfg.steps, dtype=np.uint8)
-    spread_all = np.zeros(cfg.steps, dtype=np.uint8)
-    soft = np.zeros(n_frames * spec.n)
-    decided = np.zeros(n_frames * spec.n, dtype=np.uint8)
-    for f in range(n_frames):
-        lo = f * spec.m
-        word = info_bits[f * spec.n:(f + 1) * spec.n]
-        tx_bits = spread(word, spec)
-        spread_all[lo:lo + spec.m] = tx_bits
-        masked = mask_bits(tx_bits, tx_carrier[lo:lo + spec.m])
-        line[lo:lo + spec.m] = masked
-        unmasked = mask_bits(masked, rx_carrier[lo:lo + spec.m])
-        means = correlate(unmasked, spec)
-        soft[f * spec.n:(f + 1) * spec.n] = means
-        decided[f * spec.n:(f + 1) * spec.n] = decide(means)
+    spread_bits = spread(info_bits, spec)
+    line = mask_bits(spread_bits, lsb_bits(run.x[:-1]))
+    soft = correlate(mask_bits(line, lsb_bits(run.y[:-1])), spec)
+    decided = decide(soft)
 
     # correlator soft outputs and decisions land on each r-block's last step
     trace = SessionTrace.empty()
     trace.extend(
         cfg.steps + 1, x=run.x.astype(float), y=run.y.astype(float),
         e=(run.y - run.x).astype(float), z=line.astype(float),
-        i=spread_all.astype(float), i_hat=_block_ends(soft.tolist(), spec.r),
+        i=spread_bits.astype(float), i_hat=_block_ends(soft.tolist(), spec.r),
         bit=_block_ends(decided.tolist(), spec.r),
     )
 
-    sync_at = run.first_equal if run.held else None
-    if sync_at is not None:
-        frame_start = np.arange(n_frames) * spec.m
-        post_frames = frame_start >= sync_at
-        post_bits = np.repeat(post_frames, spec.n)
-        bit_errors = int(np.count_nonzero(decided[post_bits] != info_bits[post_bits]))
-        bits_total = int(np.count_nonzero(post_bits))
-    else:
-        bit_errors = 0
-        bits_total = 0
+    # a bit counts when its frame starts at or after sync; no sync, no bits
+    sync_at = cfg.steps if run.first_equal is None else run.first_equal
+    post_bits = np.arange(info_bits.size) // spec.n * spec.m >= sync_at
+    bit_errors = int(np.count_nonzero(decided[post_bits] != info_bits[post_bits]))
+    bits_total = int(np.count_nonzero(post_bits))
     errors = run.y - run.x
     metrics = Metrics(
         sync_step=run.first_equal,
@@ -442,9 +427,8 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     x, y = cfg.x0, cfg.y0
     trace = SessionTrace.empty()
     hops = []
-    # The trigger reads only the last sync_window innovations; hop_trigger
-    # itself rejects a window below 1.
-    recent = deque(maxlen=max(cfg.sync_window, 1))
+    # The trigger reads only the last sync_window innovations.
+    recent = deque(maxlen=cfg.sync_window)
 
     for session in range(cfg.sessions):
         # idle phase: line carries the bare drive state
@@ -496,7 +480,7 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     trace.extend(1, x=[x], y=[y], e=[y - x])
 
     # The maximum error skips rows without control (bare hop steps and the
-    # final row).  A step-by-step loop held it as a numpy scalar once the
+    # final row).  A step-by-step loop kept it as a numpy scalar once the
     # response had taken a masked line sample; the CLI prints its repr.
     errors, controls = trace.column("e"), trace.column("u")
     peak = max((r for r, u in enumerate(controls) if r == 0 or u is not None),

@@ -174,7 +174,6 @@ def test_criterion_7_fixed_point_sync():
         run = fx_run_sync(params, 122, -1024, 1_000_064)
         assert run.first_equal is not None
         assert run.first_equal <= 64
-        assert run.held
         n0 = run.first_equal
         assert np.array_equal(run.x[n0:], run.y[n0:])
 

@@ -73,6 +73,10 @@ class TestCorrelate:
     def test_all_zeros(self):
         assert correlate([0, 0], FrameSpec(2, 1)).tolist() == [0.0]
 
+    def test_partial_frame_rejected(self):
+        with pytest.raises(ValueError):
+            correlate([1, 1, 0, 0, 1, 1], FrameSpec(4, 2))
+
     @given(st.lists(st.integers(0, 1), min_size=16, max_size=16))
     def test_output_bounds(self, bits):
         spec = FrameSpec(16, 4)

@@ -206,3 +206,31 @@ class TestErrorPaths:
         )
         assert code == 2
         assert err.startswith("error: multiplicative recovery")
+
+    def test_fixed_drive_escape_exit_code(self, tmp_path, capsys):
+        # the 16-bit drive runs 10 -> 39 -> 150 -> 512 -> 1024 = k
+        cfg = tmp_path / "esc.cfg"
+        cfg.write_text("mode = fixed\nk = 1024\nmu = 4.0\nx0 = 10\ny0 = -1024\nsteps = 160\n")
+        code, _, err = run(
+            ["digital", "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: orbit escaped the basin (0, k) at step 4: x = 1024")
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("digital", DIGITAL_CFG.replace("y0 = -1024", "y0 = 1e12"), "16-bit range"),
+        ("digital", DIGITAL_CFG + "frac_bits = 40\n", "frac_bits"),
+        ("digital", DIGITAL_CFG + "rho = 20\n", "rho_q"),
+        ("transmit", TRANSMIT_CFG + "hold = 0\n", "hold"),
+    ], ids=["y0-1e12", "frac_bits-40", "rho-20", "hold-0"])
+    def test_out_of_range_config_exit_code(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, _, err = run(
+            [command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+            capsys,
+        )
+        assert code == 1
+        assert message in err
+        assert not (tmp_path / "o.csv").exists()

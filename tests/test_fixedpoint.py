@@ -13,13 +13,11 @@ from chaoslink.fixedpoint import (
     FixedState,
     QFormat,
     fx_control,
-    fx_drive_orbit,
     fx_from_real,
     fx_run_sync,
     fx_step,
     fx_to_real,
     saturate16,
-    to_bin16,
 )
 
 PARAMS = FixedParams.from_real(3.7, 0.5)  # mu_q=15155, rho_q=2048, k=1024
@@ -134,12 +132,12 @@ class TestSyncRun:
         run = fx_run_sync(PARAMS, 122, -1024, 200)
         assert run.first_equal is not None
         assert run.first_equal <= 64
-        assert run.held
+        n0 = run.first_equal
+        assert np.array_equal(run.x[n0:], run.y[n0:])
 
     def test_equal_start_is_absorbed(self):
         run = fx_run_sync(PARAMS, 122, 122, 100)
         assert run.first_equal == 0
-        assert run.held
         assert np.array_equal(run.x, run.y)
 
     def test_absorption_after_first_equality(self):
@@ -154,7 +152,7 @@ class TestSyncRun:
         assert np.array_equal(a.y, b.y)
 
     def test_drive_basin_long_run(self):
-        orbit = fx_drive_orbit(PARAMS, 122, 1_000_000)
+        orbit = fx_run_sync(PARAMS, 122, 122, 10**6).x
         assert orbit.min() > 0
         assert orbit.max() < 1024
 
@@ -167,14 +165,26 @@ class TestSyncRun:
         worst_state = 15155 * 32768 * (1024 + 32768)
         worst_ctrl = abs(15155 * (65536 + 2 * 1023 - 1024) + 2048 * 1024) * 65536
         assert worst_state + worst_ctrl < 2**62
+        # nor at the widest parameters FixedParams accepts: |x|, |y| <= 2**15,
+        # |y - x| <= 2**16, k <= 2**15, mu_q <= 4*frac, |rho_q| <= 8*frac
+        frac_bits, k = 15, 2**15
+        frac = 1 << frac_bits
+        widest = FixedParams(mu_q=4 * frac, rho_q=-8 * frac, k=k, frac_bits=frac_bits)
+        mu_q, rho_q = widest.mu_q, abs(widest.rho_q)
+        state, error = 2**15, 2**16
+        worst_drive = mu_q * k * k
+        worst_state = mu_q * state * (k + state)
+        worst_ctrl = (mu_q * (error + 2 * state + k) + rho_q * k) * error
+        assert max(worst_drive, worst_state + worst_ctrl) < 2**62
+        for bad in (dict(rho_q=8 * frac), dict(rho_q=-8 * frac - 1),
+                    dict(mu_q=4 * frac + 1), dict(k=k + 1), dict(k=0),
+                    dict(k=1024.0), dict(frac_bits=16), dict(frac_bits=0)):
+            fields = dict(mu_q=4 * frac, rho_q=0, k=k, frac_bits=frac_bits) | bad
+            with pytest.raises(ValueError):
+                FixedParams(**fields)
         rng = np.random.default_rng(0)
         for _ in range(200):
             y0 = int(rng.integers(-32768, 32768))
             run = fx_run_sync(PARAMS, 122, y0, 64)
             assert np.all(run.x >= -32768) and np.all(run.x <= 32767)
             assert np.all(run.y >= -32768) and np.all(run.y <= 32767)
-
-
-def test_binary16_rendering():
-    assert to_bin16(122) == "0000000001111010"
-    assert to_bin16(-1024) == "1111110000000000"
