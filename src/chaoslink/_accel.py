@@ -132,7 +132,7 @@ def response_track(mu, k, rho, y0, z, guard):
     Step n applies control_effort(y - z[n], z[n]).  Returns (ys, us,
     diverge_index): ys has one sample more than z, us[n] is the control
     on the n -> n+1 transition, and diverge_index is the first index with
-    |y| > guard (samples past it are left at 0), or -1 if none.
+    |y| > guard or y NaN (samples past it are left at 0), or -1 if none.
     """
     n_steps = z.size
     ys = np.zeros(n_steps + 1)
@@ -145,7 +145,7 @@ def response_track(mu, k, rho, y0, z, guard):
         us[n] = u
         y = mu * y * (1.0 - y / k) + u
         ys[n + 1] = y
-        if abs(y) > guard:
+        if not abs(y) <= guard:
             return ys, us, n + 1
     return ys, us, -1
 

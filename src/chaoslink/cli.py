@@ -170,7 +170,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
-    except (BasinEscapeError, DivergenceError, ZeroDivisionError, OSError) as exc:
+    except (BasinEscapeError, DivergenceError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

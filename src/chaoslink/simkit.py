@@ -81,6 +81,12 @@ class ScenarioConfig:
     guard: float = DEFAULT_GUARD_FACTOR
 
     def __post_init__(self):
+        for name, parse in _FIELD_PARSERS.items():
+            value = getattr(self, name)
+            if parse is float and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
+        if not self.guard > 0:
+            raise ConfigError("guard must be > 0")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.hold < 1:
@@ -165,36 +171,25 @@ def load_config(path) -> ScenarioConfig:
         return parse_config_text(fh.read())
 
 
-@dataclass
 class SessionTrace:
-    """Per-step records as parallel columns; None marks an absent field."""
+    """Per-step records as float64 columns; NaN marks an absent field."""
 
-    data: dict
-
-    @classmethod
-    def empty(cls) -> "SessionTrace":
-        return cls(data={name: [] for name in TRACE_COLUMNS})
-
-    def extend(self, rows: int, **columns) -> None:
-        """Append `rows` rows, numbered on from len(self), from whole columns:
-        arrays land as Python scalars, a short column is padded with None and
-        an absent one is all None."""
-        start = len(self)
-        columns["n"] = range(start, start + rows)
+    def __init__(self, rows: int, **columns):
+        """Trace of `rows` rows from whole columns: n defaults to
+        0..rows-1, a short column is padded with NaN and an absent one is
+        all NaN."""
+        columns.setdefault("n", np.arange(rows))
+        self.data = {}
         for name in TRACE_COLUMNS:
-            values = columns.get(name, ())
-            values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-            self.data[name] += values + [None] * (rows - len(values))
+            values = np.asarray(columns.get(name, ()), dtype=float)
+            self.data[name] = np.full(rows, np.nan)
+            self.data[name][:values.size] = values
 
     def __len__(self):
         return len(self.data["n"])
 
-    def column(self, name: str) -> list:
+    def column(self, name: str) -> np.ndarray:
         return self.data[name]
-
-    def array(self, name: str) -> np.ndarray:
-        """Column as float array with NaN for absent entries."""
-        return np.array(self.data[name], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -242,17 +237,12 @@ class Metrics:
         return lines
 
 
-def _sync_step(errors, tol: float, window: int) -> int | None:
-    """First index n such that |e| < tol for the window ending at n."""
-    run = 0
-    for n, e in enumerate(errors):
-        if e is None or math.isnan(e):
-            run = 0
-            continue
-        run = run + 1 if abs(e) < tol else 0
-        if run >= window:
-            return n
-    return None
+def _sync_step(errors: np.ndarray, tol: float, window: int) -> int | None:
+    """First index n such that |e| < tol for the window ending at n; an
+    absent (NaN) error breaks the run."""
+    inside = np.concatenate(([0], np.cumsum(np.abs(errors) < tol)))
+    ends = np.flatnonzero(inside[window:] - inside[:-window] == window)
+    return int(ends[0]) + window - 1 if ends.size else None
 
 
 def _symbol_stream(cfg: ScenarioConfig, n_blocks: int, rng) -> np.ndarray:
@@ -265,9 +255,9 @@ def _symbol_stream(cfg: ScenarioConfig, n_blocks: int, rng) -> np.ndarray:
     return np.zeros(n_blocks, dtype=np.uint8)
 
 
-def _block_ends(values: list, block: int) -> list:
-    """Column with values[j] on the last row of block j, None elsewhere."""
-    column = [None] * (block * len(values))
+def _block_ends(values: np.ndarray, block: int) -> np.ndarray:
+    """Column with values[j] on the last row of block j, NaN elsewhere."""
+    column = np.full(block * len(values), np.nan)
     column[block - 1::block] = values
     return column
 
@@ -307,10 +297,9 @@ def run_sync_session(cfg: ScenarioConfig):
     x, y, _, u, _ = _track(cfg, get_operator("additive"), cfg.x0, cfg.y0,
                            np.zeros(cfg.steps))
     errors = y - x
-    trace = SessionTrace.empty()
-    trace.extend(cfg.steps + 1, x=x, y=y, e=errors, u=u)
+    trace = SessionTrace(cfg.steps + 1, x=x, y=y, e=errors, u=u)
     metrics = Metrics(
-        sync_step=_sync_step(trace.column("e"), cfg.sync_tol, cfg.sync_window),
+        sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
         max_abs_error=float(np.max(np.abs(errors))),
     )
     return trace, metrics
@@ -339,17 +328,16 @@ def run_transmit_session(cfg: ScenarioConfig):
     decisions = threshold_detect(ihat, cfg.hold, cfg.detect_threshold)
 
     errors = y - x
-    trace = SessionTrace.empty()
-    trace.extend(
+    trace = SessionTrace(
         cfg.steps + 1, x=x, y=y, e=errors, z=z, epsilon=y[:-1] - z, u=u,
-        i=info, i_hat=ihat, bit=_block_ends(decisions.tolist(), cfg.hold),
+        i=info, i_hat=ihat, bit=_block_ends(decisions, cfg.hold),
     )
 
     post = np.arange(n_blocks) * cfg.hold >= cfg.settle
     bit_errors = int(np.count_nonzero(decisions[post] != bits[post]))
     bits_total = int(np.count_nonzero(post))
     metrics = Metrics(
-        sync_step=_sync_step(trace.column("e"), cfg.sync_tol, cfg.sync_window),
+        sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
         max_abs_error=float(np.max(np.abs(errors))),
         ber=bit_errors / bits_total if bits_total else None,
         bits_total=bits_total,
@@ -381,12 +369,10 @@ def run_digital_session(cfg: ScenarioConfig):
     decided = decide(soft)
 
     # correlator soft outputs and decisions land on each r-block's last step
-    trace = SessionTrace.empty()
-    trace.extend(
-        cfg.steps + 1, x=run.x.astype(float), y=run.y.astype(float),
-        e=(run.y - run.x).astype(float), z=line.astype(float),
-        i=spread_bits.astype(float), i_hat=_block_ends(soft.tolist(), spec.r),
-        bit=_block_ends(decided.tolist(), spec.r),
+    errors = run.y - run.x
+    trace = SessionTrace(
+        cfg.steps + 1, x=run.x, y=run.y, e=errors, z=line, i=spread_bits,
+        i_hat=_block_ends(soft, spec.r), bit=_block_ends(decided, spec.r),
     )
 
     # a bit counts when its frame starts at or after sync; no sync, no bits
@@ -394,7 +380,6 @@ def run_digital_session(cfg: ScenarioConfig):
     post_bits = np.arange(info_bits.size) // spec.n * spec.m >= sync_at
     bit_errors = int(np.count_nonzero(decided[post_bits] != info_bits[post_bits]))
     bits_total = int(np.count_nonzero(post_bits))
-    errors = run.y - run.x
     metrics = Metrics(
         sync_step=run.first_equal,
         max_abs_error=float(np.max(np.abs(errors))),
@@ -425,85 +410,84 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     op = get_operator(cfg.operator)
     transmit = cfg.source != SOURCE_OFF and cfg.active_steps > 0
     x, y = cfg.x0, cfg.y0
-    trace = SessionTrace.empty()
+    # Per-row values, NaN where absent; e, epsilon and channel are derived
+    # from them once the run ends.
+    rows = xs, ys, us, zs, infos, ihats = [], [], [], [], [], []
     hops = []
     # The trigger reads only the last sync_window innovations.
     recent = deque(maxlen=cfg.sync_window)
 
     for session in range(cfg.sessions):
         # idle phase: line carries the bare drive state
-        idle = []
+        start = len(xs)
         while True:
             e = y - x
-            u = _accel.control_effort(cfg.mu, cfg.k, cfg.rho, e, x)
-            idle.append((x, y, e, u))
+            us.append(_accel.control_effort(cfg.mu, cfg.k, cfg.rho, e, x))
+            xs.append(x)
+            ys.append(y)
             recent.append(e)
-            x, y = step(params, x), step(params, y) + u
-            n = len(trace) + len(idle)
+            x, y = step(params, x), step(params, y) + us[-1]
+            n = len(xs)
             if not 0.0 < x < cfg.k:
                 raise BasinEscapeError(n, x)
-            if abs(y) > guard:
+            if not abs(y) <= guard:
                 raise DivergenceError(f"response exceeded guard {guard} at step {n}")
             if len(recent) >= cfg.sync_window and hop_trigger(
                 recent, cfg.sync_tol, cfg.sync_window
             ):
                 break
-            if len(idle) > MAX_IDLE_STEPS:
+            if n - start > MAX_IDLE_STEPS:
                 raise DivergenceError(
                     f"no sync trigger within {MAX_IDLE_STEPS} idle steps"
                 )
-        xs, ys, es, us = zip(*idle)
-        trace.extend(len(idle), x=xs, y=ys, e=es, epsilon=es, u=us, z=xs,
-                     i=[0.0] * len(idle))
+        zs += xs[start:]
+        infos += [0.0] * (n - start)
+        ihats += [np.nan] * (n - start)
         # hop on the first post-trigger drive sample
-        n = len(trace)
         hops.append(HopRecord(session, n, *hop_session(x, y, cfg.k, table)))
         if transmit:
             # active phase: masked transmission on the new channel
             bits = _symbol_stream(cfg, -(-cfg.active_steps // cfg.hold), rng)
             info = np.repeat(bits.astype(float) * cfg.amplitude, cfg.hold)
             info = info[:cfg.active_steps]
-            xs, ys, z, u, ihat = _track(cfg, op, x, y, info, start=n)
-            epsilon = ys[:-1] - z
-            recent.extend(epsilon.tolist())
-            trace.extend(
-                cfg.active_steps, x=xs[:-1], y=ys[:-1], e=ys[:-1] - xs[:-1],
-                epsilon=epsilon, u=u, z=z, i=info, i_hat=ihat, channel=[hops[-1].j_tx],
-            )
+            tx, ty, z, u, ihat = _track(cfg, op, x, y, info, start=n)
+            recent.extend((ty[:-1] - z).tolist())
+            for column, values in zip(rows, (tx[:-1], ty[:-1], u, z, info, ihat)):
+                column += values.tolist()
         else:
             # one bare step on the new channel, its control not recorded
-            trace.extend(1, x=[x], y=[y], e=[y - x], epsilon=[y - x],
-                         channel=[hops[-1].j_tx])
-            xs, ys, *_ = _track(cfg, get_operator("additive"), x, y,
+            for column, value in zip(rows, (x, y) + (np.nan,) * 4):
+                column.append(value)
+            tx, ty, *_ = _track(cfg, get_operator("additive"), x, y,
                                 np.zeros(1), start=n)
-        x, y = float(xs[-1]), float(ys[-1])
-    trace.extend(1, x=[x], y=[y], e=[y - x])
+        x, y = float(tx[-1]), float(ty[-1])
 
+    x, y = np.array(xs + [x]), np.array(ys + [y])
+    u, z = np.array(us), np.array(zs)
+    errors = y - x
+    # epsilon is y - z on line samples and e on bare hop rows
+    epsilon = np.where(np.isnan(z), errors[:-1], y[:-1] - z)
+    channel = np.full(len(x), np.nan)
+    channel[[h.step for h in hops]] = [h.j_tx for h in hops]
+    trace = SessionTrace(len(x), x=x, y=y, z=z, e=errors, epsilon=epsilon,
+                         u=u, i=infos, i_hat=ihats, channel=channel)
     # The maximum error skips rows without control (bare hop steps and the
-    # final row).  A step-by-step loop kept it as a numpy scalar once the
-    # response had taken a masked line sample; the CLI prints its repr.
-    errors, controls = trace.column("e"), trace.column("u")
-    peak = max((r for r, u in enumerate(controls) if r == 0 or u is not None),
-               key=lambda r: abs(errors[r]))
-    max_err = abs(errors[peak])
-    if transmit and hops and peak > hops[0].step:
-        max_err = np.float64(max_err)
+    # final row) other than row 0.
+    controlled = ~np.isnan(trace.column("u"))
+    controlled[0] = True
     metrics = Metrics(
         sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
-        max_abs_error=max_err,
+        max_abs_error=float(np.max(np.abs(errors[controlled]))),
         channel_error_count=sum(1 for h in hops if h.error != 0),
         hops=tuple(hops),
     )
     return trace, metrics
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    v = float(value)
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return format(v, ".17g")
+def _cells(column: np.ndarray) -> list:
+    """Each value in 17 significant digits (integral values without a
+    point, -0.0 as 0), NaN as an empty cell."""
+    return ["" if v != v else "%.17g" % v for v in (column + 0.0).tolist()]
 
 
 def export_csv(trace: SessionTrace, path) -> None:
@@ -511,20 +495,23 @@ def export_csv(trace: SessionTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for row in zip(*(trace.data[name] for name in TRACE_COLUMNS)):
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows(zip(*(_cells(trace.column(name)) for name in TRACE_COLUMNS)))
 
 
 def load_trace_csv(path) -> SessionTrace:
-    trace = SessionTrace.empty()
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != TRACE_COLUMNS:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace header in {path}")
-        for row in reader:
-            for name in TRACE_COLUMNS:
-                trace.data[name].append(float(row[name]) if row[name] != "" else None)
-    return trace
+        rows = [row for row in reader if row]
+    for index, row in enumerate(rows):
+        if len(row) != len(TRACE_COLUMNS):
+            raise ValueError(f"{path}: data row {index} has {len(row)} cells, "
+                             f"not {len(TRACE_COLUMNS)}")
+    return SessionTrace(len(rows), **{
+        name: [float(cell) if cell else np.nan for cell in cells]
+        for name, cells in zip(TRACE_COLUMNS, zip(*rows))
+    })
 
 
 def export_hops_csv(hops, path) -> None:

@@ -28,14 +28,17 @@ def open_interval(lo, hi):
     operator=st.sampled_from(["additive", "multiplicative"]),
     guard=st.sampled_from([1.5, 3.0, 1e3]),
     seed=st.integers(0, 2**32 - 1),
+    nan_at=st.one_of(st.none(), st.integers(0, STEPS - 1)),
 )
 def test_response_track_matches_scalar_reference(
-    mu, rho, x0, y0, amplitude, operator, guard, seed
+    mu, rho, x0, y0, amplitude, operator, guard, seed, nan_at
 ):
     params = LogisticParams(mu)
     gains = ControllerGains(rho=rho, params=params)
     op = get_operator(operator)
     info = (np.random.default_rng(seed).random(STEPS) < 0.5) * amplitude
+    if nan_at is not None:  # a NaN line sample makes the response NaN
+        info[nan_at] = np.nan
 
     x, escape = _accel.logistic_orbit(mu, 1.0, x0, STEPS)
     z = op.forward(x[:-1], info)
@@ -49,15 +52,15 @@ def test_response_track_matches_scalar_reference(
         ref_u.append(control(gains, y - d, d))
         ref_y.append(step_response(gains, y, d))
         ref_x.append(step(params, ref_x[-1]))
-    over = [n for n, y in enumerate(ref_y) if n > 0 and abs(y) > guard]
+    over = [n for n, y in enumerate(ref_y) if n > 0 and not abs(y) <= guard]
     stop = over[0] if over else STEPS
 
     assert escape == -1
     assert x.tolist() == ref_x
-    assert z.tolist() == ref_z
+    assert np.array_equal(z, ref_z, equal_nan=True)
     assert diverge == (over[0] if over else -1)
-    assert ys[:stop + 1].tolist() == ref_y[:stop + 1]
-    assert us[:stop].tolist() == ref_u[:stop]
+    assert np.array_equal(ys[:stop + 1], ref_y[:stop + 1], equal_nan=True)
+    assert np.array_equal(us[:stop], ref_u[:stop], equal_nan=True)
 
 
 @st.composite

@@ -137,9 +137,9 @@ def test_criterion_5_analog_transmission():
         zeros = replace(FROZEN_TRANSMIT, source="pattern", pattern="0")
         t_tx, _ = run_transmit_session(zeros)
         t_sync, _ = run_sync_session(replace(zeros, source="off", pattern=""))
-        assert t_tx.column("x") == t_sync.column("x")
-        assert t_tx.column("y") == t_sync.column("y")
-        assert t_tx.column("e") == t_sync.column("e")
+        assert np.array_equal(t_tx.column("x"), t_sync.column("x"), equal_nan=True)
+        assert np.array_equal(t_tx.column("y"), t_sync.column("y"), equal_nan=True)
+        assert np.array_equal(t_tx.column("e"), t_sync.column("e"), equal_nan=True)
 
     _timed("criterion 5: analog masked transmission, BER = 0", 0.1, check)
 

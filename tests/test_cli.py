@@ -218,12 +218,43 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("error: orbit escaped the basin (0, k) at step 4: x = 1024")
 
+    def test_nan_response_trips_guard(self, tmp_path, capsys):
+        # y reaches -3.7e200 at step 17, so u = inf and y = NaN at step 18
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(TRANSMIT_CFG.replace("steps = 2000", "steps = 400").replace(
+            "threshold = 5.0", "amplitude = 1e100\nthreshold = 5e99\nguard = 1e300"))
+        code, _, err = run(
+            ["transmit", "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: response exceeded guard 1e+300 at step 18\n"
+
+    def test_arithmetic_overflow_exit_code(self, tmp_path, capsys):
+        # a finite disturbance whose draw range overflows a float
+        cfg = tmp_path / "dist.cfg"
+        cfg.write_text(TRANSMIT_CFG + "channel = disturbance\ndisturbance = 1e308\n")
+        code, _, err = run(
+            ["transmit", "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "range exceeds valid bounds" in err
+
     @pytest.mark.parametrize("command,text,message", [
         ("digital", DIGITAL_CFG.replace("y0 = -1024", "y0 = 1e12"), "16-bit range"),
         ("digital", DIGITAL_CFG + "frac_bits = 40\n", "frac_bits"),
         ("digital", DIGITAL_CFG + "rho = 20\n", "rho_q"),
         ("transmit", TRANSMIT_CFG + "hold = 0\n", "hold"),
-    ], ids=["y0-1e12", "frac_bits-40", "rho-20", "hold-0"])
+        ("sync", SYNC_CFG.replace("rho = 0.5", "rho = nan"), "rho must be finite"),
+        ("sync", SYNC_CFG.replace("rho = 0.5", "rho = 3\nguard = inf"),
+         "guard must be finite"),
+        ("transmit", TRANSMIT_CFG + "channel = disturbance\ndisturbance = inf\n",
+         "disturbance must be finite"),
+        ("sync", SYNC_CFG + "guard = 0\n", "guard must be > 0"),
+        ("sync", SYNC_CFG + "guard = -1\n", "guard must be > 0"),
+    ], ids=["y0-1e12", "frac_bits-40", "rho-20", "hold-0", "rho-nan", "guard-inf",
+            "disturbance-inf", "guard-0", "guard-negative"])
     def test_out_of_range_config_exit_code(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chaoslink.simkit as simkit
 from chaoslink.core import BasinEscapeError
@@ -93,9 +95,14 @@ class TestSyncSession:
 
     def test_unstable_gain(self):
         trace, metrics = run_sync_session(replace(SYNC_CFG, rho=1.2, steps=30))
-        errs = np.abs(trace.array("e"))
+        errs = np.abs(trace.column("e"))
         assert np.all(np.diff(errs) > 0)
         assert metrics.sync_step is None
+
+    def test_absent_error_breaks_the_run(self):
+        errors = np.array([0.0, 0.0, np.nan, 0.0, 0.0, 0.0])
+        assert simkit._sync_step(errors, 1e-6, 3) == 5
+        assert simkit._sync_step(errors, 1e-6, 4) is None
 
     def test_unstable_gain_hits_guard(self):
         with pytest.raises(DivergenceError, match="guard"):
@@ -107,8 +114,8 @@ class TestSyncSession:
 
     def test_final_record_has_no_control(self):
         trace, _ = run_sync_session(SYNC_CFG)
-        assert trace.column("u")[-1] is None
-        assert trace.column("u")[0] is not None
+        assert np.isnan(trace.column("u")[-1])
+        assert not np.isnan(trace.column("u")[0])
 
 
 class TestTransmitSession:
@@ -130,18 +137,21 @@ class TestTransmitSession:
             replace(cfg, source="off", pattern="")
         )
         for col in ("x", "y", "e"):
-            assert t_tx.column(col) == t_sync.column(col)
-        assert t_tx.column("u")[:-1] == t_sync.column("u")[:-1]
+            assert np.array_equal(t_tx.column(col), t_sync.column(col), equal_nan=True)
+        assert np.array_equal(t_tx.column("u")[:-1], t_sync.column("u")[:-1],
+                              equal_nan=True)
         # line signal is the bare drive state and epsilon equals e
-        assert t_tx.column("z")[:-1] == t_sync.column("x")[:-1]
-        assert t_tx.column("epsilon")[:-1] == t_sync.column("e")[:-1]
+        assert np.array_equal(t_tx.column("z")[:-1], t_sync.column("x")[:-1],
+                              equal_nan=True)
+        assert np.array_equal(t_tx.column("epsilon")[:-1], t_sync.column("e")[:-1],
+                              equal_nan=True)
 
     def test_early_window_fringes(self):
         # decisions inside the settle window may disagree with the source
         cfg = replace(TRANSMIT_CFG, threshold=0.5)
         trace, _ = run_transmit_session(cfg)
         early = [b for n, b in zip(trace.column("n"), trace.column("bit"))
-                 if b is not None and n < cfg.settle]
+                 if not np.isnan(b) and n < cfg.settle]
         assert early  # fringe decisions exist and are recorded
 
     def test_requires_source(self):
@@ -183,8 +193,8 @@ class TestTransmitSession:
         dist, _ = run_transmit_session(
             replace(TRANSMIT_CFG, channel="disturbance", disturbance=0.0)
         )
-        assert ideal.column("z") == dist.column("z")
-        assert ideal.column("y") == dist.column("y")
+        assert np.array_equal(ideal.column("z"), dist.column("z"), equal_nan=True)
+        assert np.array_equal(ideal.column("y"), dist.column("y"), equal_nan=True)
 
 
 class TestDigitalSession:
@@ -198,7 +208,8 @@ class TestDigitalSession:
         cfg = replace(DIGITAL_CFG, source="pattern", pattern="0", steps=1600)
         trace, metrics = run_digital_session(cfg)
         assert metrics.ber == 0.0
-        decided = [b for b in trace.column("bit") if b is not None]
+        bit = trace.column("bit")
+        decided = bit[~np.isnan(bit)]
         post = decided[metrics.sync_step // 4:]
         assert all(b == 0 for b in post)
 
@@ -207,8 +218,8 @@ class TestDigitalSession:
         # bits descramble incorrectly
         trace, metrics = run_digital_session(replace(DIGITAL_CFG, seed=9))
         n0 = metrics.sync_step
-        i = trace.array("i")
-        ihat = trace.array("i_hat")
+        i = trace.column("i")
+        ihat = trace.column("i_hat")
         pre = slice(0, n0)
         mism = np.nansum(np.abs(ihat[pre] - i[pre]))
         assert mism > 0
@@ -231,7 +242,8 @@ class TestHopSession:
 
     def test_channel_column_marks_hops(self):
         trace, metrics = run_hop_session(HOP_CFG)
-        marked = [c for c in trace.column("channel") if c is not None]
+        channel = trace.column("channel")
+        marked = channel[~np.isnan(channel)]
         assert len(marked) == 20
         assert [int(c) for c in marked] == [h.j_tx for h in metrics.hops]
 
@@ -239,7 +251,12 @@ class TestHopSession:
         a, ma = run_hop_session(HOP_CFG)
         b, mb = run_hop_session(HOP_CFG)
         assert ma.hops == mb.hops
-        assert a.column("x") == b.column("x")
+        assert np.array_equal(a.column("x"), b.column("x"), equal_nan=True)
+
+    def test_nan_idle_response_trips_guard(self):
+        # step(y) overflows to -inf and u to inf, so y is NaN after one step
+        with pytest.raises(DivergenceError, match=r"guard 1e\+300 at step 1$"):
+            run_hop_session(replace(HOP_CFG, y0=1e200, guard=1e300))
 
     def test_trigger_sees_only_the_window(self, monkeypatch):
         seen = []
@@ -252,6 +269,25 @@ class TestHopSession:
         _, metrics = run_hop_session(replace(HOP_CFG, sessions=50))
         assert len(metrics.hops) == 50
         assert seen and max(seen) <= HOP_CFG.sync_window
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sessions=st.integers(0, 6),
+        active_steps=st.integers(0, 30),
+        hold=st.integers(1, 8),
+        sync_window=st.integers(1, 8),
+        source=st.sampled_from(["off", "bernoulli"]),
+    )
+    def test_derived_columns(self, sessions, active_steps, hold, sync_window, source):
+        cfg = replace(HOP_CFG, sessions=sessions, active_steps=active_steps, hold=hold,
+                      sync_window=sync_window, source=source)
+        trace, metrics = run_hop_session(cfg)
+        x, y, z = trace.column("x"), trace.column("y"), trace.column("z")
+        assert np.array_equal(trace.column("e"), y - x)
+        line = ~np.isnan(z)
+        assert np.array_equal(trace.column("epsilon")[line], (y - z)[line])
+        marked = np.flatnonzero(~np.isnan(trace.column("channel")))
+        assert marked.tolist() == [h.step for h in metrics.hops]
 
     def test_hops_csv(self, tmp_path):
         _, metrics = run_hop_session(HOP_CFG)
@@ -280,6 +316,30 @@ class TestTraceCsv:
         cells = dict(zip(header.split(","), first.split(",")))
         assert cells["z"] == ""
         assert cells["i"] == ""
+
+    def test_special_values_round_trip(self, tmp_path):
+        nan, inf = np.nan, np.inf
+        trace = SessionTrace(3, x=[-0.0, 1e15, 1e-300], y=[inf, -inf, 0.25],
+                             z=[nan, 2.0], bit=[1.0])
+        p1 = tmp_path / "a.csv"
+        p2 = tmp_path / "b.csv"
+        export_csv(trace, p1)
+        lines = p1.read_text().splitlines()
+        assert lines[1:] == ["0,0,inf,,,,,,,1,", "1,1000000000000000,-inf,2,,,,,,,",
+                             "2,1e-300,0.25,,,,,,,,"]
+        loaded = load_trace_csv(p1)
+        for name in simkit.TRACE_COLUMNS:
+            assert np.array_equal(loaded.column(name), trace.column(name), equal_nan=True)
+        export_csv(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("cells", [10, 12])
+    def test_ragged_row_rejected(self, tmp_path, cells):
+        path = tmp_path / "ragged.csv"
+        row = ",".join(["1"] * cells)
+        path.write_text(",".join(simkit.TRACE_COLUMNS) + f"\n{'0,' * 10}0\n{row}\n")
+        with pytest.raises(ValueError, match=f"data row 1 has {cells} cells"):
+            load_trace_csv(path)
 
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
