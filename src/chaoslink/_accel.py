@@ -1,5 +1,10 @@
 """Hot inner loops, JIT-compiled with numba when available.
 
+Four kernels: logistic_orbit iterates the float map, control_effort is
+the feedback law, response_track runs the controlled response on line
+samples, and fx_sync_run is the 16-bit quantized drive/response pair.
+Sessions and chaos diagnostics alike are built on these four.
+
 Setting the environment variable ``CHAOSLINK_NO_NUMBA=1`` (before first
 import) selects the pure-Python/numpy fallback path.  Both paths execute
 the same source and produce identical results; the fallback is simply
@@ -59,63 +64,6 @@ def logistic_orbit(mu, k, x0, n_steps):
         if not (0.0 < x < k):
             return out, i + 1
     return out, -1
-
-
-@njit(cache=True)
-def lyapunov_sum(mu, k, x0, n_steps, burn_in):
-    """Accumulate ln|mu(1 - 2x/k)| along the orbit after burn_in.
-
-    Returns (log_sum, term_count, skipped, escape_index).  Terms with a
-    vanishing derivative (orbit exactly at k/2) are skipped and counted.
-    """
-    x = x0
-    for _ in range(burn_in):
-        x = mu * x * (1.0 - x / k)
-        if not (0.0 < x < k):
-            return 0.0, 0, 0, 1
-    total = 0.0
-    count = 0
-    skipped = 0
-    for _ in range(n_steps):
-        deriv = abs(mu * (1.0 - 2.0 * x / k))
-        if deriv > 0.0:
-            total += np.log(deriv)
-            count += 1
-        else:
-            skipped += 1
-        x = mu * x * (1.0 - x / k)
-        if not (0.0 < x < k):
-            return total, count, skipped, 1
-    return total, count, skipped, -1
-
-
-@njit(cache=True)
-def bifurcation_samples(mus, settle, keep, x0, k):
-    """Per mu: settle iterations, then keep recorded samples.
-
-    Returns (samples[len(mus), keep], escaped flags).
-    """
-    out = np.zeros((mus.size, keep))
-    escaped = np.zeros(mus.size, dtype=np.int64)
-    for j in range(mus.size):
-        mu = mus[j]
-        x = x0
-        ok = True
-        for _ in range(settle):
-            x = mu * x * (1.0 - x / k)
-            if not (0.0 < x < k):
-                ok = False
-                break
-        if not ok:
-            escaped[j] = 1
-            continue
-        for i in range(keep):
-            out[j, i] = x
-            x = mu * x * (1.0 - x / k)
-            if not (0.0 < x < k):
-                escaped[j] = 1
-                break
-    return out, escaped
 
 
 @njit(cache=True)

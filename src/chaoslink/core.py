@@ -13,6 +13,7 @@ from . import _accel
 
 MIN_SPECTRUM_LENGTH = 64
 DEFAULT_BURN_IN = 1000
+_ORBIT_BLOCK = 1 << 16  # orbit steps per lyapunov_exponent block
 
 
 class BasinEscapeError(RuntimeError):
@@ -72,26 +73,32 @@ def lyapunov_exponent(
     x0: float,
     n_steps: int,
     burn_in: int = DEFAULT_BURN_IN,
-    return_skipped: bool = False,
-):
+) -> float:
     """Finite-time Lyapunov exponent estimate.
 
-    Time average of ln|mu(1 - 2x/k)| along the orbit after burn_in.
-    Positive values classify chaos, negative values periodicity.  Terms
-    where the orbit hits k/2 exactly (log singularity) are skipped; pass
-    return_skipped=True to also get their count.
+    Time average of ln|mu(1 - 2x/k)| over the n_steps orbit samples after
+    burn_in steps, walked in blocks so memory stays flat.  Positive values
+    classify chaos, negative values periodicity.  Samples exactly at k/2
+    (log singularity) are left out; 0.0 if all are.  Raises on basin escape.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    total, count, skipped, escape = _accel.lyapunov_sum(
-        params.mu, params.k, x0, n_steps, burn_in
-    )
-    if escape >= 0:
-        raise BasinEscapeError(escape, float("nan"))
-    value = total / count if count else 0.0
-    if return_skipped:
-        return value, skipped
-    return value
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    total, count, x = 0.0, 0, x0
+    for start in range(0, burn_in + n_steps, _ORBIT_BLOCK):
+        size = min(_ORBIT_BLOCK, burn_in + n_steps - start)
+        samples, escape = _accel.logistic_orbit(params.mu, params.k, x, size)
+        if escape >= 0:
+            raise BasinEscapeError(start + escape, samples[escape])
+        x = float(samples[-1])  # next block's start; a Python float is fast here
+        terms = samples[max(burn_in - start, 0):-1]
+        deriv = np.abs(params.mu * (1.0 - 2.0 * terms / params.k))
+        logs = np.log(deriv[deriv > 0.0])
+        # cumsum adds in order, as a scalar loop would; sum() pairs terms up
+        total = float(np.cumsum(np.concatenate(([total], logs)))[-1])
+        count += logs.size
+    return total / count if count else 0.0
 
 
 def bifurcation_scan(
@@ -107,18 +114,21 @@ def bifurcation_scan(
 
     For each mu the orbit runs settle steps before keep samples are
     recorded.  Returns a list of (mu, samples) pairs, ready for CSV
-    plotting.  Raises on basin escape (mu outside (0, 4]).
+    plotting.  Raises on basin escape within the settle + keep steps.
     """
     if not (0.0 < mu_min <= mu_max <= 4.0):
         raise ValueError("mu range must satisfy 0 < mu_min <= mu_max <= 4")
     if settle < 100:
         raise ValueError("settle must be >= 100")
-    mus = np.linspace(mu_min, mu_max, mu_steps)
-    samples, escaped = _accel.bifurcation_samples(mus, settle, keep, x0, k)
-    if escaped.any():
-        j = int(np.argmax(escaped))
-        raise BasinEscapeError(0, mus[j])
-    return [(float(mus[j]), samples[j]) for j in range(mus.size)]
+    if keep < 0:
+        raise ValueError("keep must be >= 0")
+    rows = []
+    for mu in np.linspace(mu_min, mu_max, mu_steps).tolist():
+        samples, escape = _accel.logistic_orbit(mu, k, x0, settle + keep)
+        if escape >= 0:
+            raise BasinEscapeError(escape, samples[escape])
+        rows.append((mu, samples[settle:settle + keep]))
+    return rows
 
 
 def count_attractor_values(samples: np.ndarray, tol: float = 1e-6) -> int:

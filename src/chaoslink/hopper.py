@@ -17,6 +17,8 @@ DEFAULT_TRIGGER_WINDOW = 5
 
 _GEOMETRY_TOL = 1e-9
 
+TABLE_COLUMNS = ("j", "f_low", "f_high", "f_center")
+
 
 @dataclass(frozen=True)
 class ChannelEntry:
@@ -72,24 +74,26 @@ def build_default_table() -> ChannelTable:
 def save_table_csv(table: ChannelTable, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["j", "f_low", "f_high", "f_center"])
+        writer.writerow(TABLE_COLUMNS)
         for entry in table.entries:
             writer.writerow([entry.index, entry.f_low, entry.f_high, entry.f_center])
 
 
 def load_table_csv(path) -> ChannelTable:
+    """Rows j,f_low,f_high,f_center under that header; blank rows skipped."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        entries = tuple(
-            ChannelEntry(
-                index=int(row["j"]),
-                f_low=float(row["f_low"]),
-                f_high=float(row["f_high"]),
-                f_center=float(row["f_center"]),
-            )
-            for row in reader
-        )
-    return ChannelTable(entries=entries)
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != TABLE_COLUMNS:
+            raise ValueError(f"unexpected channel table header in {path}")
+        rows = [row for row in reader if row]
+    for index, row in enumerate(rows):
+        if len(row) != len(TABLE_COLUMNS):
+            raise ValueError(f"{path}: data row {index} has {len(row)} cells, "
+                             f"not {len(TABLE_COLUMNS)}")
+    return ChannelTable(entries=tuple(
+        ChannelEntry(int(j), float(low), float(high), float(center))
+        for j, low, high, center in rows
+    ))
 
 
 def select_channel(state: float, k: float, table: ChannelTable) -> int:

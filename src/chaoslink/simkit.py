@@ -99,6 +99,10 @@ class ScenarioConfig:
             raise ConfigError(f"x0 must lie in (0, {float(self.k)})")
         if self.settle >= self.steps:
             raise ConfigError("settle must be smaller than steps")
+        try:
+            get_operator(self.operator)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
         if self.source not in (SOURCE_OFF, SOURCE_BERNOULLI, SOURCE_PATTERN):
             raise ConfigError(f"unknown source {self.source!r}")
         if self.channel not in (CHANNEL_IDEAL, CHANNEL_DISTURBANCE):
@@ -128,6 +132,9 @@ class ScenarioConfig:
     def fixed_params(self) -> FixedParams:
         if int(self.k) != self.k:
             raise ConfigError("fixed mode requires an integer scale factor")
+        for name in ("x0", "y0"):
+            if int(getattr(self, name)) != getattr(self, name):
+                raise ConfigError(f"fixed mode requires an integer {name}")
         return FixedParams.from_real(self.mu, self.rho, k=int(self.k),
                                      frac_bits=self.frac_bits)
 

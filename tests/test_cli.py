@@ -122,6 +122,10 @@ class TestDiagnoseAndLut:
         )
         assert code == 0
         assert "chaotic: True" in out
+        # a plain float repr, whichever backend ran
+        line = next(v for v in out.splitlines() if v.startswith("lyapunov_exponent: "))
+        text = line.removeprefix("lyapunov_exponent: ")
+        assert repr(float(text)) == text
 
     def test_spectrum_export(self, tmp_path, capsys):
         path = tmp_path / "spec.csv"
@@ -130,6 +134,31 @@ class TestDiagnoseAndLut:
         )
         assert code == 0
         assert path.read_text().startswith("bin,magnitude\n")
+
+    def test_bifurcation_export(self, tmp_path, capsys):
+        path = tmp_path / "bif.csv"
+        code, out, _ = run(
+            ["diagnose", "--mu", "3.7", "--mu-steps", "5", "--bifurcation-out", str(path)],
+            capsys,
+        )
+        assert code == 0
+        assert "bifurcation_rows: 1000" in out
+        lines = path.read_text().splitlines()
+        assert lines[0] == "mu,value"
+        assert len(lines) == 1 + 5 * 200
+        assert lines[1].startswith("2.5,") and lines[-1].startswith("4,")
+
+    @pytest.mark.parametrize("args,message", [
+        (["--mu", "4", "--x0", "0.5", "--lyapunov"], "at step 1: x = 1.0"),
+        (["--mu", "3.7", "--x0", "1.5", "--bifurcation-out", "bif.csv"],
+         "at step 0: x = 1.5"),
+    ], ids=["lyapunov", "bifurcation"])
+    def test_escape_exit_code(self, tmp_path, capsys, monkeypatch, args, message):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(["diagnose"] + args, capsys)
+        assert code == 2
+        assert err == f"error: orbit escaped the basin (0, k) {message}\n"
+        assert not (tmp_path / "bif.csv").exists()
 
     def test_lut_emit(self, tmp_path, capsys):
         path = tmp_path / "lut.csv"
@@ -253,8 +282,15 @@ class TestErrorPaths:
          "disturbance must be finite"),
         ("sync", SYNC_CFG + "guard = 0\n", "guard must be > 0"),
         ("sync", SYNC_CFG + "guard = -1\n", "guard must be > 0"),
+        ("transmit", TRANSMIT_CFG + "operator = bogus\n",
+         "unknown operator 'bogus'; registered: ['additive', 'multiplicative']"),
+        ("digital", DIGITAL_CFG.replace("x0 = 122", "x0 = 122.7"),
+         "fixed mode requires an integer x0"),
+        ("digital", DIGITAL_CFG.replace("y0 = -1024", "y0 = -1.5"),
+         "fixed mode requires an integer y0"),
     ], ids=["y0-1e12", "frac_bits-40", "rho-20", "hold-0", "rho-nan", "guard-inf",
-            "disturbance-inf", "guard-0", "guard-negative"])
+            "disturbance-inf", "guard-0", "guard-negative", "operator-bogus",
+            "x0-fractional", "y0-fractional"])
     def test_out_of_range_config_exit_code(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -265,3 +301,22 @@ class TestErrorPaths:
         assert code == 1
         assert message in err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("table,message", [
+        ("index,lo,hi,center\n1,60.0,61.4,60.7\n", "unexpected channel table header"),
+        ("", "unexpected channel table header"),
+        ("j,f_low,f_high,f_center\n1,60.0,61.4\n", "data row 0 has 3 cells, not 4"),
+    ], ids=["header", "empty", "ragged"])
+    @pytest.mark.parametrize("command", ["hop", "lut"])
+    def test_malformed_table_exit_code(self, workdir, capsys, command, table, message):
+        path = workdir / "table.csv"
+        path.write_text(table)
+        out_path = workdir / "o.csv"
+        if command == "hop":
+            args = ["hop", "--config", str(workdir / "hop.cfg"), "--out", str(out_path)]
+        else:
+            args = ["lut", "--emit", str(out_path)]
+        code, _, err = run(args + ["--table", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert not out_path.exists()

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from chaoslink import core
 from chaoslink.core import (
     BasinEscapeError,
     LogisticParams,
@@ -100,11 +106,32 @@ class TestLyapunov:
     def test_chaotic_regime_positive(self):
         assert lyapunov_exponent(LogisticParams(3.7), 0.1, 1_000_000) > 0.0
 
-    def test_skipped_terms_reported(self):
-        _, skipped = lyapunov_exponent(
-            LogisticParams(3.7), 0.1, 1000, return_skipped=True
-        )
-        assert skipped >= 0
+    def test_all_terms_skipped_gives_zero(self):
+        # mu = 2 fixes x = k/2, where ln|mu(1 - 2x/k)| is singular
+        value = lyapunov_exponent(LogisticParams(2.0), 0.5, 1000)
+        assert value == 0.0 and type(value) is float
+
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(ValueError, match="burn_in"):
+            lyapunov_exponent(LogisticParams(3.7), 0.1, 1000, burn_in=-1)
+
+    def test_memory_does_not_grow_with_steps(self):
+        # a walk over the whole orbit would hold 16 MB of samples at 2e6 steps
+        assert _peak_rss_kb(2_000_000) - _peak_rss_kb(1000) < 10 * 1024
+
+
+def _peak_rss_kb(n_steps):
+    """Peak RSS of a fresh process that runs one lyapunov_exponent."""
+    code = (
+        "import resource, sys\n"
+        "from chaoslink.core import LogisticParams, lyapunov_exponent\n"
+        "lyapunov_exponent(LogisticParams(3.7), 0.1, int(sys.argv[1]))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(core.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code, str(n_steps)], env=env,
+                         capture_output=True, text=True, check=True)
+    return int(run.stdout)
 
 
 class TestBifurcation:
@@ -140,6 +167,108 @@ class TestBifurcation:
     def test_settle_floor(self):
         with pytest.raises(ValueError):
             bifurcation_scan(3.0, 3.5, 3, settle=10, keep=10, x0=0.1)
+
+    def test_negative_keep_rejected(self):
+        with pytest.raises(ValueError, match="keep"):
+            bifurcation_scan(3.0, 3.5, 3, settle=100, keep=-1, x0=0.1)
+
+
+def lyapunov_oracle(mu, k, x0, n_steps, burn_in):
+    """Stepwise Lyapunov sum: (value, None), or (None, (step, sample)) for
+    the first sample outside (0, k)."""
+    x = x0
+    if not 0.0 < x < k:
+        return None, (0, x)
+    for n in range(1, burn_in + 1):
+        x = mu * x * (1.0 - x / k)
+        if not 0.0 < x < k:
+            return None, (n, x)
+    total = 0.0
+    count = 0
+    for n in range(burn_in + 1, burn_in + n_steps + 1):
+        deriv = abs(mu * (1.0 - 2.0 * x / k))
+        if deriv > 0.0:
+            total += np.log(deriv)
+            count += 1
+        x = mu * x * (1.0 - x / k)
+        if not 0.0 < x < k:
+            return None, (n, x)
+    return (total / count if count else 0.0), None
+
+
+def bifurcation_oracle(mus, settle, keep, x0, k):
+    """Stepwise scan: (rows, None), or (None, (step, sample)) for the first
+    sample outside (0, k) of the first escaping mu."""
+    rows = []
+    for mu in mus:
+        x = x0
+        if not 0.0 < x < k:
+            return None, (0, x)
+        for n in range(1, settle + 1):
+            x = mu * x * (1.0 - x / k)
+            if not 0.0 < x < k:
+                return None, (n, x)
+        samples = []
+        for n in range(settle + 1, settle + keep + 1):
+            samples.append(x)
+            x = mu * x * (1.0 - x / k)
+            if not 0.0 < x < k:
+                return None, (n, x)
+        rows.append((mu, samples))
+    return rows, None
+
+
+@st.composite
+def orbit_starts(draw):
+    """(mu, k, x0): interior starts, starts outside (0, k), mu = 4 starts
+    that reach k/2 (and so escape to k) after a few steps, and the mu = 2
+    fixed point k/2 whose Lyapunov terms are all skipped."""
+    k = draw(st.sampled_from([1.0, 2.5, 1024.0]))
+    kind = draw(st.sampled_from(["interior", "outside", "preimage", "singular"]))
+    if kind == "interior":
+        unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        return draw(st.floats(0.5, 4.0)), k, draw(unit) * k
+    if kind == "outside":
+        return 3.7, k, draw(st.sampled_from([0.0, 1.0, -0.25, 1.5])) * k
+    if kind == "singular":
+        return 2.0, k, k / 2.0
+    x = k / 2.0
+    for upper in draw(st.lists(st.booleans(), max_size=12)):
+        root = math.sqrt(1.0 - x / k)
+        x = k * (1.0 + root) / 2.0 if upper else k * (1.0 - root) / 2.0
+    return 4.0, k, x
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args), None
+    except BasinEscapeError as exc:
+        return None, (exc.step, exc.value)
+
+
+@given(start=orbit_starts(), n_steps=st.integers(1, 80),
+       burn_in=st.integers(0, 40), block=st.integers(1, 40))
+def test_lyapunov_matches_stepwise_oracle(start, n_steps, burn_in, block):
+    mu, k, x0 = start
+    with mock.patch.object(core, "_ORBIT_BLOCK", block):
+        value, escape = _outcome(lyapunov_exponent, LogisticParams(mu, k), x0,
+                                 n_steps, burn_in)
+    assert (value, escape) == lyapunov_oracle(mu, k, x0, n_steps, burn_in)
+    assert value is None or type(value) is float
+
+
+@given(start=orbit_starts(), mu_steps=st.integers(0, 4),
+       settle=st.integers(100, 130), keep=st.integers(0, 30))
+def test_bifurcation_scan_matches_stepwise_oracle(start, mu_steps, settle, keep):
+    mu, k, x0 = start
+    mu_min = min(mu, 3.0)
+    rows, escape = _outcome(bifurcation_scan, mu_min, mu, mu_steps, settle,
+                            keep, x0, k)
+    mus = np.linspace(mu_min, mu, mu_steps).tolist()
+    expected, expected_escape = bifurcation_oracle(mus, settle, keep, x0, k)
+    assert escape == expected_escape
+    if rows is not None:
+        assert [(m, s.tolist()) for m, s in rows] == expected
 
 
 class TestSpectrum:
