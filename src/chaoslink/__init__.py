@@ -27,15 +27,7 @@ from .core import (
     lyapunov_exponent,
     step,
 )
-from .fixedpoint import (
-    FixedParams,
-    FixedState,
-    QFormat,
-    fx_control,
-    fx_from_real,
-    fx_run_sync,
-    fx_step,
-)
+from .fixedpoint import FixedParams, QFormat, fx_run_sync
 from .hopper import (
     ChannelEntry,
     ChannelTable,

@@ -68,73 +68,21 @@ class FixedParams:
 
 
 @dataclass(frozen=True)
-class FixedState:
-    """Signed 16-bit state; saturated marks a clipped conversion."""
-
-    value: int
-    saturated: bool = False
-
-    def __post_init__(self):
-        if not I16_MIN <= self.value <= I16_MAX:
-            raise ValueError(f"state {self.value} outside 16-bit range")
-
-
-@dataclass(frozen=True)
 class FixedSyncRun:
-    """Trace and summary of a quantized drive/response run."""
+    """Trace and summary of a quantized drive/response run.
+
+    transient and period describe the carrier's cycle: from index
+    transient on, x repeats with period period.  Both are None when the
+    pair does not synchronize, or its drive revisits no state, within
+    the run.
+    """
 
     x: np.ndarray
     y: np.ndarray
     first_equal: int | None
     saturations: int
-
-
-def saturate16(v: int) -> tuple[int, bool]:
-    """Clip to the signed 16-bit range; second element flags clipping."""
-    if v > I16_MAX:
-        return I16_MAX, True
-    if v < I16_MIN:
-        return I16_MIN, True
-    return v, False
-
-
-def fx_from_real(x: float, k: float = 1.0) -> FixedState:
-    """Quantize a real state to 16 bits; k maps to 1024 counts.
-
-    Round-to-nearest, ties away from zero; saturating.
-    """
-    scaled = x * (DEFAULT_K / k)
-    q = int(np.floor(abs(scaled) + 0.5))
-    if scaled < 0:
-        q = -q
-    value, sat = saturate16(q)
-    return FixedState(value=value, saturated=sat)
-
-
-def fx_to_real(value: int, k: float = 1.0) -> float:
-    """Inverse scaling of fx_from_real (without the rounding)."""
-    return value * (k / DEFAULT_K)
-
-
-def fx_step(params: FixedParams, x: int) -> int:
-    """Quantized map step: mu_q*x*(k-x) >> frac_bits, / k, saturated.
-
-    Truncation is toward negative infinity (floor division).
-    """
-    value, _ = saturate16((params.mu_q * x * (params.k - x)) // params.frac // params.k)
-    return value
-
-
-def fx_control(params: FixedParams, e: int, d: int) -> int:
-    """Quantized control effort as a wide signed integer.
-
-    [mu_q*(e + 2d - k) + rho_q*k] * e / (k * 2**frac_bits), truncated
-    toward negative infinity.  Not saturated: the caller clips the
-    resulting 16-bit state, not the intermediate effort.
-    """
-    k = params.k
-    num = (params.mu_q * (e + 2 * d - k) + params.rho_q * k) * e
-    return num // params.frac // k
+    transient: int | None
+    period: int | None
 
 
 def fx_run_sync(params: FixedParams, x0: int, y0: int, steps: int) -> FixedSyncRun:
@@ -150,7 +98,7 @@ def fx_run_sync(params: FixedParams, x0: int, y0: int, steps: int) -> FixedSyncR
         raise ValueError(f"drive initial state must lie in (0, {params.k})")
     if not I16_MIN <= y0 <= I16_MAX:
         raise ValueError(f"response initial state {y0} outside 16-bit range")
-    xs, ys, first, escape, sats = _accel.fx_sync_run(
+    xs, ys, first, escape, sats, transient, period = _accel.fx_sync_run(
         params.mu_q, params.rho_q, params.frac, params.k, x0, y0, steps
     )
     if escape >= 0:
@@ -160,4 +108,6 @@ def fx_run_sync(params: FixedParams, x0: int, y0: int, steps: int) -> FixedSyncR
         y=ys,
         first_equal=None if first < 0 else int(first),
         saturations=int(sats),
+        transient=None if transient < 0 else int(transient),
+        period=None if period < 0 else int(period),
     )

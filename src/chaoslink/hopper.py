@@ -2,7 +2,11 @@
 
 The default table has 100 contiguous 1.4 MHz channels spanning
 60-200 MHz.  Selection bins a map state uniformly over the table, so
-two synchronized parties always pick the same index.
+parties with equal states pick the same index.  Synchronized parties
+still differ by a small residual, and a residual that straddles a
+channel edge (width k/100) puts them one channel apart: the largest
+residual at a hop measured 2.85e-8, about 3e-6 straddles per hop, and
+none was seen in 12 000 hops.
 """
 
 import csv

@@ -1,7 +1,11 @@
 """The kernels against the scalar reference functions, and the whole-stream
 digital codec against its per-frame calls."""
 
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
+from fx_oracle import PairRun, fx_sync_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,7 +13,7 @@ from chaoslink import _accel
 from chaoslink.bitcodec import FrameSpec, correlate, decide, lsb_bits, mask_bits, spread
 from chaoslink.control import ControllerGains, control, step_response
 from chaoslink.core import LogisticParams, step
-from chaoslink.fixedpoint import FixedParams, fx_step, saturate16
+from chaoslink.fixedpoint import FixedParams
 from chaoslink.masking import get_operator
 
 STEPS = 200
@@ -64,48 +68,69 @@ def test_response_track_matches_scalar_reference(
 
 
 @st.composite
-def fixed_runs(draw):
+def fixed_runs(draw, k=st.integers(2, 2**15), steps=st.integers(0, STEPS)):
     """Valid (params, x0, y0, steps) for the quantized kernel."""
     frac_bits = draw(st.integers(1, 15))
     frac = 1 << frac_bits
-    k = draw(st.integers(2, 2**15))
+    k = draw(k)
     params = FixedParams(mu_q=draw(st.integers(1, 4 * frac)),
                          rho_q=draw(st.integers(-8 * frac, 8 * frac - 1)),
                          k=k, frac_bits=frac_bits)
     x0 = draw(st.integers(1, k - 1))
     y0 = draw(st.one_of(st.just(x0), st.integers(-(2**15), 2**15 - 1)))
-    return params, x0, y0, draw(st.integers(0, STEPS))
+    return params, x0, y0, draw(steps)
 
 
-@given(fixed_runs())
+def check_fx_sync_run(params, x0, y0, steps):
+    xs, ys, *rest = _accel.fx_sync_run(
+        params.mu_q, params.rho_q, params.frac, params.k, x0, y0, steps)
+    ref = fx_sync_oracle(params, x0, y0, steps)
+    assert PairRun(xs.tolist(), ys.tolist(), *rest) == ref
+    if ref.first_equal >= 0:  # once equal, the pair stays equal
+        assert ref.x[ref.first_equal:] == ref.y[ref.first_equal:]
+    return ref
+
+
+# Small k over long runs reach the drive's cycle, so the tiled branch runs.
+@given(st.one_of(fixed_runs(),
+                 fixed_runs(k=st.integers(2, 64), steps=st.integers(0, 3000))))
 def test_fx_sync_run_matches_stepwise_oracle(case):
-    params, x0, y0, steps = case
-    k, frac = params.k, params.frac
-    xs, ys, first, escape, saturations = _accel.fx_sync_run(
-        params.mu_q, params.rho_q, frac, k, x0, y0, steps)
+    check_fx_sync_run(*case)
 
-    ref_x, ref_y, ref_sat, ref_escape = [x0], [y0], 0, -1
-    for n in range(steps):
-        x, y = ref_x[-1], ref_y[-1]
-        e = y - x
-        wide = params.mu_q * y * (k - y) + (params.mu_q * (e + 2 * x - k) + params.rho_q * k) * e
-        y, clipped = saturate16(wide // (frac * k))
-        ref_sat += clipped
-        ref_x.append(fx_step(params, x))
-        ref_y.append(y)
-        if not 0 < ref_x[-1] < k:
-            ref_escape = n + 1
-            break
-    equal = [n for n, (x, y) in enumerate(zip(ref_x, ref_y)) if x == y]
-    tail = steps + 1 - len(ref_x)
 
-    assert escape == ref_escape
-    assert xs.tolist() == ref_x + [0] * tail
-    assert ys.tolist() == ref_y + [0] * tail
-    assert first == (equal[0] if equal else -1)
-    assert saturations == ref_sat
-    if equal:  # once equal, the pair stays equal
-        assert ref_x[equal[0]:] == ref_y[equal[0]:]
+def raw(mu_q, rho_q, frac_bits, k):
+    """Kernel parameters as FixedParams' fields, unchecked, so a case may
+    lie outside the range FixedParams accepts."""
+    return SimpleNamespace(mu_q=mu_q, rho_q=rho_q, k=k, frac=1 << frac_bits)
+
+
+MU37, RHO05 = 15155, 2048  # Q4.12 for mu = 3.7, rho = 0.5
+
+
+@pytest.mark.parametrize("params, x0, y0, steps, holds", [
+    pytest.param(raw(MU37, RHO05, 12, 1024), 122, 122, 3000,
+                 lambda r: r.first_equal == 0 and r.period == 2, id="sync-at-0"),
+    pytest.param(raw(MU37, 2 * 4096, 12, 1024), 122, -1024, 3000,
+                 lambda r: r.first_equal == -1 and r.saturations > 0, id="never-syncs"),
+    pytest.param(raw(4 * 4096, 0, 12, 1024), 14, -1024, 3000,
+                 lambda r: 0 < r.first_equal < r.escape, id="escape-after-sync"),
+    pytest.param(raw(MU37, 3520, 12, 1024), 122, -1024, 3000,
+                 lambda r: r.transient < r.first_equal, id="cycle-before-sync"),
+    pytest.param(raw(MU37, RHO05, 12, 1024), 122, -1024, 37,
+                 lambda r: r.first_equal > 0 and r.period == -1, id="no-cycle-yet"),
+    pytest.param(raw(MU37, RHO05, 12, 1024), 122, -1024, 38 + 2 * 500 + 1,
+                 lambda r: r.period == 2, id="partial-last-pass"),
+    # mu = 4, k = 2**15: 16384 is the only state whose image clips, and it
+    # is not on a cycle, so no accepted parameters clip on every pass.
+    pytest.param(raw(4 * 4, 0, 2, 2**15), 16384, 16384, 3000,
+                 lambda r: r.saturations == 1 and r.transient > 0, id="clip-in-transient"),
+    # mu = 4.25 lies outside FixedParams' range; its cycle clips once a pass,
+    # and the partial last pass starts on the clipping state.
+    pytest.param(raw(17, 1, 2, 2**15), 16384, 0, 3001,
+                 lambda r: r.period == 8 and r.saturations >= 3000 // 8, id="clip-every-pass"),
+])
+def test_fx_sync_run_tiled_cases(params, x0, y0, steps, holds):
+    assert holds(check_fx_sync_run(params, x0, y0, steps))
 
 
 @given(

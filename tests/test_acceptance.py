@@ -1,9 +1,8 @@
 """Acceptance gate: every criterion runs at its stated tolerance.
 
 Each test prints one PASS line (visible with pytest -s or in the
-captured output summary).  Runtime bounds are asserted only on the
-JIT-accelerated path; the pure-Python fallback runs the same checks
-without the timing gate.
+captured output summary).  Every runtime bound is asserted on both
+backends, the numba JIT and the pure-Python fallback.
 """
 
 import math
@@ -13,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chaoslink import USING_NUMBA
 from chaoslink.bitcodec import FrameSpec, correlate, decide, spread
 from chaoslink.cli import main as cli_main
 from chaoslink.control import ControllerGains, lyapunov_delta, step_response
@@ -48,8 +46,7 @@ def _timed(label, limit, fn):
     result = fn()
     elapsed = time.perf_counter() - start
     print(f"PASS {label} ({elapsed:.3f}s)")
-    if USING_NUMBA:
-        assert elapsed < limit, f"{label}: {elapsed:.3f}s exceeds {limit}s"
+    assert elapsed < limit, f"{label}: {elapsed:.3f}s exceeds {limit}s"
     return result
 
 

@@ -3,22 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from fx_oracle import fx_control, fx_step, saturate16
 from hypothesis import given
 from hypothesis import strategies as st
 
 from chaoslink.control import ControllerGains, control
 from chaoslink.core import LogisticParams, step
-from chaoslink.fixedpoint import (
-    FixedParams,
-    FixedState,
-    QFormat,
-    fx_control,
-    fx_from_real,
-    fx_run_sync,
-    fx_step,
-    fx_to_real,
-    saturate16,
-)
+from chaoslink.fixedpoint import FixedParams, QFormat, fx_run_sync
 
 PARAMS = FixedParams.from_real(3.7, 0.5)  # mu_q=15155, rho_q=2048, k=1024
 
@@ -48,28 +39,7 @@ class TestFormats:
 
     def test_state_range_enforced(self):
         with pytest.raises(ValueError):
-            FixedState(value=40_000)
-
-
-class TestConversion:
-    def test_reference_switch_values(self):
-        assert fx_from_real(0.11914, k=1.0).value == 122
-        assert fx_from_real(-1.0, k=1.0).value == -1024
-
-    def test_zero(self):
-        assert fx_from_real(0.0).value == 0
-
-    def test_saturation_flag(self):
-        state = fx_from_real(100.0, k=1.0)
-        assert state.value == 32767
-        assert state.saturated
-
-    def test_round_half_away_from_zero(self):
-        assert fx_from_real(0.5 / 1024).value == 1
-        assert fx_from_real(-0.5 / 1024).value == -1
-
-    def test_to_real_inverse(self):
-        assert fx_to_real(122, k=1.0) == pytest.approx(0.119140625)
+            fx_run_sync(PARAMS, 122, 40_000, 10)
 
 
 class TestStep:
@@ -155,6 +125,22 @@ class TestSyncRun:
         orbit = fx_run_sync(PARAMS, 122, 122, 10**6).x
         assert orbit.min() > 0
         assert orbit.max() < 1024
+
+    def test_carrier_cycle(self):
+        # k = 1024, mu = 3.7: x0 = 122 settles into period 2 on {400, 901}
+        for y0 in (-1024, 122):
+            run = fx_run_sync(PARAMS, 122, y0, 200)
+            assert (run.transient, run.period) == (36, 2)
+            assert set(run.x[36:].tolist()) == {400, 901}
+            assert run.x[35] not in (400, 901)
+
+    def test_no_cycle_within_the_run(self):
+        short = fx_run_sync(PARAMS, 122, -1024, 30)
+        assert short.first_equal is not None
+        assert (short.transient, short.period) == (None, None)
+        unsynced = fx_run_sync(FixedParams.from_real(3.7, 2.0), 122, -1024, 3000)
+        assert unsynced.first_equal is None
+        assert (unsynced.transient, unsynced.period) == (None, None)
 
     def test_drive_start_validation(self):
         with pytest.raises(ValueError):
