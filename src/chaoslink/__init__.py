@@ -38,11 +38,8 @@ from .hopper import (
 )
 from .masking import (
     InvertibleOperator,
-    epsilon,
     get_operator,
-    recover_symbol,
     register_operator,
-    scramble,
     threshold_detect,
 )
 from .simkit import (

@@ -36,7 +36,7 @@ class FrameSpec:
 
 def _as_bits(seq, block: int = 1) -> np.ndarray:
     bits = np.asarray(seq, dtype=np.int64)
-    if not np.isin(bits, (0, 1)).all():
+    if bits.size and not (bits.min() >= 0 and bits.max() <= 1):
         raise ValueError("bit sequence must contain only 0 and 1")
     if bits.size % block != 0:
         raise ValueError(f"expected a multiple of {block} bits, got {bits.size}")

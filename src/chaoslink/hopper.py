@@ -11,6 +11,7 @@ none was seen in 12 000 hops.
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 
 DEFAULT_CHANNEL_COUNT = 100
 DEFAULT_F_LOW_MHZ = 60.0
@@ -120,12 +121,14 @@ def hop_session(x: float, y: float, k: float, table: ChannelTable):
 
 def hop_trigger(epsilon_history, tol: float = DEFAULT_TRIGGER_TOL,
                 window: int = DEFAULT_TRIGGER_WINDOW) -> bool:
-    """True iff the last `window` innovations are all below tol in magnitude."""
+    """True iff the last `window` innovations are all below tol in magnitude.
+
+    epsilon_history is a sequence or deque, oldest first; only its last
+    `window` items are read.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
-    history = list(epsilon_history)
-    if len(history) < window:
-        raise ValueError(
-            f"need at least {window} innovation samples, got {len(history)}"
-        )
-    return all(abs(v) < tol for v in history[-window:])
+    count = len(epsilon_history)
+    if count < window:
+        raise ValueError(f"need at least {window} innovation samples, got {count}")
+    return all(abs(v) < tol for v in islice(reversed(epsilon_history), window))

@@ -71,25 +71,6 @@ register_operator(
 )
 
 
-def scramble(x: float, i: float, op: InvertibleOperator) -> float:
-    """Masked line sample z = op.forward(x, i)."""
-    return op.forward(x, i)
-
-
-def epsilon(y: float, z: float) -> float:
-    """Receiver-side innovation: y - z.
-
-    Equals the synchronization error when the source is off; carries
-    signatures of the information signal during transmission.
-    """
-    return y - z
-
-
-def recover_symbol(z: float, y: float, op: InvertibleOperator) -> float:
-    """Raw symbol estimate op.recover(z, y); exact at y = x."""
-    return op.recover(z, y)
-
-
 def threshold_detect(symbols, hold: int, threshold: float):
     """Hard bit decisions from raw symbol estimates.
 

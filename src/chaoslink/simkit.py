@@ -10,6 +10,7 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -38,6 +39,7 @@ CHANNEL_DISTURBANCE = "disturbance"
 DEFAULT_SYNC_TOL = 1e-6
 DEFAULT_SYNC_WINDOW = 5
 DEFAULT_GUARD_FACTOR = 1e3
+_CSV_BLOCK = 1024  # trace rows per CSV write or parse call
 
 
 class ConfigError(ValueError):
@@ -491,34 +493,64 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     return trace, metrics
 
 
-def _cells(column: np.ndarray) -> list:
-    """Each value in 17 significant digits (integral values without a
-    point, -0.0 as 0), NaN as an empty cell."""
-    return ["" if v != v else "%.17g" % v for v in (column + 0.0).tolist()]
-
-
 def export_csv(trace: SessionTrace, path) -> None:
-    """Fixed column order; absent fields as empty cells; reals round-trip."""
+    """Fixed column order; absent fields as empty cells; reals round-trip.
+
+    Each value is written in 17 significant digits (integral values
+    without a point, -0.0 as 0), _CSV_BLOCK rows at a time.
+    """
+    data = np.column_stack([trace.column(name) for name in TRACE_COLUMNS]) + 0.0
+    row = ",".join(["%.17g"] * len(TRACE_COLUMNS))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(zip(*(_cells(trace.column(name)) for name in TRACE_COLUMNS)))
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for start in range(0, len(data), _CSV_BLOCK):
+            block = data[start:start + _CSV_BLOCK].tolist()
+            # %.17g spells NaN, and nothing else, as "nan"
+            text = "\r\n".join([row % tuple(values) for values in block])
+            fh.write(text.replace("nan", "") + "\r\n")
+
+
+def _check_row_widths(lines, first: int, path) -> None:
+    """Raise ValueError naming the first of lines, numbered from first,
+    without exactly one cell per trace column."""
+    for index, line in enumerate(lines, start=first):
+        cells = line.count(",") + 1
+        if cells != len(TRACE_COLUMNS):
+            raise ValueError(f"{path}: data row {index} has {cells} cells, "
+                             f"not {len(TRACE_COLUMNS)}")
 
 
 def load_trace_csv(path) -> SessionTrace:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != TRACE_COLUMNS:
+    """Read an export_csv file back; blank lines are skipped.
+
+    Unquoted cells only; empty cells load as NaN.  _CSV_BLOCK lines at a
+    time go through numpy's parser.
+    """
+    blocks, first = [], 0
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != ",".join(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header in {path}")
-        rows = [row for row in reader if row]
-    for index, row in enumerate(rows):
-        if len(row) != len(TRACE_COLUMNS):
-            raise ValueError(f"{path}: data row {index} has {len(row)} cells, "
-                             f"not {len(TRACE_COLUMNS)}")
-    return SessionTrace(len(rows), **{
-        name: [float(cell) if cell else np.nan for cell in cells]
-        for name, cells in zip(TRACE_COLUMNS, zip(*rows))
-    })
+        while raw := list(islice(fh, _CSV_BLOCK)):
+            lines = [line for line in raw if line != "\n"]
+            if not lines:
+                continue
+            text = "\n" + "".join(lines).rstrip("\n") + "\n"
+            if text.count(",") != (len(TRACE_COLUMNS) - 1) * len(lines):
+                _check_row_widths(lines, first, path)
+            # Empty cells become "nan".  The leading newline lets "\n," match
+            # an empty first cell on the first line; ",,," needs two passes
+            # because replace() does not overlap matches.
+            text = (text.replace(",,", ",nan,").replace(",,", ",nan,")
+                    .replace("\n,", "\nnan,").replace(",\n", ",nan\n"))
+            try:
+                blocks.append(np.loadtxt(text[1:-1].split("\n"), delimiter=",",
+                                         comments=None, ndmin=2))
+            except ValueError:
+                _check_row_widths(lines, first, path)  # rows evening out the count
+                raise
+            first += len(lines)
+    data = np.concatenate(blocks) if blocks else np.empty((0, len(TRACE_COLUMNS)))
+    return SessionTrace(len(data), **dict(zip(TRACE_COLUMNS, data.T)))
 
 
 def export_hops_csv(hops, path) -> None:

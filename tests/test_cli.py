@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslink.cli import main
+from chaoslink.simkit import ConfigError, load_trace_csv, parse_config_text
 
 SYNC_CFG = """\
 mu = 3.7
@@ -320,3 +323,75 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error: ") and message in err
         assert not out_path.exists()
+
+
+def _setting(values):
+    return values.map(lambda v: repr(v) if isinstance(v, float) else str(v))
+
+
+# Values inside, at and beyond each field's limits.  steps, sessions and
+# active_steps stay small so that one example runs in well under a second;
+# steps is a multiple of 16, so that most hold and frame sizes divide it.
+CONFIG_FIELDS = {
+    "mu": _setting(st.floats(0.0, 4.5) | st.sampled_from([3.7, 4.0, 1e300])),
+    "k": _setting(st.sampled_from([1.0, 2.0, 0.5, 1024, 32768, 40000, 1e-300])),
+    "rho": _setting(st.floats(-1.5, 1.5) | st.sampled_from([8.0, -9.0, 1e300])),
+    "x0": _setting(st.floats(0.0, 1.0) | st.integers(-1, 40000)),
+    "y0": _setting(st.floats(-3.0, 3.0) | st.integers(-40000, 40000)
+                   | st.sampled_from([1e200, -1e300])),
+    "operator": st.sampled_from(["additive", "multiplicative", "xor"]),
+    "amplitude": _setting(st.floats(-2.0, 2.0) | st.sampled_from([0.0, 1e100, 1e300])),
+    "hold": _setting(st.sampled_from([1, 2, 4, 8, 16, 3, 0])),
+    "settle": _setting(st.integers(-1, 40)),
+    "threshold": _setting(st.floats(-10.0, 10.0) | st.sampled_from([5e99, 1e308])),
+    "source": st.sampled_from(["off", "bernoulli", "pattern", "noise"]),
+    "source_p": _setting(st.floats(-0.5, 1.5)),
+    "seed": _setting(st.integers(-1, 2**64)),
+    "pattern": st.text("01", max_size=6) | st.just("01x"),
+    "mode": st.sampled_from(["float", "fixed", "analog"]),
+    "frame_m": _setting(st.sampled_from([16, 8, 32, 4, 5, 0])),
+    "frame_n": _setting(st.sampled_from([4, 2, 1, 16, 3, 0])),
+    "frac_bits": _setting(st.integers(0, 16)),
+    "channel": st.sampled_from(["ideal", "disturbance", "fading"]),
+    "disturbance": _setting(st.floats(0.0, 1.0) | st.sampled_from([-1.0, 1e300])),
+    "active_steps": _setting(st.integers(-1, 60)),
+    "sync_tol": _setting(st.floats(-1e-6, 1.0) | st.sampled_from([1e-6, 0.0])),
+    "sync_window": _setting(st.integers(0, 8)),
+    "guard": _setting(st.floats(0.0, 1e6) | st.sampled_from([1e-300, 1e300])),
+}
+
+# Settings each session command needs to get past its own checks.
+COMMAND_BASES = {
+    "sync": {},
+    "transmit": {"source": "bernoulli", "seed": "1"},
+    "digital": {"mode": "fixed", "k": "1024", "x0": "122", "y0": "-1024"},
+    "hop": {"source": "bernoulli", "seed": "5"},
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base=st.sampled_from(list(COMMAND_BASES.values())),
+    fields=st.fixed_dictionaries(
+        {"steps": _setting(st.integers(2, 20).map(lambda n: 16 * n)),
+         "sessions": _setting(st.integers(0, 3))},
+        optional=CONFIG_FIELDS,
+    ),
+)
+def test_every_config_exits_cleanly(tmp_path_factory, base, fields):
+    """A config parse_config_text accepts runs or fails with exit 1 or 2
+    on every session command, never with an exception."""
+    text = "".join(f"{name} = {value}\n" for name, value in {**base, **fields}.items())
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        return
+    workdir = tmp_path_factory.mktemp("cfg")
+    cfg = workdir / "s.cfg"
+    cfg.write_text(text)
+    for command in COMMAND_BASES:
+        out = workdir / f"{command}.csv"
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1, 2), (command, text)
+        if code == 0:
+            assert len(load_trace_csv(out)) >= 1

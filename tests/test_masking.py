@@ -5,11 +5,8 @@ from hypothesis import strategies as st
 
 from chaoslink.masking import (
     InvertibleOperator,
-    epsilon,
     get_operator,
-    recover_symbol,
     register_operator,
-    scramble,
     threshold_detect,
 )
 
@@ -19,25 +16,23 @@ multiplicative = get_operator("multiplicative")
 
 class TestOperators:
     def test_zero_symbol_identity(self):
-        assert scramble(0.333, 0.0, additive) == 0.333
+        assert additive.forward(0.333, 0.0) == 0.333
 
     def test_additive_forward(self):
-        assert scramble(0.333, 1.0, additive) == pytest.approx(1.333)
+        assert additive.forward(0.333, 1.0) == pytest.approx(1.333)
 
     @given(x=st.floats(0.001, 0.999), i=st.floats(-2.0, 2.0))
     def test_additive_round_trip(self, x, i):
-        assert recover_symbol(scramble(x, i, additive), x, additive) == pytest.approx(
-            i, abs=1e-12
-        )
+        assert additive.recover(additive.forward(x, i), x) == pytest.approx(i, abs=1e-12)
 
     @given(x=st.floats(0.01, 0.999), i=st.floats(-0.5, 0.5))
     def test_multiplicative_round_trip(self, x, i):
-        z = scramble(x, i, multiplicative)
-        assert recover_symbol(z, x, multiplicative) == pytest.approx(i, abs=1e-9)
+        z = multiplicative.forward(x, i)
+        assert multiplicative.recover(z, x) == pytest.approx(i, abs=1e-9)
 
     def test_multiplicative_guards_zero_receiver(self):
         with pytest.raises(ZeroDivisionError):
-            recover_symbol(0.5, 0.0, multiplicative)
+            multiplicative.recover(0.5, 0.0)
 
     def test_unknown_operator(self):
         with pytest.raises(KeyError):
@@ -50,31 +45,16 @@ class TestOperators:
             )
 
 
-class TestEpsilon:
-    def test_equal_inputs(self):
-        assert epsilon(0.4, 0.4) == 0.0
-
-    def test_perfect_sync_carries_negated_symbol(self):
-        x = 0.63
-        z = scramble(x, 1.0, additive)
-        assert epsilon(x, z) == pytest.approx(-1.0)
-
-    def test_source_off_epsilon_is_sync_error(self):
-        x, y = 0.3, 0.45
-        z = scramble(x, 0.0, additive)
-        assert epsilon(y, z) == pytest.approx(y - x)
-
-
 class TestRecovery:
     def test_exact_at_sync(self):
         x = 0.52
-        assert recover_symbol(scramble(x, 1.0, additive), x, additive) == pytest.approx(1.0)
+        assert additive.recover(additive.forward(x, 1.0), x) == pytest.approx(1.0)
 
     def test_transient_fringe(self):
         # i = 0 with residual error e = 0.2: i_hat = i - e
         x = 0.3
         y = x + 0.2
-        assert recover_symbol(scramble(x, 0.0, additive), y, additive) == pytest.approx(-0.2)
+        assert additive.recover(additive.forward(x, 0.0), y) == pytest.approx(-0.2)
 
 
 class TestThresholdDetect:

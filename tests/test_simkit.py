@@ -1,4 +1,7 @@
+import math
+import struct
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -345,6 +348,92 @@ class TestTraceCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
+            load_trace_csv(path)
+
+
+# Any float64: every bit pattern (subnormals, +-inf, -0.0, NaN payloads),
+# plus values of 18 significant digits ending in 5, which %.17g must round
+# at a tie.
+FLOAT64 = st.one_of(
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072009e-308]),
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+    st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), st.integers(2, 4)),
+)
+
+
+def _bits(values) -> np.ndarray:
+    """float64 bit patterns, every NaN as np.nan's."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).view(np.uint64)
+
+
+class TestTraceCsvBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 12), block=st.integers(1, 5))
+    def test_arbitrary_columns_round_trip(self, tmp_path_factory, data, rows, block):
+        columns = {name: data.draw(st.lists(FLOAT64, max_size=rows), label=name)
+                   for name in simkit.TRACE_COLUMNS}
+        trace = SessionTrace(rows, **columns)
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with mock.patch.object(simkit, "_CSV_BLOCK", block):
+            export_csv(trace, path)
+            loaded = load_trace_csv(path)
+        assert len(loaded) == rows
+        for name in simkit.TRACE_COLUMNS:
+            # -0.0 is written as 0
+            assert np.array_equal(_bits(loaded.column(name)),
+                                  _bits(trace.column(name) + 0.0))
+        # an absent value is an empty cell, and every loaded value is what
+        # float() makes of its cell
+        text = path.read_bytes().decode()
+        assert text.endswith("\r\n") and "nan" not in text
+        cells = [line.split(",") for line in text.split("\r\n")[1:-1]]
+        expected = [[float(cell) if cell else np.nan for cell in row] for row in cells]
+        loaded_rows = np.column_stack([loaded.column(name) for name in simkit.TRACE_COLUMNS])
+        assert np.array_equal(_bits(loaded_rows), _bits(np.reshape(expected, (rows, len(simkit.TRACE_COLUMNS)))))
+        again = path.with_name("again.csv")
+        export_csv(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_header_only_file_is_an_empty_trace(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        export_csv(SessionTrace(0), path)
+        assert path.read_bytes() == b"n,x,y,z,e,epsilon,u,i,i_hat,bit,channel\r\n"
+        loaded = load_trace_csv(path)
+        assert len(loaded) == 0
+        assert all(loaded.column(name).size == 0 for name in simkit.TRACE_COLUMNS)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_ends_and_blank_lines(self, tmp_path, newline):
+        trace, _ = run_sync_session(replace(SYNC_CFG, steps=9, settle=0))
+        path = tmp_path / "a.csv"
+        export_csv(trace, path)
+        header, *rows = path.read_text().splitlines()
+        # blank lines at the start, between rows, across a block boundary
+        # and at the end are skipped
+        rows = ["", rows[0], "", "", *rows[1:4], "", *rows[4:], "", ""]
+        other = tmp_path / "b.csv"
+        other.write_bytes(newline.join([header, *rows]).encode())
+        with mock.patch.object(simkit, "_CSV_BLOCK", 3):
+            loaded = load_trace_csv(other)
+        assert len(loaded) == len(trace)
+        for name in simkit.TRACE_COLUMNS:
+            assert np.array_equal(_bits(loaded.column(name)),
+                                  _bits(trace.column(name) + 0.0))
+
+    @pytest.mark.parametrize("cell", ["abc", '"1.5"', "1_000", " "])
+    def test_non_numeric_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(simkit.TRACE_COLUMNS) + f"\n0,{cell},,,,,,,,,\n")
+        with pytest.raises(ValueError, match="could not convert"):
+            load_trace_csv(path)
+
+    def test_ragged_rows_that_even_out_rejected(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text(",".join(simkit.TRACE_COLUMNS) + "\n"
+                        + ",".join(["1"] * 12) + "\n" + ",".join(["1"] * 10) + "\n")
+        with pytest.raises(ValueError, match="data row 0 has 12 cells, not 11"):
             load_trace_csv(path)
 
 
