@@ -7,15 +7,7 @@ correlation-summation receiver, and chaos-driven channel hopping.
 
 from ._accel import USING_NUMBA
 from .bitcodec import FrameSpec, correlate, decide, lsb_bits, mask_bits, spread
-from .control import (
-    ControllerGains,
-    check_degenerate_sync,
-    control,
-    error,
-    lyapunov_delta,
-    predict_error,
-    step_response,
-)
+from .control import ControllerGains, control, lyapunov_delta, step_response
 from .core import (
     BasinEscapeError,
     LogisticParams,

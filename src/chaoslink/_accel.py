@@ -5,6 +5,14 @@ the feedback law, response_track runs the controlled response on line
 samples, and fx_sync_run is the 16-bit quantized drive/response pair.
 Sessions and chaos diagnostics alike are built on these four.
 
+response_track steps the response in blocks and, between blocks, checks
+for exact sync: y == z[n], sign bit included.  From there the error
+y - z[n] is exactly +0.0, the control is the law at e = +0.0 and the
+update is the line's own map, so as long as each image equals the next
+line sample the loop's results are those of one vector pass over the
+line.  That pass runs in doubling windows, so a stretch of exact sync
+costs O(its length) and the loop resumes where the line leaves it.
+
 fx_sync_run steps the pair only until it synchronizes.  From then on the
 response is the drive, and the drive is a map on at most k states, so a
 visited table of size k finds its cycle within k steps; the rest of the
@@ -17,6 +25,7 @@ the same source and produce identical results; the fallback is simply
 slower on the million-step runs.
 """
 
+import math
 import os
 
 import numpy as np
@@ -49,6 +58,8 @@ if not USING_NUMBA:
 
 _I16_MIN = -32768
 _I16_MAX = 32767
+_SYNC_CHECK = 128  # response steps between exact-sync checks
+_SYNC_PROBE_MAX = 1 << 16  # largest window of one exact-sync vector pass
 
 
 @njit(cache=True)
@@ -80,27 +91,92 @@ def control_effort(mu, k, rho, e, d):
 
 
 @njit(cache=True)
+def _follow_line(mu, k, rho, z, n, guard, ys, us):
+    """Fill ys and us from step n on, given that the response state equals
+    z[n] with the same sign bit.
+
+    While y == z[m] the loop's error y - z[m] is z[m] - z[m] (+0.0, never
+    -0.0) and its update is the map on z[m] plus that control, so each
+    step is a vector operation on the line; the run ends at the first
+    image that differs from the next line sample in value or sign bit.
+    Windows double up to _SYNC_PROBE_MAX, so the pass reads O(run length)
+    samples.  Returns (n, diverge_index): n is the step at which the loop
+    resumes from ys[n] (z.size if the line ends in sync), diverge_index
+    as in response_track, -1 if no image crossed the guard.
+    """
+    n_steps = z.size
+    width = _SYNC_CHECK
+    while n < n_steps:
+        hi = min(n + width, n_steps)
+        d = z[n:hi]
+        e = d - d
+        u = control_effort(mu, k, rho, e, d)
+        nxt = mu * d * (1.0 - d / k) + u
+        stops = ~(np.abs(nxt) <= guard)
+        follow = z[n + 1:hi + 1]
+        m = follow.size
+        stops[:m] |= (nxt[:m] != follow) | (np.signbit(nxt[:m]) != np.signbit(follow))
+        hits = np.flatnonzero(stops)
+        last = int(hits[0]) if hits.size else hi - n - 1
+        us[n:n + last + 1] = u[:last + 1]
+        ys[n + 1:n + last + 2] = nxt[:last + 1]
+        if not abs(nxt[last]) <= guard:
+            return n + last + 1, n + last + 1
+        if hits.size:
+            return n + last + 1, -1
+        n = hi
+        width = min(2 * width, _SYNC_PROBE_MAX)
+    return n, -1
+
+
+if not USING_NUMBA:
+    # A window may run past the sync into huge or infinite line samples:
+    # numpy warns on their overflow and inf - inf, the loop's Python floats
+    # and compiled code do not.
+    _follow_line = np.errstate(over="ignore", invalid="ignore")(_follow_line)
+
+
+@njit(cache=True)
 def response_track(mu, k, rho, y0, z, guard):
-    """Response map driven by the line samples z under the feedback law.
+    """Response map driven by the float64 line z under the feedback law.
 
     Step n applies control_effort(y - z[n], z[n]).  Returns (ys, us,
     diverge_index): ys has one sample more than z, us[n] is the control
     on the n -> n+1 transition, and diverge_index is the first index with
     |y| > guard or y NaN (samples past it are left at 0), or -1 if none.
+
+    Before each whole block of _SYNC_CHECK steps the loop checks whether
+    y equals z[n] with the same sign bit.  Once it does, the error is
+    exactly +0.0 and the update is the line's own map, so _follow_line
+    copies the line's controlled continuation in vector form, bit for bit
+    what the loop would compute, and the loop resumes where the line stops
+    following its own map.
     """
     n_steps = z.size
     ys = np.zeros(n_steps + 1)
     us = np.zeros(n_steps)
     ys[0] = y0
     y = y0
-    for n in range(n_steps):
-        d = float(z[n])  # a Python float keeps the fallback's arithmetic fast
-        u = control_effort(mu, k, rho, y - d, d)
-        us[n] = u
-        y = mu * y * (1.0 - y / k) + u
-        ys[n + 1] = y
-        if not abs(y) <= guard:
-            return ys, us, n + 1
+    n = 0
+    while n < n_steps:
+        end = n + _SYNC_CHECK
+        if end > n_steps:  # a vector pass is not worth a partial block
+            end = n_steps
+        elif y == z[n] and math.copysign(1.0, y) == math.copysign(1.0, z[n]):
+            n, diverge = _follow_line(mu, k, rho, z, n, guard, ys, us)
+            if diverge >= 0:
+                return ys, us, diverge
+            y = float(ys[n])
+            continue
+        for m in range(n, end):
+            d = float(z[m])  # a Python float keeps the fallback's arithmetic fast
+            u = control_effort(mu, k, rho, y - d, d)
+            us[m] = u
+            y = mu * y * (1.0 - y / k) + u
+            ys[m + 1] = y
+            if not abs(y) <= guard:
+                return ys, us, m + 1
+        n = end
     return ys, us, -1
 
 

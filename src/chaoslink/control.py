@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from . import _accel
 from .core import LogisticParams, step
 
-DEGENERATE_TOL_FACTOR = 1e-12
-
 STABLE_ASYMPTOTIC = "globally_asymptotically_stable"
 STABLE_MARGINAL = "stable"
 UNSTABLE = "unstable"
@@ -39,11 +37,6 @@ class ControllerGains:
         return UNSTABLE
 
 
-def error(y: float, x: float) -> float:
-    """Synchronization error e = y - x."""
-    return y - x
-
-
 def control(gains: ControllerGains, e: float, d: float) -> float:
     """Control effort for error e and drive-side value d."""
     return _accel.control_effort(gains.params.mu, gains.params.k, gains.rho, e, d)
@@ -58,21 +51,7 @@ def step_response(gains: ControllerGains, y: float, d: float) -> float:
     return step(gains.params, y) + control(gains, y - d, d)
 
 
-def predict_error(rho: float, e0: float, n: int) -> float:
-    """Closed-form error after n closed-loop steps: rho**n * e0."""
-    return rho**n * e0
-
-
 def lyapunov_delta(rho: float, e: float) -> float:
     """One-step change of V = e^2 under e' = rho*e: -e^2 (1 - rho^2)."""
     return -(e * e) * (1.0 - rho * rho)
 
-
-def check_degenerate_sync(x: float, y: float, k: float) -> bool:
-    """True iff x + y = k within 1e-12*k.
-
-    On that set the uncontrolled maps produce equal next states, so the
-    pair synchronizes in one step without any controller.  Diagnostic
-    only; never used for control.
-    """
-    return abs(x + y - k) < DEGENERATE_TOL_FACTOR * k

@@ -131,14 +131,6 @@ def bifurcation_scan(
     return rows
 
 
-def count_attractor_values(samples: np.ndarray, tol: float = 1e-6) -> int:
-    """Distinct attractor values up to a clustering tolerance."""
-    ordered = np.sort(np.asarray(samples, dtype=float))
-    if ordered.size == 0:
-        return 0
-    return 1 + int(np.count_nonzero(np.diff(ordered) > tol))
-
-
 def amplitude_spectrum(samples) -> SpectrumReport:
     """Magnitude spectrum of the mean-removed sequence plus flatness.
 

@@ -89,6 +89,10 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be finite")
         if not self.guard > 0:
             raise ConfigError("guard must be > 0")
+        if not self.sync_tol > 0:
+            raise ConfigError("sync_tol must be > 0")
+        if not 0.0 <= self.source_p <= 1.0:
+            raise ConfigError("source_p must lie in [0, 1]")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.hold < 1:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from fx_oracle import PairRun, fx_sync_oracle
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from chaoslink import _accel
@@ -65,6 +65,157 @@ def test_response_track_matches_scalar_reference(
     assert diverge == (over[0] if over else -1)
     assert np.array_equal(ys[:stop + 1], ref_y[:stop + 1], equal_nan=True)
     assert np.array_equal(us[:stop], ref_u[:stop], equal_nan=True)
+
+
+def response_track_oracle(mu, k, rho, y0, z, guard):
+    """response_track as one stepwise loop with no exact-sync fast path."""
+    ys = np.zeros(z.size + 1)
+    us = np.zeros(z.size)
+    ys[0] = y = y0
+    for n in range(z.size):
+        d = float(z[n])
+        us[n] = u = _accel.control_effort(mu, k, rho, y - d, d)
+        ys[n + 1] = y = mu * y * (1.0 - y / k) + u
+        if not abs(y) <= guard:
+            return ys, us, n + 1
+    return ys, us, -1
+
+
+def check_response_track(mu, k, rho, y0, z, guard):
+    """The kernel against the oracle by bytes, so the sign of a zero counts."""
+    ys, us, diverge = _accel.response_track(mu, k, rho, y0, z, guard)
+    ref_ys, ref_us, ref_diverge = response_track_oracle(mu, k, rho, y0, z, guard)
+    assert diverge == ref_diverge
+    assert ys.tobytes() == ref_ys.tobytes()
+    assert us.tobytes() == ref_us.tobytes()
+    return ys, diverge
+
+
+def map_line(mu, k, x0, steps):
+    """The map's own orbit from x0, unchecked: negative starts run off to
+    -inf, which a basin-checked orbit would stop."""
+    line = [x0]
+    for _ in range(steps - 1):
+        line.append(mu * line[-1] * (1.0 - line[-1] / k))
+    return np.array(line[:steps])
+
+
+def synced_from(ys, z):
+    """First n from which the response equals the line to its end, or -1."""
+    off = np.flatnonzero(ys[:-1] != z)
+    n = off[-1] + 1 if off.size else 0
+    return n if n < z.size else -1
+
+
+PERTURBATIONS = {
+    "ulp": lambda v: np.nextafter(v, np.inf),
+    "nan": lambda v: np.nan,
+    "negative-zero": lambda v: -0.0,
+}
+
+
+@given(
+    mu=open_interval(3.6, 4.0),
+    rho=st.sampled_from([-0.9, -0.5, 0.0, 0.5, 0.9]) | open_interval(-0.95, 0.95),
+    x0=open_interval(0.05, 0.95),
+    y0=st.floats(-1.0, 2.0),
+    k=st.sampled_from([1.0, 3.0, 1024.0]),
+    steps=st.integers(2000, 3000),
+    perturb=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(PERTURBATIONS)),
+                                           st.integers(300, 1999))),
+)
+def test_response_track_fast_path_on_idle_lines(mu, rho, x0, y0, k, steps, perturb):
+    x, escape = _accel.logistic_orbit(mu, k, x0 * k, steps)
+    assume(escape == -1)
+    z = x[:-1].copy()
+    if perturb is not None:  # knock the response off the line after sync
+        kind, at = perturb
+        z[at] = PERTURBATIONS[kind](z[at])
+    check_response_track(mu, k, rho, y0 * k, z, 3.0 * k)
+
+
+@pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9])
+def test_idle_lines_reach_exact_sync(rho):
+    x, _ = _accel.logistic_orbit(3.7, 1.0, 0.1, 4000)
+    ys, diverge = check_response_track(3.7, 1.0, rho, -1.0, x[:-1], 3.0)
+    assert diverge == -1
+    assert 0 < synced_from(ys, x[:-1]) < 1000
+
+
+@given(
+    rho=st.sampled_from([-1.3, -0.9, 0.0, 0.5, 1.0]),
+    x0=st.floats(-1e-3, -1e-300),
+    guard=st.sampled_from([1.0, 1e3, 1e300]),
+    steps=st.integers(0, 800),
+)
+def test_response_track_guard_inside_copied_run(rho, x0, guard, steps):
+    # From a negative start the line is the map's own orbit running off to
+    # -inf, so the response, equal to it from step 0, follows it in the
+    # vector pass until the guard stops it.
+    line = map_line(3.7, 1.0, x0, steps + 1)
+    _, diverge = check_response_track(3.7, 1.0, rho, x0, line[:-1], guard)
+    over = np.flatnonzero(~(np.abs(line[1:]) <= guard))
+    assert diverge == (over[0] + 1 if over.size else -1)
+
+
+# A response equal to the line from step 0 follows it in windows of steps
+# [0, W), [W, 3W), [3W, 7W), ...; a sample changed at `at` ends the run on
+# step at - 1, here the first or last step of a window or between.
+W = _accel._SYNC_CHECK
+WINDOW_EDGES = [1, W - 1, W, W + 1, 2 * W, 3 * W - 1, 3 * W, 3 * W + 1, 7 * W - 1, 7 * W]
+
+
+@pytest.mark.parametrize("at", WINDOW_EDGES)
+@pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("rho", [-0.5, 0.0, 0.9])
+def test_response_track_run_ends_at_window_edges(at, kind, rho):
+    x, _ = _accel.logistic_orbit(3.9, 1.0, 0.3, 8 * W)
+    z = x[:-1].copy()
+    z[at] = PERTURBATIONS[kind](z[at])
+    check_response_track(3.9, 1.0, rho, 0.3, z, 3.0)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, W - 1, W, W + 1, 3 * W, 3 * W + 1, 7 * W])
+@pytest.mark.parametrize("y0", [0.3, 0.3000000000000001, -1.0])
+def test_response_track_line_ends_in_sync(steps, y0):
+    x, _ = _accel.logistic_orbit(3.7, 1.0, 0.3, steps)
+    ys, diverge = check_response_track(3.7, 1.0, 0.5, y0, x[:-1], 3.0)
+    assert diverge == -1
+    assert ys.size == steps + 1
+
+
+@pytest.mark.parametrize("y0, line", [
+    (0.0, [0.0]), (-0.0, [0.0]), (0.0, [-0.0]), (-0.0, [-0.0]),
+    (0.0, [-0.0] * 200), (-0.0, [-0.0] * 200), (-0.0, [0.0] * 200),
+    # the map keeps a zero's sign, so the image of -0.0 differs from a
+    # following +0.0 only in its sign bit, and the other way round
+    (-0.0, [-0.0] * 200 + [0.0] * 200), (0.0, [0.0] * 200 + [-0.0] * 200),
+    (0.5, [0.5]), (0.5, [0.25]), (np.nan, [0.5]), (0.5, [np.nan]),
+    (np.inf, [np.inf] * 3), (0.2, [0.2, np.inf, 0.3]),
+])
+def test_response_track_signed_zero_and_special_lines(y0, line):
+    for rho in (-0.5, 0.0, 0.5):
+        check_response_track(3.7, 1.0, rho, y0, np.array(line), 3.0)
+
+
+@given(
+    mu=open_interval(3.6, 4.0),
+    rho=open_interval(-0.9, 0.9),
+    x0=open_interval(0.05, 0.95),
+    amplitude=st.sampled_from([1e-17, 0.05, 1.0, 1e300]),
+    operator=st.sampled_from(["additive", "multiplicative"]),
+    runs=st.lists(st.integers(1, 1500), min_size=1, max_size=6),
+)
+def test_response_track_transmit_line_with_long_zero_runs(
+    mu, rho, x0, amplitude, operator, runs
+):
+    # Alternating 0- and 1-bit runs: the response syncs exactly in the
+    # long 0-bit runs and is knocked off the line by the 1-bit runs.
+    info = np.concatenate([np.full(r, amplitude * (j % 2)) for j, r in enumerate(runs)])
+    x, escape = _accel.logistic_orbit(mu, 1.0, x0, info.size)
+    assume(escape == -1)
+    z = get_operator(operator).forward(x[:-1], info)
+    check_response_track(mu, 1.0, rho, -1.0, z, 1e3)
 
 
 @st.composite

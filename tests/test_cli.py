@@ -285,6 +285,10 @@ class TestErrorPaths:
          "disturbance must be finite"),
         ("sync", SYNC_CFG + "guard = 0\n", "guard must be > 0"),
         ("sync", SYNC_CFG + "guard = -1\n", "guard must be > 0"),
+        ("sync", SYNC_CFG + "sync_tol = 0\n", "sync_tol must be > 0"),
+        ("hop", SYNC_CFG + "sync_tol = -1e-6\n", "sync_tol must be > 0"),
+        ("transmit", TRANSMIT_CFG + "source_p = 1.5\n", "source_p must lie in [0, 1]"),
+        ("transmit", TRANSMIT_CFG + "source_p = -0.5\n", "source_p must lie in [0, 1]"),
         ("transmit", TRANSMIT_CFG + "operator = bogus\n",
          "unknown operator 'bogus'; registered: ['additive', 'multiplicative']"),
         ("digital", DIGITAL_CFG.replace("x0 = 122", "x0 = 122.7"),
@@ -292,7 +296,8 @@ class TestErrorPaths:
         ("digital", DIGITAL_CFG.replace("y0 = -1024", "y0 = -1.5"),
          "fixed mode requires an integer y0"),
     ], ids=["y0-1e12", "frac_bits-40", "rho-20", "hold-0", "rho-nan", "guard-inf",
-            "disturbance-inf", "guard-0", "guard-negative", "operator-bogus",
+            "disturbance-inf", "guard-0", "guard-negative", "sync_tol-0",
+            "sync_tol-negative", "source_p-1.5", "source_p-negative", "operator-bogus",
             "x0-fractional", "y0-fractional"])
     def test_out_of_range_config_exit_code(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.cfg"

@@ -8,11 +8,8 @@ from chaoslink.control import (
     STABLE_MARGINAL,
     UNSTABLE,
     ControllerGains,
-    check_degenerate_sync,
     control,
-    error,
     lyapunov_delta,
-    predict_error,
     step_response,
 )
 from chaoslink.core import LogisticParams, step
@@ -72,23 +69,13 @@ class TestStepResponse:
 
 
 class TestErrorAlgebra:
-    def test_initial_condition_error(self):
-        assert error(-1.0, 0.1) == pytest.approx(-1.1)
-
-    def test_identical_states(self):
-        assert error(0.42, 0.42) == 0.0
-
-    def test_subtraction(self):
-        assert error(0.7, 0.3) == pytest.approx(0.4)
-
-    def test_predict_one_step(self):
-        assert predict_error(0.5, -1.1, 1) == pytest.approx(-0.55)
-
-    def test_predict_geometric_decay(self):
-        assert predict_error(0.5, -1.1, 25) == pytest.approx(-1.1 * 0.5**25)
-
     def test_marginal_gain_preserves_error(self):
-        assert predict_error(1.0, 0.3, 1000) == 0.3
+        g = gains(rho=1.0)
+        x, y = 0.1, 0.4
+        for _ in range(1000):
+            y = step_response(g, y, x)
+            x = step(g.params, x)
+            assert y - x == pytest.approx(0.3, abs=1e-9)
 
     def test_closed_loop_matches_closed_form(self):
         g = gains()
@@ -97,8 +84,7 @@ class TestErrorAlgebra:
         for n in range(1, 60):
             y = step_response(g, y, x)
             x = step(g.params, x)
-            predicted = predict_error(g.rho, e0, n)
-            assert abs((y - x) - predicted) <= 1e-9 * abs(e0) * n
+            assert abs((y - x) - g.rho**n * e0) <= 1e-9 * abs(e0) * n
 
 
 class TestLyapunovAccounting:
@@ -152,21 +138,15 @@ class TestStabilityClass:
 
 
 class TestDegenerateCondition:
+    """On x + y = k the uncontrolled maps give equal next states."""
+
     def test_mirror_pair_synchronizes_in_one_step(self):
-        assert check_degenerate_sync(0.3, 0.7, 1.0)
         p = LogisticParams(3.7)
         assert step(p, 0.3) == pytest.approx(step(p, 0.7), abs=1e-15)
         assert step(p, 0.3) == pytest.approx(0.777, abs=1e-12)
-
-    def test_reference_conditions_are_not_degenerate(self):
-        assert not check_degenerate_sync(0.1, -1.0, 1.0)
-
-    def test_symmetric_point(self):
-        assert check_degenerate_sync(0.5, 0.5, 1.0)
 
     @given(x=st.floats(0.001, 0.999), k=st.floats(0.01, 100.0))
     def test_mirror_identity_over_random_points(self, x, k):
         p = LogisticParams(3.7, k)
         y = k - x * k
-        assert check_degenerate_sync(x * k, y, k)
         assert step(p, x * k) == pytest.approx(step(p, y), rel=1e-12, abs=1e-12 * k)

@@ -75,6 +75,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(steps=10, settle=25)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6])
+    def test_sync_tol_must_be_positive(self, tol):
+        # no error meets |e| < tol, so a sync step or hop trigger never comes
+        with pytest.raises(ConfigError, match="sync_tol must be > 0"):
+            ScenarioConfig(sync_tol=tol)
+
+    @pytest.mark.parametrize("p", [-0.5, -1e-300, 1.0000000000000002, 1.5])
+    def test_source_p_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ConfigError, match=r"source_p must lie in \[0, 1\]"):
+            ScenarioConfig(source="bernoulli", seed=1, source_p=p)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_source_p_bounds_accepted(self, p):
+        assert ScenarioConfig(source="bernoulli", seed=1, source_p=p).source_p == p
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text("mu=3.7\nsteps=60\n")
