@@ -3,7 +3,9 @@
 Four kernels: logistic_orbit iterates the float map, control_effort is
 the feedback law, response_track runs the controlled response on line
 samples, and fx_sync_run is the 16-bit quantized drive/response pair.
-Sessions and chaos diagnostics alike are built on these four.
+Sessions and chaos diagnostics alike are built on these four; a hop
+session too steps no sample in Python: its drive is one logistic_orbit
+per run and each idle or active phase one response_track call.
 
 response_track steps the response in blocks and, between blocks, checks
 for exact sync: y == z[n], sign bit included.  From there the error

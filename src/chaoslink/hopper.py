@@ -11,7 +11,8 @@ none was seen in 12 000 hops.
 
 import csv
 from dataclasses import dataclass
-from itertools import islice
+
+import numpy as np
 
 DEFAULT_CHANNEL_COUNT = 100
 DEFAULT_F_LOW_MHZ = 60.0
@@ -120,15 +121,15 @@ def hop_session(x: float, y: float, k: float, table: ChannelTable):
 
 
 def hop_trigger(epsilon_history, tol: float = DEFAULT_TRIGGER_TOL,
-                window: int = DEFAULT_TRIGGER_WINDOW) -> bool:
-    """True iff the last `window` innovations are all below tol in magnitude.
+                window: int = DEFAULT_TRIGGER_WINDOW) -> int:
+    """First index n at which epsilon_history[n - window + 1 : n + 1] all
+    lie below tol in magnitude, or -1 if there is none; NaN breaks the run.
 
-    epsilon_history is a sequence or deque, oldest first; only its last
-    `window` items are read.
+    epsilon_history is the innovation column, oldest first.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    count = len(epsilon_history)
-    if count < window:
-        raise ValueError(f"need at least {window} innovation samples, got {count}")
-    return all(abs(v) < tol for v in islice(reversed(epsilon_history), window))
+    # one byte per sample, 1 where it lies below tol: the trigger ends the
+    # first run of `window` ones
+    start = (np.abs(epsilon_history) < tol).tobytes().find(b"\x01" * window)
+    return start + window - 1 if start >= 0 else -1

@@ -8,7 +8,6 @@ session is deterministic in (config, seed).
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import _accel
 from .bitcodec import FrameSpec, correlate, decide, lsb_bits, mask_bits, spread
-from .core import BasinEscapeError, LogisticParams, step
+from .core import BasinEscapeError, LogisticParams
 from .fixedpoint import FixedParams, fx_run_sync
 from .hopper import ChannelTable, build_default_table, hop_session, hop_trigger
 from .masking import (
@@ -117,6 +116,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.source == SOURCE_BERNOULLI and self.seed is None:
             raise ConfigError("bernoulli source requires an explicit seed")
+        if (self.channel == CHANNEL_DISTURBANCE and self.disturbance > 0
+                and self.seed is None):
+            raise ConfigError("disturbance channel requires an explicit seed")
         if self.source == SOURCE_PATTERN and not set(self.pattern) <= {"0", "1"}:
             raise ConfigError("pattern must be a nonempty string over {0,1}")
         if self.source == SOURCE_PATTERN and not self.pattern:
@@ -253,19 +255,20 @@ class Metrics:
 def _sync_step(errors: np.ndarray, tol: float, window: int) -> int | None:
     """First index n such that |e| < tol for the window ending at n; an
     absent (NaN) error breaks the run."""
-    inside = np.concatenate(([0], np.cumsum(np.abs(errors) < tol)))
-    ends = np.flatnonzero(inside[window:] - inside[:-window] == window)
-    return int(ends[0]) + window - 1 if ends.size else None
+    n = hop_trigger(errors, tol, window)
+    return n if n >= 0 else None
 
 
-def _symbol_stream(cfg: ScenarioConfig, n_blocks: int, rng) -> np.ndarray:
-    """Source bits for n_blocks hold-windows."""
+def _symbol_stream(cfg: ScenarioConfig, n_blocks: int, rng,
+                   sessions: int = 1) -> np.ndarray:
+    """Source bits for n_blocks hold-windows in each of `sessions` sessions,
+    one session after the other; a pattern restarts in each session."""
     if cfg.source == SOURCE_BERNOULLI:
-        return (rng.random(n_blocks) < cfg.source_p).astype(np.uint8)
+        return (rng.random(n_blocks * sessions) < cfg.source_p).astype(np.uint8)
     if cfg.source == SOURCE_PATTERN:
         pattern = np.array([int(c) for c in cfg.pattern], dtype=np.uint8)
-        return np.resize(pattern, n_blocks)
-    return np.zeros(n_blocks, dtype=np.uint8)
+        return np.tile(np.resize(pattern, n_blocks), sessions)
+    return np.zeros(n_blocks * sessions, dtype=np.uint8)
 
 
 def _block_ends(values: np.ndarray, block: int) -> np.ndarray:
@@ -275,30 +278,38 @@ def _block_ends(values: np.ndarray, block: int) -> np.ndarray:
     return column
 
 
-def _track(cfg: ScenarioConfig, op, x0, y0, info, dist=0.0, start: int = 0):
-    """Drive orbit from x0, line z = op.forward(x, info) + dist, response
-    from y0 driven by z.  Returns (x, y, z, u, i_hat), x and y one sample
-    longer than the line.
-
-    Failures are raised as a step-by-step loop meets them: the earliest step
-    wins, a drive escape beats a divergence at the same step, and recovery
-    near y = 0 fails before its own step's update.  start numbers the first
-    step in error messages.
-    """
-    steps = len(info)
-    x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, x0, steps)
-    z = op.forward(x[:-1], info) + dist
-    guard = cfg.guard * cfg.k
-    y, u, diverge = _accel.response_track(cfg.mu, cfg.k, cfg.rho, y0, z, guard)
-    stop = min((i for i in (escape, diverge) if i >= 0), default=steps)
-    i_hat = op.recover(z[:stop], y[:stop])
+def _fail_at(stop: int, x, escape: int, diverge: int, guard: float,
+             start: int) -> None:
+    """Raise the failure a step-by-step loop meets at step `stop`, if any: a
+    drive escape beats a divergence.  x is the drive from step start on,
+    escape and diverge index it (-1: none)."""
     if stop == escape:
         raise BasinEscapeError(start + escape, x[escape])
     if stop == diverge:
         raise DivergenceError(
             f"response exceeded guard {guard} at step {start + diverge}"
         )
-    return x, y, z, u, i_hat
+
+
+def _track(cfg: ScenarioConfig, op, x, escape: int, y0, info, dist=0.0,
+           start: int = 0):
+    """Line z = op.forward(x, info) + dist on the drive samples x (escape:
+    index of the first one outside the basin, or -1), response from y0
+    driven by z.  Returns (y, z, u, i_hat), y one sample longer than the
+    line, like x.
+
+    Failures are raised as a step-by-step loop meets them: the earliest step
+    wins, a drive escape beats a divergence at the same step, and recovery
+    near y = 0 fails before its own step's update.  start numbers the first
+    step in error messages.
+    """
+    z = op.forward(x[:-1], info) + dist
+    guard = cfg.guard * cfg.k
+    y, u, diverge = _accel.response_track(cfg.mu, cfg.k, cfg.rho, y0, z, guard)
+    stop = min((i for i in (escape, diverge) if i >= 0), default=len(info))
+    i_hat = op.recover(z[:stop], y[:stop])
+    _fail_at(stop, x, escape, diverge, guard, start)
+    return y, z, u, i_hat
 
 
 def run_sync_session(cfg: ScenarioConfig):
@@ -307,8 +318,9 @@ def run_sync_session(cfg: ScenarioConfig):
         raise ConfigError("sync session requires source=off")
     cfg.logistic  # validate parameters
     # the bare drive state is the additive line with no information on it
-    x, y, _, u, _ = _track(cfg, get_operator("additive"), cfg.x0, cfg.y0,
-                           np.zeros(cfg.steps))
+    x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
+    y, _, u, _ = _track(cfg, get_operator("additive"), x, escape, cfg.y0,
+                        np.zeros(cfg.steps))
     errors = y - x
     trace = SessionTrace(cfg.steps + 1, x=x, y=y, e=errors, u=u)
     metrics = Metrics(
@@ -336,8 +348,9 @@ def run_transmit_session(cfg: ScenarioConfig):
     else:
         dist = np.zeros(cfg.steps)
 
-    x, y, z, u, ihat = _track(cfg, get_operator(cfg.operator), cfg.x0, cfg.y0,
-                              info, dist)
+    x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
+    y, z, u, ihat = _track(cfg, get_operator(cfg.operator), x, escape, cfg.y0,
+                           info, dist)
     decisions = threshold_detect(ihat, cfg.hold, cfg.detect_threshold)
 
     errors = y - x
@@ -405,6 +418,33 @@ def run_digital_session(cfg: ScenarioConfig):
 
 
 MAX_IDLE_STEPS = 10_000
+_IDLE_PROBE = 32  # idle steps in a first trigger probe; a retry is 4x wider
+
+
+class _DriveOrbit:
+    """A hop run's drive orbit, stepped in chunks as the run outgrows it."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.mu, self.k = cfg.mu, cfg.k
+        self.x, self.escape = np.array([cfg.x0], dtype=float), -1
+
+    def window(self, start: int, steps: int, ahead: int):
+        """Samples start..start+steps and the index among them of the first
+        one outside the basin (-1: none).  An orbit too short for them is
+        stepped `ahead` samples further; samples past an escape are 0."""
+        missing = start + steps + 1 - self.x.size
+        if missing > 0:
+            if self.escape >= 0:
+                more = np.zeros(missing)
+            else:
+                more, escape = _accel.logistic_orbit(
+                    self.mu, self.k, float(self.x[-1]), missing + ahead)
+                if escape >= 0:
+                    self.escape = self.x.size - 1 + escape
+                more = more[1:]
+            self.x = np.concatenate((self.x, more))
+        inside = start < self.escape <= start + steps
+        return self.x[start:start + steps + 1], self.escape - start if inside else -1
 
 
 def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
@@ -414,76 +454,96 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     sync_window consecutive samples), hops on the first post-trigger
     drive sample, then transmits for active_steps.  Both sides select on
     their own states, so the selection error measures residual desync.
+
+    The drive is one orbit for the whole run.  An idle phase is the
+    response on a probe of the bare drive line, widened until the trigger
+    fires on its innovations (the trigger's window reaches back across
+    phases); an active phase is the response on the masked line.  The
+    trace columns and hop records are built once, from the hop steps.
     """
     if table is None:
         table = build_default_table()
-    params = cfg.logistic
-    rng = np.random.default_rng(cfg.seed)
+    cfg.logistic  # validate parameters
     guard = cfg.guard * cfg.k
-    op = get_operator(cfg.operator)
     transmit = cfg.source != SOURCE_OFF and cfg.active_steps > 0
-    x, y = cfg.x0, cfg.y0
-    # Per-row values, NaN where absent; e, epsilon and channel are derived
-    # from them once the run ends.
-    rows = xs, ys, us, zs, infos, ihats = [], [], [], [], [], []
-    hops = []
-    # The trigger reads only the last sync_window innovations.
-    recent = deque(maxlen=cfg.sync_window)
+    if transmit:
+        op, width = get_operator(cfg.operator), cfg.active_steps
+        blocks = -(-width // cfg.hold)
+        bits = _symbol_stream(cfg, blocks, np.random.default_rng(cfg.seed),
+                              cfg.sessions).reshape(cfg.sessions, blocks)
+        # each session's samples hold its bits, hold steps per bit
+        info = (bits.astype(float) * cfg.amplitude)[:, np.arange(width) // cfg.hold]
+    else:
+        # one bare step on the new channel, its control not recorded
+        op, width = get_operator("additive"), 1
+        info = np.zeros((cfg.sessions, 1))
+    drive = _DriveOrbit(cfg)
+    keep = cfg.sync_window - 1  # innovations the trigger carries over
+    n, y, carried = 0, cfg.y0, np.empty(0)
+    hop_steps, y_parts = [], []
+    u_parts, z_parts, ihat_parts = ([np.empty(0)] for _ in range(3))
 
     for session in range(cfg.sessions):
+        # rows the run will still need: from the rows per session so far, or
+        # at first at least one idle row and the active rows of each session
+        ahead = ((cfg.sessions - session) * n // session if session
+                 else cfg.sessions * (width + 1))
         # idle phase: line carries the bare drive state
-        start = len(xs)
+        probe = _IDLE_PROBE
         while True:
-            e = y - x
-            us.append(_accel.control_effort(cfg.mu, cfg.k, cfg.rho, e, x))
-            xs.append(x)
-            ys.append(y)
-            recent.append(e)
-            x, y = step(params, x), step(params, y) + us[-1]
-            n = len(xs)
-            if not 0.0 < x < cfg.k:
-                raise BasinEscapeError(n, x)
-            if not abs(y) <= guard:
-                raise DivergenceError(f"response exceeded guard {guard} at step {n}")
-            if len(recent) >= cfg.sync_window and hop_trigger(
-                recent, cfg.sync_tol, cfg.sync_window
-            ):
+            x, escape = drive.window(n, probe, ahead)
+            ys, us, diverge = _accel.response_track(cfg.mu, cfg.k, cfg.rho, y,
+                                                    x[:-1], guard)
+            eps = np.concatenate((carried, ys[:-1] - x[:-1]))
+            # the hop step counted from n; <= 0 if the trigger did not fire
+            hop = hop_trigger(eps, cfg.sync_tol, cfg.sync_window) + 1 - carried.size
+            stop = min((i for i in (escape, diverge, hop) if i > 0), default=0)
+            if stop:
                 break
-            if n - start > MAX_IDLE_STEPS:
+            if probe > MAX_IDLE_STEPS:
                 raise DivergenceError(
                     f"no sync trigger within {MAX_IDLE_STEPS} idle steps"
                 )
-        zs += xs[start:]
-        infos += [0.0] * (n - start)
-        ihats += [np.nan] * (n - start)
-        # hop on the first post-trigger drive sample
-        hops.append(HopRecord(session, n, *hop_session(x, y, cfg.k, table)))
+            probe = min(4 * probe, MAX_IDLE_STEPS + 1)
+        _fail_at(stop, x, escape, diverge, guard, n)
+        carried = eps[max(carried.size + hop - keep, 0):carried.size + hop]
+        y_parts.append(ys[:hop])
+        u_parts.append(us[:hop])
+        n, y = n + hop, float(ys[hop])
+        hop_steps.append(n)
+        # active phase: masked transmission on the new channel
+        x, escape = drive.window(n, width, ahead)
+        ty, z, u, ihat = _track(cfg, op, x, escape, y, info[session], start=n)
+        y_parts.append(ty[:-1])
+        u_parts.append(u)
+        z_parts.append(z)
+        ihat_parts.append(ihat)
         if transmit:
-            # active phase: masked transmission on the new channel
-            bits = _symbol_stream(cfg, -(-cfg.active_steps // cfg.hold), rng)
-            info = np.repeat(bits.astype(float) * cfg.amplitude, cfg.hold)
-            info = info[:cfg.active_steps]
-            tx, ty, z, u, ihat = _track(cfg, op, x, y, info, start=n)
-            recent.extend((ty[:-1] - z).tolist())
-            for column, values in zip(rows, (tx[:-1], ty[:-1], u, z, info, ihat)):
-                column += values.tolist()
-        else:
-            # one bare step on the new channel, its control not recorded
-            for column, value in zip(rows, (x, y) + (np.nan,) * 4):
-                column.append(value)
-            tx, ty, *_ = _track(cfg, get_operator("additive"), x, y,
-                                np.zeros(1), start=n)
-        x, y = float(tx[-1]), float(ty[-1])
+            eps = np.concatenate((carried, ty[:-1] - z))
+            carried = eps[max(eps.size - keep, 0):]
+        n, y = n + width, float(ty[-1])
 
-    x, y = np.array(xs + [x]), np.array(ys + [y])
-    u, z = np.array(us), np.array(zs)
+    x = drive.x[:n + 1]
+    y = np.concatenate(y_parts + [[y]])
+    u = np.concatenate(u_parts)
+    z, i, i_hat = x[:-1].copy(), np.zeros(n), np.full(n, np.nan)
+    active = (np.array(hop_steps, dtype=int)[:, None] + np.arange(width)).ravel()
+    if transmit:
+        z[active] = np.concatenate(z_parts)
+        i[active] = info.ravel()
+        i_hat[active] = np.concatenate(ihat_parts)
+    else:
+        z[active] = u[active] = i[active] = np.nan
+    hops = [HopRecord(session, step, *hop_session(xh, yh, cfg.k, table))
+            for session, (step, xh, yh) in enumerate(
+                zip(hop_steps, x[hop_steps].tolist(), y[hop_steps].tolist()))]
     errors = y - x
     # epsilon is y - z on line samples and e on bare hop rows
     epsilon = np.where(np.isnan(z), errors[:-1], y[:-1] - z)
     channel = np.full(len(x), np.nan)
-    channel[[h.step for h in hops]] = [h.j_tx for h in hops]
+    channel[hop_steps] = [h.j_tx for h in hops]
     trace = SessionTrace(len(x), x=x, y=y, z=z, e=errors, epsilon=epsilon,
-                         u=u, i=infos, i_hat=ihats, channel=channel)
+                         u=u, i=i, i_hat=i_hat, channel=channel)
     # The maximum error skips rows without control (bare hop steps and the
     # final row) other than row 0.
     controlled = ~np.isnan(trace.column("u"))

@@ -262,6 +262,17 @@ class TestErrorPaths:
         assert code == 2
         assert err == "error: response exceeded guard 1e+300 at step 18\n"
 
+    def test_hop_idle_cap_exit_code(self, tmp_path, capsys):
+        # rho = 1 keeps the sync error constant, so the trigger never fires
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(HOP_CFG + "rho = 1.0\n")
+        code, _, err = run(
+            ["hop", "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: no sync trigger within 10000 idle steps\n"
+
     def test_arithmetic_overflow_exit_code(self, tmp_path, capsys):
         # a finite disturbance whose draw range overflows a float
         cfg = tmp_path / "dist.cfg"
@@ -291,6 +302,8 @@ class TestErrorPaths:
         ("transmit", TRANSMIT_CFG + "source_p = -0.5\n", "source_p must lie in [0, 1]"),
         ("transmit", TRANSMIT_CFG + "operator = bogus\n",
          "unknown operator 'bogus'; registered: ['additive', 'multiplicative']"),
+        ("transmit", "source = pattern\npattern = 01\nchannel = disturbance\n"
+         "disturbance = 1e-3\n", "disturbance channel requires an explicit seed"),
         ("digital", DIGITAL_CFG.replace("x0 = 122", "x0 = 122.7"),
          "fixed mode requires an integer x0"),
         ("digital", DIGITAL_CFG.replace("y0 = -1024", "y0 = -1.5"),
@@ -298,7 +311,7 @@ class TestErrorPaths:
     ], ids=["y0-1e12", "frac_bits-40", "rho-20", "hold-0", "rho-nan", "guard-inf",
             "disturbance-inf", "guard-0", "guard-negative", "sync_tol-0",
             "sync_tol-negative", "source_p-1.5", "source_p-negative", "operator-bogus",
-            "x0-fractional", "y0-fractional"])
+            "disturbance-unseeded", "x0-fractional", "y0-fractional"])
     def test_out_of_range_config_exit_code(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chaoslink.core import LogisticParams, iterate
 from chaoslink.hopper import (
@@ -94,21 +96,38 @@ class TestHopSession:
 
 class TestTrigger:
     def test_all_zero_history(self):
-        assert hop_trigger([0.0] * 10, tol=1e-6, window=5)
+        # the first full window ends at index window - 1
+        assert hop_trigger(np.zeros(10), tol=1e-6, window=5) == 4
 
     def test_recent_excursion_blocks(self):
-        assert not hop_trigger([0.0, 0.0, 0.0, 0.0, 0.5], tol=1e-6, window=5)
+        assert hop_trigger([0.0, 0.0, 0.0, 0.0, 0.5], tol=1e-6, window=5) == -1
+        # the run starts again after the excursion
+        assert hop_trigger([0.0, 0.5] + [0.0] * 5, tol=1e-6, window=5) == 6
+        assert hop_trigger([0.0] * 4 + [np.nan] + [0.0] * 5, tol=1e-6, window=5) == 9
 
     def test_fires_at_expected_decay_step(self):
         # rho = 0.5, e0 = -1.1: |e_n| < 1e-6 from n = 21, so the 5-wide
         # window first fills at n = 25
-        history = [0.5**n * -1.1 for n in range(26)]
-        assert hop_trigger(history, tol=1e-6, window=5)
-        assert not hop_trigger(history[:-1], tol=1e-6, window=5)
+        history = [0.5**n * -1.1 for n in range(40)]
+        assert hop_trigger(history, tol=1e-6, window=5) == 25
+        assert hop_trigger(history[:25], tol=1e-6, window=5) == -1
 
     def test_insufficient_history(self):
-        with pytest.raises(ValueError):
-            hop_trigger([0.0], tol=1e-6, window=5)
+        assert hop_trigger([0.0], tol=1e-6, window=5) == -1
+        assert hop_trigger([], tol=1e-6, window=1) == -1
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            hop_trigger([0.0], tol=1e-6, window=0)
+
+    @given(
+        epsilon=st.lists(st.sampled_from([0.0, -1e-7, 1e-6, 0.5, np.nan, -np.inf]),
+                         max_size=30),
+        window=st.integers(1, 8),
+    )
+    def test_matches_scalar_definition(self, epsilon, window):
+        expected = next((n for n in range(window - 1, len(epsilon))
+                         if all(abs(v) < 1e-6 for v in epsilon[n - window + 1:n + 1])),
+                        -1)
+        assert hop_trigger(np.array(epsilon), tol=1e-6, window=window) == expected
 
 
 def test_empirical_channel_spread(table):

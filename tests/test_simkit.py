@@ -5,12 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hop_oracle import hop_session_oracle
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaoslink.simkit as simkit
+from chaoslink import _accel
 from chaoslink.core import BasinEscapeError
-from chaoslink.hopper import hop_trigger
 from chaoslink.simkit import (
     ConfigError,
     DivergenceError,
@@ -66,6 +67,14 @@ class TestConfig:
     def test_bernoulli_requires_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             ScenarioConfig(source="bernoulli", seed=None)
+
+    def test_drawn_disturbance_requires_seed(self):
+        # without a seed every run would draw a different disturbance
+        with pytest.raises(ConfigError, match="disturbance channel requires an explicit seed"):
+            ScenarioConfig(source="pattern", pattern="01", channel="disturbance",
+                           disturbance=1e-3)
+        for cfg in (dict(disturbance=0.0), dict(disturbance=1e-3, seed=1)):
+            ScenarioConfig(source="pattern", pattern="01", channel="disturbance", **cfg)
 
     def test_x0_basin_enforced(self):
         with pytest.raises(ConfigError):
@@ -251,6 +260,45 @@ class TestDigitalSession:
             run_digital_session(replace(DIGITAL_CFG, steps=16001, settle=25))
 
 
+@st.composite
+def hop_configs(draw):
+    """Hop configs across sources, phase lengths, gains, guards and both
+    operators; a quarter start the drive on a mu = 4 preimage of k/2,
+    which escapes within about 20 steps."""
+    source = draw(st.sampled_from(["off", "bernoulli", "pattern"]))
+    cfg = ScenarioConfig(
+        source=source, seed=draw(st.integers(0, 2**16)),
+        pattern=draw(st.sampled_from(["0", "1", "01", "0001", "110"])) if source == "pattern" else "",
+        sessions=draw(st.sampled_from(range(6))),
+        active_steps=draw(st.sampled_from([0, 1]) | st.integers(2, 30)),
+        hold=draw(st.integers(1, 8)),
+        sync_window=draw(st.integers(1, 8)),
+        rho=draw(st.sampled_from([0.0, 0.5, -0.5, 0.9, -0.9, 1.0, 1.3])),
+        guard=draw(st.sampled_from([1e3, 1.0, 1.05, 2.0])),
+        operator=draw(st.sampled_from(["additive", "multiplicative"])),
+        amplitude=draw(st.sampled_from([1.0, 0.05, -1.0])),
+        sync_tol=draw(st.sampled_from([1e-6, 1e-3])),
+        x0=draw(st.floats(0.01, 0.99)),
+        y0=draw(st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-2.0, 2.0)),
+    )
+    if draw(st.sampled_from([False, False, False, True])):
+        x = 0.5
+        for upper in draw(st.lists(st.booleans(), max_size=20)):
+            root = math.sqrt(1.0 - x)
+            x = (1.0 + root) / 2.0 if upper else (1.0 - root) / 2.0
+        cfg = replace(cfg, mu=4.0, x0=x)
+    return cfg
+
+
+def _hop_outcome(run, cfg):
+    """Trace bytes and metrics repr of a hop run, or its error type and text."""
+    try:
+        trace, metrics = run(cfg)
+    except (BasinEscapeError, DivergenceError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return [trace.column(name).tobytes() for name in simkit.TRACE_COLUMNS], repr(metrics)
+
+
 class TestHopSession:
     def test_frozen_scenario(self):
         trace, metrics = run_hop_session(HOP_CFG)
@@ -276,17 +324,62 @@ class TestHopSession:
         with pytest.raises(DivergenceError, match=r"guard 1e\+300 at step 1$"):
             run_hop_session(replace(HOP_CFG, y0=1e200, guard=1e300))
 
-    def test_trigger_sees_only_the_window(self, monkeypatch):
-        seen = []
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=hop_configs())
+    # a pattern restarts in each session
+    @example(cfg=ScenarioConfig(source="pattern", pattern="110", active_steps=2, hold=1,
+                                sessions=3))
+    # the last active innovations (after a 1 bit, with rho = 0) hold back the
+    # next trigger, whose first idle innovations are already below sync_tol
+    @example(cfg=ScenarioConfig(source="pattern", pattern="10", active_steps=2, hold=1,
+                                sessions=3, rho=0.0, sync_window=3))
+    # the drive escapes at step 2 (x: 0.146... -> 0.5 -> 1.0), where the
+    # trigger would hop
+    @example(cfg=ScenarioConfig(mu=4.0, x0=(1.0 - math.sqrt(0.5)) / 2.0, rho=0.0,
+                                sync_window=1))
+    # the drive escapes at step 1, where the response also passes the guard
+    @example(cfg=ScenarioConfig(mu=4.0, x0=0.5, y0=999.0, rho=3.0))
+    def test_matches_stepwise_oracle(self, cfg):
+        assert _hop_outcome(run_hop_session, cfg) == _hop_outcome(hop_session_oracle, cfg)
 
-        def spy(history, tol, window):
-            seen.append(len(history))
-            return hop_trigger(history, tol, window)
+    def test_trigger_window_reaches_back_across_phases(self):
+        # An all-zero pattern keeps every active innovation below sync_tol, so
+        # the window carried over from the active phase is already full and
+        # each later idle phase hops after one step.
+        cfg = replace(HOP_CFG, source="pattern", pattern="0", sessions=4, active_steps=3)
+        _, metrics = run_hop_session(cfg)
+        steps = [h.step for h in metrics.hops]
+        assert np.diff(steps).tolist() == [3 + 1] * 3
+        assert _hop_outcome(run_hop_session, cfg) == _hop_outcome(hop_session_oracle, cfg)
 
-        monkeypatch.setattr(simkit, "hop_trigger", spy)
-        _, metrics = run_hop_session(replace(HOP_CFG, sessions=50))
-        assert len(metrics.hops) == 50
-        assert seen and max(seen) <= HOP_CFG.sync_window
+    def test_recovery_near_zero_fails_in_its_session(self):
+        # z = x * (1 - 1) = 0 on the first active row, so with rho = 0 the
+        # response is 0 on the second; the drive (a mu = 4 preimage of 1/2)
+        # escapes only at step 19, in a later session
+        cfg = ScenarioConfig(mu=4.0, x0=0.11697884834697786, rho=0.0, sync_window=1,
+                             operator="multiplicative", amplitude=-1.0, source="pattern",
+                             pattern="1", hold=1, active_steps=3, sessions=5)
+        with pytest.raises(ZeroDivisionError, match="multiplicative recovery"):
+            run_hop_session(cfg)
+        with pytest.raises(BasinEscapeError, match="at step 19: x = 1.0$"):
+            run_hop_session(replace(cfg, operator="additive"))
+        assert _hop_outcome(run_hop_session, cfg) == _hop_outcome(hop_session_oracle, cfg)
+
+    def test_idle_cap(self):
+        # rho = 1 keeps the error at its initial value, so no trigger comes
+        with pytest.raises(DivergenceError, match="^no sync trigger within 10000 idle steps$"):
+            run_hop_session(replace(HOP_CFG, rho=1.0))
+
+    def test_kernel_calls_per_run(self):
+        # one drive orbit per run, stepped in a few chunks, and about one
+        # response_track call per phase: no per-sample loop
+        cfg = replace(HOP_CFG, sessions=300)
+        with (mock.patch.object(_accel, "logistic_orbit", wraps=_accel.logistic_orbit) as orbit,
+              mock.patch.object(_accel, "response_track", wraps=_accel.response_track) as track):
+            _, metrics = run_hop_session(cfg)
+        assert len(metrics.hops) == 300
+        assert orbit.call_count <= 4
+        assert track.call_count <= 2 * 300 + 8
 
     @settings(max_examples=40, deadline=None)
     @given(
