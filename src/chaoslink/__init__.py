@@ -19,7 +19,7 @@ from .core import (
     lyapunov_exponent,
     step,
 )
-from .fixedpoint import FixedParams, QFormat, fx_run_sync
+from .fixedpoint import FixedParams, fx_run_sync
 from .hopper import (
     ChannelEntry,
     ChannelTable,

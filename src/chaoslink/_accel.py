@@ -21,10 +21,10 @@ visited table of size k finds its cycle within k steps; the rest of the
 run is that cycle tiled by slice copies, with the saturation count tiled
 alongside.  A run of any length therefore costs O(sync + k) steps.
 
-Setting the environment variable ``CHAOSLINK_NO_NUMBA=1`` (before first
-import) selects the pure-Python/numpy fallback path.  Both paths execute
-the same source and produce identical results; the fallback is simply
-slower on the million-step runs.
+numba is optional (the ``jit`` extra).  Without it, or with
+``CHAOSLINK_NO_NUMBA=1`` set before first import, the pure-Python/numpy
+fallback runs.  Both paths execute the same source and produce identical
+results; the fallback is simply slower on the million-step runs.
 """
 
 import math
@@ -41,7 +41,7 @@ if not _disable:
         from numba import njit
 
         USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dependency
+    except ImportError:  # numba is optional: the `jit` extra
         USING_NUMBA = False
 else:
     USING_NUMBA = False
@@ -58,8 +58,8 @@ if not USING_NUMBA:
         return decorate
 
 
-_I16_MIN = -32768
-_I16_MAX = 32767
+I16_MIN = -32768
+I16_MAX = 32767
 _SYNC_CHECK = 128  # response steps between exact-sync checks
 _SYNC_PROBE_MAX = 1 << 16  # largest window of one exact-sync vector pass
 
@@ -224,15 +224,15 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     while first < 0 and n < n_steps:
         e = y - x
         y = (mu_q * y * (k - y) + (mu_q * (e + 2 * x - k) + rho_q * k) * e) // denom
-        if y > _I16_MAX:
-            y = _I16_MAX
+        if y > I16_MAX:
+            y = I16_MAX
             saturations += 1
-        elif y < _I16_MIN:
-            y = _I16_MIN
+        elif y < I16_MIN:
+            y = I16_MIN
             saturations += 1
         x = (mu_q * x * (k - x)) // denom
-        if x > _I16_MAX:  # x lies in (0, k), so its image is never negative
-            x = _I16_MAX
+        if x > I16_MAX:  # x lies in (0, k), so its image is never negative
+            x = I16_MAX
         n += 1
         xs[n] = x
         ys[n] = y
@@ -252,8 +252,8 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     escape = transient = period = -1
     while n < n_steps:
         x = (mu_q * x * (k - x)) // denom
-        if x > _I16_MAX:
-            x = _I16_MAX
+        if x > I16_MAX:
+            x = I16_MAX
             saturations += 1
         n += 1
         xs[n] = x

@@ -60,12 +60,18 @@ def step(params: LogisticParams, x: float) -> float:
     return params.mu * x * (1.0 - x / params.k)
 
 
+def _orbit(mu: float, k: float, x0: float, n_steps: int, start: int = 0) -> np.ndarray:
+    """The n_steps+1 samples from x0; raises BasinEscapeError on an escape,
+    numbering x0's step start."""
+    samples, escape = _accel.logistic_orbit(mu, k, x0, n_steps)
+    if escape >= 0:
+        raise BasinEscapeError(start + escape, samples[escape])
+    return samples
+
+
 def iterate(params: LogisticParams, x0: float, n_steps: int) -> Orbit:
     """Orbit of length n_steps+1 starting at x0; raises on basin escape."""
-    samples, escape = _accel.logistic_orbit(params.mu, params.k, x0, n_steps)
-    if escape >= 0:
-        raise BasinEscapeError(escape, samples[escape])
-    return Orbit(samples=samples, params=params)
+    return Orbit(samples=_orbit(params.mu, params.k, x0, n_steps), params=params)
 
 
 def lyapunov_exponent(
@@ -88,9 +94,7 @@ def lyapunov_exponent(
     total, count, x = 0.0, 0, x0
     for start in range(0, burn_in + n_steps, _ORBIT_BLOCK):
         size = min(_ORBIT_BLOCK, burn_in + n_steps - start)
-        samples, escape = _accel.logistic_orbit(params.mu, params.k, x, size)
-        if escape >= 0:
-            raise BasinEscapeError(start + escape, samples[escape])
+        samples = _orbit(params.mu, params.k, x, size, start)
         x = float(samples[-1])  # next block's start; a Python float is fast here
         terms = samples[max(burn_in - start, 0):-1]
         deriv = np.abs(params.mu * (1.0 - 2.0 * terms / params.k))
@@ -124,9 +128,7 @@ def bifurcation_scan(
         raise ValueError("keep must be >= 0")
     rows = []
     for mu in np.linspace(mu_min, mu_max, mu_steps).tolist():
-        samples, escape = _accel.logistic_orbit(mu, k, x0, settle + keep)
-        if escape >= 0:
-            raise BasinEscapeError(escape, samples[escape])
+        samples = _orbit(mu, k, x0, settle + keep)
         rows.append((mu, samples[settle:settle + keep]))
     return rows
 

@@ -12,26 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
+from ._accel import I16_MAX, I16_MIN
 from .core import BasinEscapeError
-
-I16_MIN = -32768
-I16_MAX = 32767
 
 DEFAULT_FRAC_BITS = 12
 DEFAULT_K = 1024
 MAX_K = 1 << 15
-
-
-@dataclass(frozen=True)
-class QFormat:
-    """Bit widths: 16-bit states, Q4.12 coefficients by default."""
-
-    total_bits: int = 16
-    frac_bits: int = DEFAULT_FRAC_BITS
-
-    def __post_init__(self):
-        if not 0 < self.frac_bits < self.total_bits:
-            raise ValueError("need 0 < frac_bits < total_bits")
 
 
 @dataclass(frozen=True)
@@ -46,7 +32,8 @@ class FixedParams:
     def __post_init__(self):
         # These bounds keep every wide product of fx_sync_run below 2**62, so
         # int64 (numba) and Python ints (fallback) agree.
-        QFormat(frac_bits=self.frac_bits)
+        if not 1 <= self.frac_bits <= 15:
+            raise ValueError(f"frac_bits must lie in [1, 15], got {self.frac_bits}")
         frac = 1 << self.frac_bits
         if not 0 < self.mu_q / frac <= 4.0:
             raise ValueError(f"mu_q/{frac} must lie in (0, 4], got {self.mu_q}")

@@ -18,9 +18,6 @@ DEFAULT_CHANNEL_COUNT = 100
 DEFAULT_F_LOW_MHZ = 60.0
 DEFAULT_WIDTH_MHZ = 1.4
 
-DEFAULT_TRIGGER_TOL = 1e-6
-DEFAULT_TRIGGER_WINDOW = 5
-
 _GEOMETRY_TOL = 1e-9
 
 TABLE_COLUMNS = ("j", "f_low", "f_high", "f_center")
@@ -120,8 +117,7 @@ def hop_session(x: float, y: float, k: float, table: ChannelTable):
     return j_tx, j_rx, j_tx - j_rx
 
 
-def hop_trigger(epsilon_history, tol: float = DEFAULT_TRIGGER_TOL,
-                window: int = DEFAULT_TRIGGER_WINDOW) -> int:
+def hop_trigger(epsilon_history, tol: float, window: int) -> int:
     """First index n at which epsilon_history[n - window + 1 : n + 1] all
     lie below tol in magnitude, or -1 if there is none; NaN breaks the run.
 

@@ -10,6 +10,8 @@ from typing import Callable
 
 import numpy as np
 
+from .bitcodec import decide
+
 DEFAULT_OPERATOR = "additive"
 DEFAULT_HOLD = 8
 DEFAULT_SETTLE = 25
@@ -74,8 +76,8 @@ register_operator(
 def threshold_detect(symbols, hold: int, threshold: float):
     """Hard bit decisions from raw symbol estimates.
 
-    Averages each consecutive block of `hold` estimates and emits 1 when
-    the block mean strictly exceeds the threshold (a tie decides 0).
+    Averages each consecutive block of `hold` estimates and decides each
+    block mean with bitcodec.decide.
     """
     if hold < 1:
         raise ValueError("hold must be >= 1")
@@ -84,5 +86,4 @@ def threshold_detect(symbols, hold: int, threshold: float):
         raise ValueError(
             f"symbol count {data.size} is not divisible by hold {hold}"
         )
-    means = data.reshape(-1, hold).mean(axis=1)
-    return (means > threshold).astype(np.uint8)
+    return decide(data.reshape(-1, hold).mean(axis=1), threshold)

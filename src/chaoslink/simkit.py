@@ -8,8 +8,9 @@ session is deterministic in (config, seed).
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
+from typing import get_args
 
 import numpy as np
 
@@ -119,10 +120,14 @@ class ScenarioConfig:
         if (self.channel == CHANNEL_DISTURBANCE and self.disturbance > 0
                 and self.seed is None):
             raise ConfigError("disturbance channel requires an explicit seed")
-        if self.source == SOURCE_PATTERN and not set(self.pattern) <= {"0", "1"}:
+        if self.source == SOURCE_PATTERN and not (
+                self.pattern and set(self.pattern) <= {"0", "1"}):
             raise ConfigError("pattern must be a nonempty string over {0,1}")
-        if self.source == SOURCE_PATTERN and not self.pattern:
-            raise ConfigError("pattern must be a nonempty string over {0,1}")
+        # last, so that every other fault keeps its own message
+        try:
+            LogisticParams(self.mu, self.k)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def detect_threshold(self) -> float:
@@ -131,10 +136,6 @@ class ScenarioConfig:
     @property
     def frame(self) -> FrameSpec:
         return FrameSpec(m=self.frame_m, n=self.frame_n)
-
-    @property
-    def logistic(self) -> LogisticParams:
-        return LogisticParams(mu=self.mu, k=self.k)
 
     @property
     def fixed_params(self) -> FixedParams:
@@ -147,15 +148,9 @@ class ScenarioConfig:
                                      frac_bits=self.frac_bits)
 
 
-_FIELD_PARSERS = {
-    "mu": float, "k": float, "rho": float, "x0": float, "y0": float,
-    "steps": int, "sample_time": float, "operator": str, "amplitude": float,
-    "hold": int, "settle": int, "threshold": float, "source": str,
-    "source_p": float, "seed": int, "pattern": str, "mode": str,
-    "frame_m": int, "frame_n": int, "frac_bits": int, "channel": str,
-    "disturbance": float, "sessions": int, "active_steps": int,
-    "sync_tol": float, "sync_window": int, "guard": float,
-}
+# Each field's parser is its type, or X of an `X | None` field.
+_FIELD_PARSERS = {f.name: (get_args(f.type) or (f.type,))[0]
+                  for f in fields(ScenarioConfig)}
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -271,6 +266,15 @@ def _symbol_stream(cfg: ScenarioConfig, n_blocks: int, rng,
     return np.zeros(n_blocks * sessions, dtype=np.uint8)
 
 
+def _bit_errors(decided: np.ndarray, sent: np.ndarray, counted: np.ndarray) -> dict:
+    """Metrics fields ber, bits_total and bit_errors over the bits where
+    counted holds; ber is None when none does."""
+    bit_errors = int(np.count_nonzero(decided[counted] != sent[counted]))
+    bits_total = int(np.count_nonzero(counted))
+    return {"ber": bit_errors / bits_total if bits_total else None,
+            "bits_total": bits_total, "bit_errors": bit_errors}
+
+
 def _block_ends(values: np.ndarray, block: int) -> np.ndarray:
     """Column with values[j] on the last row of block j, NaN elsewhere."""
     column = np.full(block * len(values), np.nan)
@@ -316,7 +320,8 @@ def run_sync_session(cfg: ScenarioConfig):
     """Idle synchronization: drive on its orbit, response tracking it."""
     if cfg.source != SOURCE_OFF:
         raise ConfigError("sync session requires source=off")
-    cfg.logistic  # validate parameters
+    if cfg.mode != "float":
+        raise ConfigError("sync session runs in float mode")
     # the bare drive state is the additive line with no information on it
     x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
     y, _, u, _ = _track(cfg, get_operator("additive"), x, escape, cfg.y0,
@@ -338,7 +343,6 @@ def run_transmit_session(cfg: ScenarioConfig):
         raise ConfigError("transmit session runs in float mode")
     if cfg.steps % cfg.hold != 0:
         raise ConfigError("steps must be a multiple of hold")
-    cfg.logistic  # validate parameters
     rng = np.random.default_rng(cfg.seed)
     n_blocks = cfg.steps // cfg.hold
     bits = _symbol_stream(cfg, n_blocks, rng)
@@ -360,14 +364,10 @@ def run_transmit_session(cfg: ScenarioConfig):
     )
 
     post = np.arange(n_blocks) * cfg.hold >= cfg.settle
-    bit_errors = int(np.count_nonzero(decisions[post] != bits[post]))
-    bits_total = int(np.count_nonzero(post))
     metrics = Metrics(
         sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
         max_abs_error=float(np.max(np.abs(errors))),
-        ber=bit_errors / bits_total if bits_total else None,
-        bits_total=bits_total,
-        bit_errors=bit_errors,
+        **_bit_errors(decisions, bits, post),
     )
     return trace, metrics
 
@@ -404,14 +404,10 @@ def run_digital_session(cfg: ScenarioConfig):
     # a bit counts when its frame starts at or after sync; no sync, no bits
     sync_at = cfg.steps if run.first_equal is None else run.first_equal
     post_bits = np.arange(info_bits.size) // spec.n * spec.m >= sync_at
-    bit_errors = int(np.count_nonzero(decided[post_bits] != info_bits[post_bits]))
-    bits_total = int(np.count_nonzero(post_bits))
     metrics = Metrics(
         sync_step=run.first_equal,
         max_abs_error=float(np.max(np.abs(errors))),
-        ber=bit_errors / bits_total if bits_total else None,
-        bits_total=bits_total,
-        bit_errors=bit_errors,
+        **_bit_errors(decided, info_bits, post_bits),
         saturations=run.saturations,
     )
     return trace, metrics
@@ -461,9 +457,12 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     phases); an active phase is the response on the masked line.  The
     trace columns and hop records are built once, from the hop steps.
     """
+    if cfg.mode != "float":
+        raise ConfigError("hop session runs in float mode")
+    if cfg.channel == CHANNEL_DISTURBANCE and cfg.disturbance > 0:
+        raise ConfigError("hop session does not simulate a disturbance channel")
     if table is None:
         table = build_default_table()
-    cfg.logistic  # validate parameters
     guard = cfg.guard * cfg.k
     transmit = cfg.source != SOURCE_OFF and cfg.active_steps > 0
     if transmit:

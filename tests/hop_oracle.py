@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 
 from chaoslink._accel import control_effort
-from chaoslink.core import BasinEscapeError, step
+from chaoslink.core import BasinEscapeError, LogisticParams, step
 from chaoslink.hopper import build_default_table, hop_session
 from chaoslink.masking import get_operator
 from chaoslink.simkit import (
@@ -54,7 +54,7 @@ def hop_session_oracle(cfg, table=None):
     exception the first failing step raises."""
     if table is None:
         table = build_default_table()
-    params = cfg.logistic
+    params = LogisticParams(cfg.mu, cfg.k)
     mu, k, rho = cfg.mu, cfg.k, cfg.rho
     rng = np.random.default_rng(cfg.seed)
     guard = cfg.guard * k

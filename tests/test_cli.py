@@ -308,10 +308,17 @@ class TestErrorPaths:
          "fixed mode requires an integer x0"),
         ("digital", DIGITAL_CFG.replace("y0 = -1024", "y0 = -1.5"),
          "fixed mode requires an integer y0"),
+        # Q4.12 rounds this mu to 4, but the map's own bound applies first
+        ("digital", DIGITAL_CFG + "mu = 4.0001\n", "mu must lie in (0, 4], got 4.0001"),
+        ("sync", SYNC_CFG + "mode = fixed\n", "sync session runs in float mode"),
+        ("hop", HOP_CFG + "mode = fixed\n", "hop session runs in float mode"),
+        ("hop", HOP_CFG + "channel = disturbance\ndisturbance = 0.5\n",
+         "hop session does not simulate a disturbance channel"),
     ], ids=["y0-1e12", "frac_bits-40", "rho-20", "hold-0", "rho-nan", "guard-inf",
             "disturbance-inf", "guard-0", "guard-negative", "sync_tol-0",
             "sync_tol-negative", "source_p-1.5", "source_p-negative", "operator-bogus",
-            "disturbance-unseeded", "x0-fractional", "y0-fractional"])
+            "disturbance-unseeded", "x0-fractional", "y0-fractional", "digital-mu-4.0001",
+            "sync-fixed-mode", "hop-fixed-mode", "hop-disturbance"])
     def test_out_of_range_config_exit_code(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

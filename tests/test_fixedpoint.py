@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chaoslink.control import ControllerGains, control
 from chaoslink.core import LogisticParams, step
-from chaoslink.fixedpoint import FixedParams, QFormat, fx_run_sync
+from chaoslink.fixedpoint import FixedParams, fx_run_sync
 
 PARAMS = FixedParams.from_real(3.7, 0.5)  # mu_q=15155, rho_q=2048, k=1024
 
@@ -24,9 +24,12 @@ def oracle_control(mu_q, rho_q, k, frac, e, d):
 
 
 class TestFormats:
-    def test_qformat_validation(self):
-        with pytest.raises(ValueError):
-            QFormat(total_bits=16, frac_bits=16)
+    def test_frac_bits_range(self):
+        for bits in (0, 16):
+            with pytest.raises(ValueError, match="frac_bits"):
+                FixedParams.from_real(3.7, 0.5, frac_bits=bits)
+        for bits in (1, 15):
+            assert FixedParams.from_real(3.7, 0.5, frac_bits=bits).frac_bits == bits
 
     def test_coefficient_quantization(self):
         assert PARAMS.mu_q == 15155

@@ -1,6 +1,8 @@
 import math
+import re
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_args
 from unittest import mock
 
 import numpy as np
@@ -98,6 +100,22 @@ class TestConfig:
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_source_p_bounds_accepted(self, p):
         assert ScenarioConfig(source="bernoulli", seed=1, source_p=p).source_p == p
+
+    def test_every_field_parses_to_its_type(self):
+        # one setting per type; a str field takes its default, which its
+        # check accepts
+        samples = {float: "0.5", int: "30"}
+        for field in fields(ScenarioConfig):
+            declared = (get_args(field.type) or (field.type,))[0]
+            setting = samples.get(declared, field.default)
+            value = getattr(parse_config_text(f"{field.name} = {setting}\n"), field.name)
+            assert type(value) is declared and value == declared(setting), field.name
+
+    @pytest.mark.parametrize("mu", ["5", "0"])
+    def test_map_parameters_checked_at_parse(self, mu):
+        message = f"mu must lie in (0, 4], got {float(mu)}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_text(f"mu = {mu}\n")
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "s.cfg"
