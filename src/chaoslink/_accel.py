@@ -25,6 +25,13 @@ numba is optional (the ``jit`` extra).  Without it, or with
 ``CHAOSLINK_NO_NUMBA=1`` set before first import, the pure-Python/numpy
 fallback runs.  Both paths execute the same source and produce identical
 results; the fallback is simply slower on the million-step runs.
+
+The float kernels read and write per-step samples through three shims:
+_samples, _buffer and _array.  On the fallback, the shims turn line samples
+and output buffers into Python lists, since indexing a list of Python floats
+costs a fraction of a numpy item access, and return arrays at the end.
+Under numba they are identities or np.zeros, so the compiled code sees
+arrays.
 """
 
 import math
@@ -57,6 +64,28 @@ if not USING_NUMBA:
 
         return decorate
 
+    def _samples(a):
+        return a.tolist()
+
+    def _buffer(n):
+        return [0.0] * n
+
+    _array = np.array
+
+else:
+
+    @njit(cache=True)
+    def _samples(a):
+        return a
+
+    @njit(cache=True)
+    def _buffer(n):
+        return np.zeros(n)
+
+    @njit(cache=True)
+    def _array(buf):
+        return buf
+
 
 I16_MIN = -32768
 I16_MAX = 32767
@@ -72,17 +101,20 @@ def logistic_orbit(mu, k, x0, n_steps):
     sample outside the open basin (0, k), or -1 if none.  Samples past an
     escape are left at 0.
     """
-    out = np.zeros(n_steps + 1)
+    mu = float(mu)
+    k = float(k)
+    x0 = float(x0)
+    out = _buffer(n_steps + 1)
     out[0] = x0
     if not (0.0 < x0 < k):
-        return out, 0
+        return _array(out), 0
     x = x0
     for i in range(n_steps):
         x = mu * x * (1.0 - x / k)
         out[i + 1] = x
         if not (0.0 < x < k):
-            return out, i + 1
-    return out, -1
+            return _array(out), i + 1
+    return _array(out), -1
 
 
 @njit(cache=True)
@@ -120,8 +152,8 @@ def _follow_line(mu, k, rho, z, n, guard, ys, us):
         stops[:m] |= (nxt[:m] != follow) | (np.signbit(nxt[:m]) != np.signbit(follow))
         hits = np.flatnonzero(stops)
         last = int(hits[0]) if hits.size else hi - n - 1
-        us[n:n + last + 1] = u[:last + 1]
-        ys[n + 1:n + last + 2] = nxt[:last + 1]
+        us[n:n + last + 1] = _samples(u[:last + 1])
+        ys[n + 1:n + last + 2] = _samples(nxt[:last + 1])
         if not abs(nxt[last]) <= guard:
             return n + last + 1, n + last + 1
         if hits.size:
@@ -154,9 +186,15 @@ def response_track(mu, k, rho, y0, z, guard):
     what the loop would compute, and the loop resumes where the line stops
     following its own map.
     """
+    mu = float(mu)
+    k = float(k)
+    rho = float(rho)
+    y0 = float(y0)
+    guard = float(guard)
     n_steps = z.size
-    ys = np.zeros(n_steps + 1)
-    us = np.zeros(n_steps)
+    zs = _samples(z)
+    ys = _buffer(n_steps + 1)
+    us = _buffer(n_steps)
     ys[0] = y0
     y = y0
     n = 0
@@ -164,22 +202,22 @@ def response_track(mu, k, rho, y0, z, guard):
         end = n + _SYNC_CHECK
         if end > n_steps:  # a vector pass is not worth a partial block
             end = n_steps
-        elif y == z[n] and math.copysign(1.0, y) == math.copysign(1.0, z[n]):
+        elif y == zs[n] and math.copysign(1.0, y) == math.copysign(1.0, zs[n]):
             n, diverge = _follow_line(mu, k, rho, z, n, guard, ys, us)
             if diverge >= 0:
-                return ys, us, diverge
-            y = float(ys[n])
+                return _array(ys), _array(us), diverge
+            y = ys[n]
             continue
         for m in range(n, end):
-            d = float(z[m])  # a Python float keeps the fallback's arithmetic fast
+            d = zs[m]
             u = control_effort(mu, k, rho, y - d, d)
             us[m] = u
             y = mu * y * (1.0 - y / k) + u
             ys[m + 1] = y
             if not abs(y) <= guard:
-                return ys, us, m + 1
+                return _array(ys), _array(us), m + 1
         n = end
-    return ys, us, -1
+    return _array(ys), _array(us), -1
 
 
 @njit(cache=True)

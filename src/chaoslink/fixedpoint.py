@@ -20,6 +20,13 @@ DEFAULT_K = 1024
 MAX_K = 1 << 15
 
 
+def _check_frac_bits(frac_bits: int) -> None:
+    # These bounds keep every wide product of fx_sync_run below 2**62, so
+    # int64 (numba) and Python ints (fallback) agree.
+    if not 1 <= frac_bits <= 15:
+        raise ValueError(f"frac_bits must lie in [1, 15], got {frac_bits}")
+
+
 @dataclass(frozen=True)
 class FixedParams:
     """Quantized map parameter, feedback gain, and scale factor."""
@@ -30,10 +37,7 @@ class FixedParams:
     frac_bits: int = DEFAULT_FRAC_BITS
 
     def __post_init__(self):
-        # These bounds keep every wide product of fx_sync_run below 2**62, so
-        # int64 (numba) and Python ints (fallback) agree.
-        if not 1 <= self.frac_bits <= 15:
-            raise ValueError(f"frac_bits must lie in [1, 15], got {self.frac_bits}")
+        _check_frac_bits(self.frac_bits)
         frac = 1 << self.frac_bits
         if not 0 < self.mu_q / frac <= 4.0:
             raise ValueError(f"mu_q/{frac} must lie in (0, 4], got {self.mu_q}")
@@ -45,6 +49,7 @@ class FixedParams:
     @classmethod
     def from_real(cls, mu: float, rho: float, k: int = DEFAULT_K,
                   frac_bits: int = DEFAULT_FRAC_BITS) -> "FixedParams":
+        _check_frac_bits(frac_bits)
         frac = 1 << frac_bits
         return cls(mu_q=round(mu * frac), rho_q=round(rho * frac),
                    k=k, frac_bits=frac_bits)

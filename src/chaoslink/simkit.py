@@ -378,6 +378,10 @@ def run_digital_session(cfg: ScenarioConfig):
     Carrier bits are the least-significant bits of the 16-bit drive
     states; the receiver descrambles with its own response-state bits.
     BER counts frames that start after exact synchronization.
+
+    The response couples to the exact 16-bit drive word x, which is never
+    put on any line: the digital link assumes a noiseless side channel for
+    the drive state.
     """
     if cfg.mode != "fixed":
         raise ConfigError("digital session requires mode=fixed")

@@ -218,6 +218,75 @@ def test_response_track_transmit_line_with_long_zero_runs(
     check_response_track(mu, 1.0, rho, -1.0, z, 1e3)
 
 
+def as_float(*args):
+    return tuple(float(a) for a in args)
+
+
+@pytest.mark.parametrize("mu, k, x0", [
+    (np.float64(3.7), np.float64(1.0), np.float64(0.3)),
+    (np.float64(3.7), 1, np.float64(0.3)),
+    (4, 1024, 122),
+])
+def test_logistic_orbit_scalar_argument_types(mu, k, x0):
+    orbit, escape = _accel.logistic_orbit(mu, k, x0, 500)
+    ref, ref_escape = _accel.logistic_orbit(*as_float(mu, k, x0), 500)
+    assert escape == ref_escape
+    assert orbit.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mu, k, rho, y0", [
+    (np.float64(3.7), np.float64(1.0), np.float64(0.5), np.float64(-1.0)),
+    (np.float64(3.7), 1, 0, -1),
+    (np.float64(3.9), 1024, np.float64(-0.5), 300),
+])
+def test_response_track_scalar_argument_types(mu, k, rho, y0):
+    x, _ = _accel.logistic_orbit(float(mu), float(k), 0.3 * k, 2000)
+    z = x[:-1].copy()
+    z[1000] += 1e-3 * k  # knock the response off the line after sync
+    ys, us, diverge = _accel.response_track(mu, k, rho, y0, z, 3.0 * k)
+    ref_ys, ref_us, ref_diverge = _accel.response_track(
+        *as_float(mu, k, rho, y0), z, 3.0 * k)
+    assert diverge == ref_diverge
+    assert ys.tobytes() == ref_ys.tobytes()
+    assert us.tobytes() == ref_us.tobytes()
+
+
+def assert_samples(a, size):
+    assert type(a) is np.ndarray
+    assert a.dtype == np.float64
+    assert a.shape == (size,)
+
+
+@pytest.mark.parametrize("mu, k, x0, steps, escape", [
+    (3.7, 1.0, 1.5, 10, 0),  # escape at x0
+    (4.5, 1.0, 0.5, 10, 1),  # escape mid-run
+    (3.7, 1.0, 0.3, 10, -1),
+    (3.7, 1.0, 0.3, 0, -1),
+    (4, 1024, 122, 0, -1),  # an int start is still a float sample
+    (4, 1024, 2048, 0, 0),
+])
+def test_logistic_orbit_returns_arrays(mu, k, x0, steps, escape):
+    orbit, at = _accel.logistic_orbit(mu, k, x0, steps)
+    assert at == escape
+    assert_samples(orbit, steps + 1)
+
+
+@pytest.mark.parametrize("y0, line, diverges", [
+    (10.0, np.full(3 * W, 0.3), True),  # in the stepwise loop
+    # inside a vector pass: the map's own orbit, run off to -inf
+    (-1e-3, map_line(3.7, 1.0, -1e-3, 3 * W), True),
+    (-1.0, map_line(3.7, 1.0, 0.3, 3 * W), False),  # ends in sync
+    (-1.0, map_line(3.7, 1.0, 0.3, W - 1), False),  # stepwise to the end
+    (-1.0, np.zeros(0), False),
+    (-1, np.zeros(0), False),  # an int start is still a float sample
+])
+def test_response_track_returns_arrays(y0, line, diverges):
+    ys, us, diverge = _accel.response_track(3.7, 1.0, 0.5, y0, line, 3.0)
+    assert (diverge >= 0) == diverges
+    assert_samples(ys, line.size + 1)
+    assert_samples(us, line.size)
+
+
 @st.composite
 def fixed_runs(draw, k=st.integers(2, 2**15), steps=st.integers(0, STEPS)):
     """Valid (params, x0, y0, steps) for the quantized kernel."""

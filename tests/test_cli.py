@@ -287,6 +287,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command,text,message", [
         ("digital", DIGITAL_CFG.replace("y0 = -1024", "y0 = 1e12"), "16-bit range"),
         ("digital", DIGITAL_CFG + "frac_bits = 40\n", "frac_bits"),
+        ("digital", DIGITAL_CFG + "frac_bits = -1\n",
+         "frac_bits must lie in [1, 15], got -1"),
         ("digital", DIGITAL_CFG + "rho = 20\n", "rho_q"),
         ("transmit", TRANSMIT_CFG + "hold = 0\n", "hold"),
         ("sync", SYNC_CFG.replace("rho = 0.5", "rho = nan"), "rho must be finite"),
@@ -314,9 +316,9 @@ class TestErrorPaths:
         ("hop", HOP_CFG + "mode = fixed\n", "hop session runs in float mode"),
         ("hop", HOP_CFG + "channel = disturbance\ndisturbance = 0.5\n",
          "hop session does not simulate a disturbance channel"),
-    ], ids=["y0-1e12", "frac_bits-40", "rho-20", "hold-0", "rho-nan", "guard-inf",
-            "disturbance-inf", "guard-0", "guard-negative", "sync_tol-0",
-            "sync_tol-negative", "source_p-1.5", "source_p-negative", "operator-bogus",
+    ], ids=["y0-1e12", "frac_bits-40", "frac_bits-negative", "rho-20", "hold-0",
+            "rho-nan", "guard-inf", "disturbance-inf", "guard-0", "guard-negative",
+            "sync_tol-0", "sync_tol-negative", "source_p-1.5", "source_p-negative", "operator-bogus",
             "disturbance-unseeded", "x0-fractional", "y0-fractional", "digital-mu-4.0001",
             "sync-fixed-mode", "hop-fixed-mode", "hop-disturbance"])
     def test_out_of_range_config_exit_code(self, tmp_path, capsys, command, text, message):
