@@ -35,12 +35,15 @@ class FrameSpec:
 
 
 def _as_bits(seq, block: int = 1) -> np.ndarray:
-    bits = np.asarray(seq, dtype=np.int64)
+    """seq as uint8 bits, checked; a uint8 array is returned as it is."""
+    bits = np.asarray(seq)
+    if bits.dtype != np.uint8:
+        bits = bits.astype(np.int64, copy=False)
     if bits.size and not (bits.min() >= 0 and bits.max() <= 1):
         raise ValueError("bit sequence must contain only 0 and 1")
     if bits.size % block != 0:
         raise ValueError(f"expected a multiple of {block} bits, got {bits.size}")
-    return bits.astype(np.uint8)
+    return bits.astype(np.uint8, copy=False)
 
 
 def spread(info, spec: FrameSpec) -> np.ndarray:
@@ -79,4 +82,6 @@ def decide(block_means, threshold: float = 0.5) -> np.ndarray:
 
 def lsb_bits(states) -> np.ndarray:
     """Carrier bits: least-significant bit of each fixed-point state."""
-    return (np.asarray(states, dtype=np.int64) & 1).astype(np.uint8)
+    # the low byte of a two's-complement state keeps its least-significant bit
+    return np.bitwise_and(np.asarray(states, dtype=np.int64), 1,
+                          dtype=np.uint8, casting="unsafe")

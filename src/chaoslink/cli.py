@@ -173,6 +173,10 @@ def main(argv=None) -> int:
     except (BasinEscapeError, DivergenceError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; Python names none
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -182,18 +182,31 @@ def load_config(path) -> ScenarioConfig:
 
 
 class SessionTrace:
-    """Per-step records as float64 columns; NaN marks an absent field."""
+    """Per-step records as float64 columns; NaN marks an absent field.
+
+    A trace holds its columns, not copies of them: a full-length float64
+    array is kept as passed, so the caller and the trace share it, and an
+    absent column is a read-only NaN view that takes no memory.  Copy a
+    column before writing to it.
+    """
 
     def __init__(self, rows: int, **columns):
         """Trace of `rows` rows from whole columns: n defaults to
-        0..rows-1, a short column is padded with NaN and an absent one is
-        all NaN."""
-        columns.setdefault("n", np.arange(rows))
+        0..rows-1, a short column is padded with NaN and an absent or empty
+        one is all NaN.  A list is read as floats."""
+        columns.setdefault("n", np.arange(rows, dtype=float))
         self.data = {}
         for name in TRACE_COLUMNS:
-            values = np.asarray(columns.get(name, ()), dtype=float)
-            self.data[name] = np.full(rows, np.nan)
-            self.data[name][:values.size] = values
+            values = columns.get(name, ())
+            if not isinstance(values, np.ndarray):
+                values = np.asarray(values, dtype=float)
+            if values.dtype == np.float64 and values.shape == (rows,):
+                self.data[name] = values
+            elif values.size == 0:
+                self.data[name] = np.broadcast_to(np.nan, rows)
+            else:
+                self.data[name] = np.full(rows, np.nan)
+                self.data[name][:values.size] = values
 
     def __len__(self):
         return len(self.data["n"])
@@ -275,10 +288,11 @@ def _bit_errors(decided: np.ndarray, sent: np.ndarray, counted: np.ndarray) -> d
             "bits_total": bits_total, "bit_errors": bit_errors}
 
 
-def _block_ends(values: np.ndarray, block: int) -> np.ndarray:
-    """Column with values[j] on the last row of block j, NaN elsewhere."""
-    column = np.full(block * len(values), np.nan)
-    column[block - 1::block] = values
+def _block_ends(values: np.ndarray, block: int, rows: int) -> np.ndarray:
+    """Column of `rows` rows with values[j] on the last row of block j, NaN
+    elsewhere."""
+    column = np.full(rows, np.nan)
+    column[block - 1:block * len(values):block] = values
     return column
 
 
@@ -360,7 +374,7 @@ def run_transmit_session(cfg: ScenarioConfig):
     errors = y - x
     trace = SessionTrace(
         cfg.steps + 1, x=x, y=y, e=errors, z=z, epsilon=y[:-1] - z, u=u,
-        i=info, i_hat=ihat, bit=_block_ends(decisions, cfg.hold),
+        i=info, i_hat=ihat, bit=_block_ends(decisions, cfg.hold, cfg.steps + 1),
     )
 
     post = np.arange(n_blocks) * cfg.hold >= cfg.settle
@@ -398,11 +412,15 @@ def run_digital_session(cfg: ScenarioConfig):
     soft = correlate(mask_bits(line, lsb_bits(run.y[:-1])), spec)
     decided = decide(soft)
 
-    # correlator soft outputs and decisions land on each r-block's last step
-    errors = run.y - run.x
+    # correlator soft outputs and decisions land on each r-block's last
+    # step; 16-bit states, and their differences, are exact in float
+    rows = cfg.steps + 1
+    x, y = run.x.astype(float), run.y.astype(float)
+    errors = y - x
     trace = SessionTrace(
-        cfg.steps + 1, x=run.x, y=run.y, e=errors, z=line, i=spread_bits,
-        i_hat=_block_ends(soft, spec.r), bit=_block_ends(decided, spec.r),
+        rows, x=x, y=y, e=errors, z=line, i=spread_bits,
+        i_hat=_block_ends(soft, spec.r, rows),
+        bit=_block_ends(decided, spec.r, rows),
     )
 
     # a bit counts when its frame starts at or after sync; no sync, no bits

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chaoslink._accel import I16_MAX, I16_MIN
 from chaoslink.bitcodec import (
     FrameSpec,
     correlate,
@@ -136,3 +137,35 @@ class TestEndToEnd:
 
 def test_lsb_extraction():
     assert lsb_bits([122, 697, -1024, 3]).tolist() == [0, 1, 0, 1]
+    states = np.array([I16_MIN, -3, -1, 0, 1, I16_MAX], dtype=np.int64)
+    bits = lsb_bits(states)
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == (states & 1).tolist()
+
+
+class TestUint8Bits:
+    """uint8 input is checked without being widened."""
+
+    NOT_BITS = np.array([0, 1, 2, 1, 0, 1, 1, 0], dtype=np.uint8)
+    BITS = np.array([0, 1, 1, 1, 0, 1, 1, 0], dtype=np.uint8)
+
+    def test_spread_rejects_a_two(self):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            spread(self.NOT_BITS, FrameSpec(8, 2))
+
+    def test_mask_bits_rejects_a_two(self):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            mask_bits(self.NOT_BITS, self.BITS)
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            mask_bits(self.BITS, self.NOT_BITS)
+
+    def test_correlate_rejects_a_two(self):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            correlate(self.NOT_BITS, FrameSpec(8, 2))
+
+    def test_results_do_not_alias_the_input(self):
+        bits = self.BITS.copy()
+        for out in (spread(bits[:2], FrameSpec(8, 2)), mask_bits(bits, bits),
+                    correlate(bits, FrameSpec(8, 2))):
+            assert not np.shares_memory(out, bits)
+        assert bits.tolist() == self.BITS.tolist()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoslink import cli
 from chaoslink.cli import main
 from chaoslink.simkit import ConfigError, load_trace_csv, parse_config_text
 
@@ -283,6 +284,24 @@ class TestErrorPaths:
         )
         assert code == 2
         assert err.startswith("error: ") and "range exceeds valid bounds" in err
+
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 72.8 TiB"), "error: Unable to allocate 72.8 TiB\n"),
+    ])
+    def test_memory_error_exit_code(self, workdir, capsys, monkeypatch, exc, message):
+        # a config too large to allocate, without allocating it
+        def runner(cfg):
+            raise exc
+
+        monkeypatch.setitem(cli._SESSIONS, "sync", runner)
+        code, _, err = run(
+            ["sync", "--config", str(workdir / "sync.cfg"), "--out", str(workdir / "o.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert err == message
+        assert not (workdir / "o.csv").exists()
 
     @pytest.mark.parametrize("command,text,message", [
         ("digital", DIGITAL_CFG.replace("y0 = -1024", "y0 = 1e12"), "16-bit range"),

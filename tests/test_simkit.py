@@ -427,6 +427,58 @@ class TestHopSession:
         assert len(lines) == 21
 
 
+def _padded_copy(rows: int, values) -> np.ndarray:
+    """Reference column: values as floats in a fresh NaN-padded array."""
+    column = np.full(rows, np.nan)
+    values = np.asarray(values, dtype=float)
+    column[:values.size] = values
+    return column
+
+
+class TestSessionTrace:
+    def test_full_float_column_is_kept(self):
+        x = np.linspace(0.0, 1.0, 5)
+        assert SessionTrace(5, x=x).column("x") is x
+
+    @pytest.mark.parametrize("columns", [{}, {"y": []}, {"y": np.empty(0)},
+                                         {"y": np.empty(0, dtype=np.uint8)}])
+    def test_absent_column_is_read_only_nan(self, columns):
+        trace = SessionTrace(4, **columns)
+        for name in ("y", "channel"):
+            column = trace.column(name)
+            assert column.shape == (4,) and column.dtype == np.float64
+            assert np.isnan(column).all()
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    def test_n_defaults_to_float_row_numbers(self):
+        n = SessionTrace(3).column("n")
+        assert n.dtype == np.float64 and n.tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("size", [1, 4, 6])
+    @pytest.mark.parametrize("values", [
+        np.array([-32768, -3, -1, 0, 1, 32767], dtype=np.int64),
+        np.array([0, 1, 1, 0, 1, 0], dtype=np.uint8),
+        np.array([0.5, -0.0, np.inf, np.nan, 1e-300, 2.0]),
+        [3, -1, 0, 7, 2**40, -5],
+        [0.25, -0.0, math.nan, -math.inf, 1.0, 5e-324],
+    ], ids=["int64", "uint8", "float64", "int-list", "float-list"])
+    def test_other_columns_load_as_before(self, values, size):
+        rows = 6
+        values = values[:size]
+        column = SessionTrace(rows, i=values).column("i")
+        assert column.dtype == np.float64 and column.shape == (rows,)
+        # bit for bit, -0.0 and NaN payloads included
+        assert np.array_equal(column.view(np.uint64),
+                              _padded_copy(rows, values).view(np.uint64))
+
+    @pytest.mark.parametrize("values", [np.arange(7.0), np.arange(7),
+                                        np.ones(7, dtype=np.uint8), [0.0] * 7])
+    def test_longer_column_rejected(self, values):
+        with pytest.raises(ValueError):
+            SessionTrace(6, x=values)
+
+
 class TestTraceCsv:
     def test_round_trip_exact(self, tmp_path):
         trace, _ = run_transmit_session(TRANSMIT_CFG)
