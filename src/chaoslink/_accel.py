@@ -70,7 +70,10 @@ if not USING_NUMBA:
     def _buffer(n):
         return [0.0] * n
 
-    _array = np.array
+    def _array(buf):
+        # every buffer holds Python floats; naming the dtype skips numpy's
+        # type discovery
+        return np.array(buf, dtype=np.float64)
 
 else:
 

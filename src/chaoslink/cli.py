@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime or session error.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -47,7 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args fills a new Namespace
+    on every call and leaves the parser as it was."""
     parser = _Parser(prog="chaoslink", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 

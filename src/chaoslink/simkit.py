@@ -582,17 +582,20 @@ def export_csv(trace: SessionTrace, path) -> None:
     """Fixed column order; absent fields as empty cells; reals round-trip.
 
     Each value is written in 17 significant digits (integral values
-    without a point, -0.0 as 0), _CSV_BLOCK rows at a time.
+    without a point, -0.0 as 0), _CSV_BLOCK rows at a time: one %.17g
+    format call per block, over the columns with a value in that block.
+    A column absent from the whole block is an empty cell, never formatted.
     """
     data = np.column_stack([trace.column(name) for name in TRACE_COLUMNS]) + 0.0
-    row = ",".join(["%.17g"] * len(TRACE_COLUMNS))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for start in range(0, len(data), _CSV_BLOCK):
-            block = data[start:start + _CSV_BLOCK].tolist()
+            block = data[start:start + _CSV_BLOCK]
+            present = ~np.isnan(block).all(axis=0)
+            row = ",".join(["%.17g" if p else "" for p in present]) + "\r\n"
+            text = (row * len(block)) % tuple(block[:, present].ravel().tolist())
             # %.17g spells NaN, and nothing else, as "nan"
-            text = "\r\n".join([row % tuple(values) for values in block])
-            fh.write(text.replace("nan", "") + "\r\n")
+            fh.write(text.replace("nan", ""))
 
 
 def _check_row_widths(lines, first: int, path) -> None:

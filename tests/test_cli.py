@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +63,70 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(args):
+    """Run the CLI in a new interpreter on the same package and backend."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "chaoslink.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def session_argv(workdir, command, out_dir):
+    argv = [command, "--config", str(workdir / f"{command}.cfg"),
+            "--out", str(out_dir / f"{command}.csv")]
+    if command == "hop":
+        argv += ["--hops-out", str(out_dir / "hops.csv")]
+    return argv
+
+
+# SHA-256 of the files the session commands write for the configs above.
+# Both backends must write these bytes; a change to the CSV format shows here.
+PINNED_SHA256 = {
+    "sync.csv": "cf725f2aef96c5b0c178254e98b618202f1ff8789e3d99b6fa2774d907f58c7d",
+    "transmit.csv": "43d98415ea7e99837f8ad27a8b97abec79529f88e881cb00490be7a8f9dd6fab",
+    "digital.csv": "69f7eecdf1df244727457c513a18834974d5a683fd06fb45cad8569e57258f28",
+    "hop.csv": "9d5513104ba91aec2c89ed4af00b2fd9be26d9ee31e78642c1583accb1c08a00",
+    "hops.csv": "f650c23404e96663073e9d9941add6b13aa9b08b77f1d4f3231a4b9b63bb7e21",
+}
+
+
+def test_csv_bytes_pinned(workdir, capsys):
+    for command in ("sync", "transmit", "digital", "hop"):
+        assert run(session_argv(workdir, command, workdir), capsys)[0] == 0
+    digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256
+
+
+def test_parser_keeps_nothing_between_calls(workdir, capsys):
+    """Calls in one process behave as each would in a fresh process."""
+    (workdir / "here").mkdir()
+    (workdir / "fresh").mkdir()
+    calls = [
+        (["sync", "--seed", "99"], 0),
+        (["sync", "--bogus"], 1),
+        (["digital"], 0),  # the config's seed 3, not the first call's 99
+        ([], 1),
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    for extra, expected in calls:
+        if extra:
+            command, *flags = extra
+            here = session_argv(workdir, command, workdir / "here") + flags
+            fresh = session_argv(workdir, command, workdir / "fresh") + flags
+        else:
+            here = fresh = []
+        code, out, err = run(here, capsys)
+        assert code == expected
+        assert (code, out, err) == run_fresh(fresh)
+    assert ((workdir / "here" / "digital.csv").read_bytes()
+            == (workdir / "fresh" / "digital.csv").read_bytes())
+    digest = hashlib.sha256((workdir / "here" / "digital.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_SHA256["digital.csv"]
 
 
 class TestSessionCommands:

@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from csv_oracle import export_csv_oracle
 from hop_oracle import hop_session_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -546,7 +547,32 @@ def _bits(values) -> np.ndarray:
     return np.where(np.isnan(values), np.nan, values).view(np.uint64)
 
 
+def _column_runs(rows: int):
+    """A column of up to rows cells, as runs of absent cells and runs of
+    FLOAT64 values with NaN holes, so that it is absent from some blocks
+    and present in others."""
+    def run(present, length):
+        if present:
+            return st.lists(st.just(math.nan) | FLOAT64, min_size=length, max_size=length)
+        return st.just([math.nan] * length)
+    runs = st.lists(st.tuples(st.booleans(), st.integers(1, 6)).flatmap(lambda r: run(*r)),
+                    max_size=4)
+    return runs.map(lambda parts: [v for part in parts for v in part][:rows])
+
+
 class TestTraceCsvBlocks:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 14), block=st.integers(1, 5))
+    def test_matches_per_row_oracle(self, tmp_path_factory, data, rows, block):
+        columns = {name: data.draw(_column_runs(rows), label=name)
+                   for name in simkit.TRACE_COLUMNS}
+        trace = SessionTrace(rows, **columns)
+        workdir = tmp_path_factory.mktemp("csv")
+        export_csv_oracle(trace, workdir / "oracle.csv")
+        with mock.patch.object(simkit, "_CSV_BLOCK", block):
+            export_csv(trace, workdir / "t.csv")
+        assert (workdir / "t.csv").read_bytes() == (workdir / "oracle.csv").read_bytes()
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), rows=st.integers(0, 12), block=st.integers(1, 5))
     def test_arbitrary_columns_round_trip(self, tmp_path_factory, data, rows, block):
