@@ -28,12 +28,7 @@ from .hopper import (
     hop_trigger,
     select_channel,
 )
-from .masking import (
-    InvertibleOperator,
-    get_operator,
-    register_operator,
-    threshold_detect,
-)
+from .masking import threshold_detect
 from .simkit import (
     Metrics,
     ScenarioConfig,

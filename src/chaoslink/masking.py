@@ -1,17 +1,16 @@
 """Chaotic masking: invertible composition of information with drive states.
 
-A registered operator pairs a forward scramble f(x, i) -> z with an
-exact inverse recover(z, y) -> i_hat.  At perfect synchronization
-(y = x) recovery is exact; before that, i_hat carries transient fringes.
+Each operator pairs a forward scramble z = forward(op, x, i) with an exact
+inverse i_hat = recover(op, z, y).  At perfect synchronization (y = x)
+recovery is exact; before that, i_hat carries transient fringes.  Both
+take numpy arrays and then work elementwise.
 """
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .bitcodec import decide
 
+OPERATORS = ("additive", "multiplicative")
 DEFAULT_OPERATOR = "additive"
 DEFAULT_HOLD = 8
 DEFAULT_SETTLE = 25
@@ -19,58 +18,26 @@ DEFAULT_SETTLE = 25
 _MULTIPLICATIVE_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class InvertibleOperator:
-    """Forward scramble and its exact inverse, registered by name.
-
-    Both also take numpy arrays and then work elementwise.
-    """
-
-    name: str
-    forward: Callable[[float, float], float]
-    recover: Callable[[float, float], float]
+def forward(operator: str, x, i):
+    """Line sample for drive state x carrying information i."""
+    if operator == "additive":
+        return x + i
+    if operator == "multiplicative":
+        return x * (1.0 + i)
+    raise ValueError(f"unknown operator {operator!r}")
 
 
-def _mul_recover(z, y):
-    if np.any(np.abs(y) < _MULTIPLICATIVE_GUARD):
-        raise ZeroDivisionError(
-            "multiplicative recovery undefined: receiver state too close to 0"
-        )
-    return z / y - 1.0
-
-
-_REGISTRY: dict[str, InvertibleOperator] = {}
-
-
-def register_operator(op: InvertibleOperator) -> None:
-    if op.name in _REGISTRY:
-        raise ValueError(f"operator {op.name!r} already registered")
-    _REGISTRY[op.name] = op
-
-
-def get_operator(name: str) -> InvertibleOperator:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown operator {name!r}; registered: {sorted(_REGISTRY)}"
-        ) from None
-
-
-register_operator(
-    InvertibleOperator(
-        name="additive",
-        forward=lambda x, i: x + i,
-        recover=lambda z, y: z - y,
-    )
-)
-register_operator(
-    InvertibleOperator(
-        name="multiplicative",
-        forward=lambda x, i: x * (1.0 + i),
-        recover=_mul_recover,
-    )
-)
+def recover(operator: str, z, y):
+    """Information estimate from line sample z and receiver state y."""
+    if operator == "additive":
+        return z - y
+    if operator == "multiplicative":
+        if np.any(np.abs(y) < _MULTIPLICATIVE_GUARD):
+            raise ZeroDivisionError(
+                "multiplicative recovery undefined: receiver state too close to 0"
+            )
+        return z / y - 1.0
+    raise ValueError(f"unknown operator {operator!r}")
 
 
 def threshold_detect(symbols, hold: int, threshold: float):

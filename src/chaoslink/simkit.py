@@ -23,7 +23,9 @@ from .masking import (
     DEFAULT_HOLD,
     DEFAULT_OPERATOR,
     DEFAULT_SETTLE,
-    get_operator,
+    OPERATORS,
+    forward,
+    recover,
     threshold_detect,
 )
 
@@ -32,9 +34,6 @@ TRACE_COLUMNS = ("n", "x", "y", "z", "e", "epsilon", "u", "i", "i_hat", "bit", "
 SOURCE_OFF = "off"
 SOURCE_BERNOULLI = "bernoulli"
 SOURCE_PATTERN = "pattern"
-
-CHANNEL_IDEAL = "ideal"
-CHANNEL_DISTURBANCE = "disturbance"
 
 DEFAULT_SYNC_TOL = 1e-6
 DEFAULT_SYNC_WINDOW = 5
@@ -60,7 +59,6 @@ class ScenarioConfig:
     x0: float = 0.1
     y0: float = -1.0
     steps: int = 50
-    sample_time: float = 2.5e-4  # pacing/plot metadata only
     operator: str = DEFAULT_OPERATOR
     amplitude: float = 1.0
     hold: int = DEFAULT_HOLD
@@ -74,8 +72,7 @@ class ScenarioConfig:
     frame_m: int = 16
     frame_n: int = 4
     frac_bits: int = 12
-    channel: str = CHANNEL_IDEAL
-    disturbance: float = 0.0
+    disturbance: float = 0.0  # > 0: uniform noise in [-d, d] on the transmit line
     sessions: int = 20
     active_steps: int = 40
     sync_tol: float = DEFAULT_SYNC_TOL
@@ -91,6 +88,8 @@ class ScenarioConfig:
             raise ConfigError("guard must be > 0")
         if not self.sync_tol > 0:
             raise ConfigError("sync_tol must be > 0")
+        if self.disturbance < 0:
+            raise ConfigError("disturbance must be >= 0")
         if not 0.0 <= self.source_p <= 1.0:
             raise ConfigError("source_p must lie in [0, 1]")
         if self.steps < 1:
@@ -103,22 +102,16 @@ class ScenarioConfig:
             raise ConfigError("sessions and active_steps must be >= 0")
         if not 0.0 < float(self.x0) < float(self.k):
             raise ConfigError(f"x0 must lie in (0, {float(self.k)})")
-        if self.settle >= self.steps:
-            raise ConfigError("settle must be smaller than steps")
-        try:
-            get_operator(self.operator)
-        except KeyError as exc:
-            raise ConfigError(exc.args[0]) from None
+        if self.operator not in OPERATORS:
+            raise ConfigError(f"unknown operator {self.operator!r}; "
+                              f"registered: {list(OPERATORS)}")
         if self.source not in (SOURCE_OFF, SOURCE_BERNOULLI, SOURCE_PATTERN):
             raise ConfigError(f"unknown source {self.source!r}")
-        if self.channel not in (CHANNEL_IDEAL, CHANNEL_DISTURBANCE):
-            raise ConfigError(f"unknown channel model {self.channel!r}")
         if self.mode not in ("float", "fixed"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.source == SOURCE_BERNOULLI and self.seed is None:
             raise ConfigError("bernoulli source requires an explicit seed")
-        if (self.channel == CHANNEL_DISTURBANCE and self.disturbance > 0
-                and self.seed is None):
+        if self.disturbance > 0 and self.seed is None:
             raise ConfigError("disturbance channel requires an explicit seed")
         if self.source == SOURCE_PATTERN and not (
                 self.pattern and set(self.pattern) <= {"0", "1"}):
@@ -309,23 +302,23 @@ def _fail_at(stop: int, x, escape: int, diverge: int, guard: float,
         )
 
 
-def _track(cfg: ScenarioConfig, op, x, escape: int, y0, info, dist=0.0,
-           start: int = 0):
-    """Line z = op.forward(x, info) + dist on the drive samples x (escape:
-    index of the first one outside the basin, or -1), response from y0
-    driven by z.  Returns (y, z, u, i_hat), y one sample longer than the
-    line, like x.
+def _track(cfg: ScenarioConfig, operator: str, x, escape: int, y0, info,
+           dist=0.0, start: int = 0):
+    """Line z = forward(operator, x, info) + dist on the drive samples x
+    (escape: index of the first one outside the basin, or -1), response
+    from y0 driven by z.  Returns (y, z, u, i_hat), y one sample longer
+    than the line, like x.
 
     Failures are raised as a step-by-step loop meets them: the earliest step
     wins, a drive escape beats a divergence at the same step, and recovery
     near y = 0 fails before its own step's update.  start numbers the first
     step in error messages.
     """
-    z = op.forward(x[:-1], info) + dist
+    z = forward(operator, x[:-1], info) + dist
     guard = cfg.guard * cfg.k
     y, u, diverge = _accel.response_track(cfg.mu, cfg.k, cfg.rho, y0, z, guard)
     stop = min((i for i in (escape, diverge) if i >= 0), default=len(info))
-    i_hat = op.recover(z[:stop], y[:stop])
+    i_hat = recover(operator, z[:stop], y[:stop])
     _fail_at(stop, x, escape, diverge, guard, start)
     return y, z, u, i_hat
 
@@ -338,8 +331,7 @@ def run_sync_session(cfg: ScenarioConfig):
         raise ConfigError("sync session runs in float mode")
     # the bare drive state is the additive line with no information on it
     x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
-    y, _, u, _ = _track(cfg, get_operator("additive"), x, escape, cfg.y0,
-                        np.zeros(cfg.steps))
+    y, _, u, _ = _track(cfg, "additive", x, escape, cfg.y0, np.zeros(cfg.steps))
     errors = y - x
     trace = SessionTrace(cfg.steps + 1, x=x, y=y, e=errors, u=u)
     metrics = Metrics(
@@ -350,7 +342,10 @@ def run_sync_session(cfg: ScenarioConfig):
 
 
 def run_transmit_session(cfg: ScenarioConfig):
-    """Analog masked transmission with per-hold-window bit decisions."""
+    """Analog masked transmission with per-hold-window bit decisions;
+    bits from the first `settle` steps are not counted."""
+    if cfg.settle >= cfg.steps:
+        raise ConfigError("settle must be smaller than steps")
     if cfg.source == SOURCE_OFF:
         raise ConfigError("transmit session requires an information source")
     if cfg.mode != "float":
@@ -361,14 +356,13 @@ def run_transmit_session(cfg: ScenarioConfig):
     n_blocks = cfg.steps // cfg.hold
     bits = _symbol_stream(cfg, n_blocks, rng)
     info = np.repeat(bits.astype(float) * cfg.amplitude, cfg.hold)
-    if cfg.channel == CHANNEL_DISTURBANCE and cfg.disturbance > 0:
+    if cfg.disturbance > 0:
         dist = rng.uniform(-cfg.disturbance, cfg.disturbance, cfg.steps)
     else:
         dist = np.zeros(cfg.steps)
 
     x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
-    y, z, u, ihat = _track(cfg, get_operator(cfg.operator), x, escape, cfg.y0,
-                           info, dist)
+    y, z, u, ihat = _track(cfg, cfg.operator, x, escape, cfg.y0, info, dist)
     decisions = threshold_detect(ihat, cfg.hold, cfg.detect_threshold)
 
     errors = y - x
@@ -481,14 +475,14 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     """
     if cfg.mode != "float":
         raise ConfigError("hop session runs in float mode")
-    if cfg.channel == CHANNEL_DISTURBANCE and cfg.disturbance > 0:
+    if cfg.disturbance > 0:
         raise ConfigError("hop session does not simulate a disturbance channel")
     if table is None:
         table = build_default_table()
     guard = cfg.guard * cfg.k
     transmit = cfg.source != SOURCE_OFF and cfg.active_steps > 0
     if transmit:
-        op, width = get_operator(cfg.operator), cfg.active_steps
+        operator, width = cfg.operator, cfg.active_steps
         blocks = -(-width // cfg.hold)
         bits = _symbol_stream(cfg, blocks, np.random.default_rng(cfg.seed),
                               cfg.sessions).reshape(cfg.sessions, blocks)
@@ -496,7 +490,7 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
         info = (bits.astype(float) * cfg.amplitude)[:, np.arange(width) // cfg.hold]
     else:
         # one bare step on the new channel, its control not recorded
-        op, width = get_operator("additive"), 1
+        operator, width = "additive", 1
         info = np.zeros((cfg.sessions, 1))
     drive = _DriveOrbit(cfg)
     keep = cfg.sync_window - 1  # innovations the trigger carries over
@@ -534,7 +528,8 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
         hop_steps.append(n)
         # active phase: masked transmission on the new channel
         x, escape = drive.window(n, width, ahead)
-        ty, z, u, ihat = _track(cfg, op, x, escape, y, info[session], start=n)
+        ty, z, u, ihat = _track(cfg, operator, x, escape, y, info[session],
+                                start=n)
         y_parts.append(ty[:-1])
         u_parts.append(u)
         z_parts.append(z)

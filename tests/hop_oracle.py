@@ -11,10 +11,10 @@ from collections import deque
 
 import numpy as np
 
+from chaoslink import masking
 from chaoslink._accel import control_effort
 from chaoslink.core import BasinEscapeError, LogisticParams, step
 from chaoslink.hopper import build_default_table, hop_session
-from chaoslink.masking import get_operator
 from chaoslink.simkit import (
     MAX_IDLE_STEPS,
     SOURCE_BERNOULLI,
@@ -59,7 +59,6 @@ def hop_session_oracle(cfg, table=None):
     rng = np.random.default_rng(cfg.seed)
     guard = cfg.guard * k
     transmit = cfg.source != SOURCE_OFF and cfg.active_steps > 0
-    op = get_operator(cfg.operator)
     x, y = cfg.x0, cfg.y0
     xs, ys, us, zs, infos, ihats = [], [], [], [], [], []
     hops = []
@@ -97,8 +96,8 @@ def hop_session_oracle(cfg, table=None):
         if transmit:
             # active phase: masked transmission on the new channel
             for value in _session_info(cfg, rng):
-                z = op.forward(x, value) + 0.0
-                i_hat = op.recover(z, y)  # fails before this step's update
+                z = masking.forward(cfg.operator, x, value) + 0.0
+                i_hat = masking.recover(cfg.operator, z, y)  # fails before this step's update
                 u = control_effort(mu, k, rho, y - z, z)
                 for column, cell in zip((xs, ys, us, zs, infos, ihats),
                                         (x, y, u, z, value, i_hat)):

@@ -9,12 +9,11 @@ from fx_oracle import PairRun, fx_sync_oracle
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from chaoslink import _accel
+from chaoslink import _accel, masking
 from chaoslink.bitcodec import FrameSpec, correlate, decide, lsb_bits, mask_bits, spread
 from chaoslink.control import ControllerGains, control, step_response
 from chaoslink.core import LogisticParams, step
 from chaoslink.fixedpoint import FixedParams
-from chaoslink.masking import get_operator
 
 STEPS = 200
 
@@ -39,18 +38,17 @@ def test_response_track_matches_scalar_reference(
 ):
     params = LogisticParams(mu)
     gains = ControllerGains(rho=rho, params=params)
-    op = get_operator(operator)
     info = (np.random.default_rng(seed).random(STEPS) < 0.5) * amplitude
     if nan_at is not None:  # a NaN line sample makes the response NaN
         info[nan_at] = np.nan
 
     x, escape = _accel.logistic_orbit(mu, 1.0, x0, STEPS)
-    z = op.forward(x[:-1], info)
+    z = masking.forward(operator, x[:-1], info)
     ys, us, diverge = _accel.response_track(mu, 1.0, rho, y0, z, guard)
 
     ref_x, ref_z, ref_y, ref_u = [x0], [], [y0], []
     for i in info.tolist():
-        d = op.forward(ref_x[-1], i)
+        d = masking.forward(operator, ref_x[-1], i)
         y = ref_y[-1]
         ref_z.append(d)
         ref_u.append(control(gains, y - d, d))
@@ -214,7 +212,7 @@ def test_response_track_transmit_line_with_long_zero_runs(
     info = np.concatenate([np.full(r, amplitude * (j % 2)) for j, r in enumerate(runs)])
     x, escape = _accel.logistic_orbit(mu, 1.0, x0, info.size)
     assume(escape == -1)
-    z = get_operator(operator).forward(x[:-1], info)
+    z = masking.forward(operator, x[:-1], info)
     check_response_track(mu, 1.0, rho, -1.0, z, 1e3)
 
 

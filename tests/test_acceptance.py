@@ -122,7 +122,7 @@ def test_criterion_4_degenerate_one_step_sync():
 
 FROZEN_TRANSMIT = ScenarioConfig(
     source="bernoulli", source_p=0.5, seed=1, amplitude=1.0, hold=8,
-    settle=25, steps=2000, threshold=5.0, channel="ideal",
+    settle=25, steps=2000, threshold=5.0,
 )
 
 

@@ -46,6 +46,19 @@ sessions = 20
 active_steps = 40
 """
 
+# multiplicative masking; the transmit line carries a drawn disturbance
+MULTIPLICATIVE_CFGS = {
+    "transmit": """\
+operator = multiplicative
+amplitude = 0.2
+source = bernoulli
+seed = 7
+steps = 2000
+disturbance = 0.01
+""",
+    "hop": HOP_CFG + "operator = multiplicative\namplitude = 0.2\n",
+}
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -100,6 +113,23 @@ def test_csv_bytes_pinned(workdir, capsys):
     digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
                for name in PINNED_SHA256}
     assert digests == PINNED_SHA256
+
+
+# The same for MULTIPLICATIVE_CFGS, whose paths the plain configs miss.
+PINNED_MULTIPLICATIVE_SHA256 = {
+    "transmit.csv": "91abf8eca09b593174f2c4adfe99745baf9b68006822d7cd49b9eeae50913eb6",
+    "hop.csv": "2ee90a18e3ba1429f44914bf86eb76749905de28c6747d7845a800082cd60188",
+    "hops.csv": "8c0fab28496d8fccbcf47de39231eca04ee6b408a9bbdc43cc666695f4a88057",
+}
+
+
+def test_multiplicative_csv_bytes_pinned(tmp_path, capsys):
+    for command, text in MULTIPLICATIVE_CFGS.items():
+        (tmp_path / f"{command}.cfg").write_text(text)
+        assert run(session_argv(tmp_path, command, tmp_path), capsys)[0] == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_MULTIPLICATIVE_SHA256}
+    assert digests == PINNED_MULTIPLICATIVE_SHA256
 
 
 def test_parser_keeps_nothing_between_calls(workdir, capsys):
@@ -347,7 +377,7 @@ class TestErrorPaths:
     def test_arithmetic_overflow_exit_code(self, tmp_path, capsys):
         # a finite disturbance whose draw range overflows a float
         cfg = tmp_path / "dist.cfg"
-        cfg.write_text(TRANSMIT_CFG + "channel = disturbance\ndisturbance = 1e308\n")
+        cfg.write_text(TRANSMIT_CFG + "disturbance = 1e308\n")
         code, _, err = run(
             ["transmit", "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
             capsys,
@@ -383,8 +413,8 @@ class TestErrorPaths:
         ("sync", SYNC_CFG.replace("rho = 0.5", "rho = nan"), "rho must be finite"),
         ("sync", SYNC_CFG.replace("rho = 0.5", "rho = 3\nguard = inf"),
          "guard must be finite"),
-        ("transmit", TRANSMIT_CFG + "channel = disturbance\ndisturbance = inf\n",
-         "disturbance must be finite"),
+        ("transmit", TRANSMIT_CFG + "disturbance = inf\n", "disturbance must be finite"),
+        ("transmit", TRANSMIT_CFG + "disturbance = -0.5\n", "disturbance must be >= 0"),
         ("sync", SYNC_CFG + "guard = 0\n", "guard must be > 0"),
         ("sync", SYNC_CFG + "guard = -1\n", "guard must be > 0"),
         ("sync", SYNC_CFG + "sync_tol = 0\n", "sync_tol must be > 0"),
@@ -393,8 +423,8 @@ class TestErrorPaths:
         ("transmit", TRANSMIT_CFG + "source_p = -0.5\n", "source_p must lie in [0, 1]"),
         ("transmit", TRANSMIT_CFG + "operator = bogus\n",
          "unknown operator 'bogus'; registered: ['additive', 'multiplicative']"),
-        ("transmit", "source = pattern\npattern = 01\nchannel = disturbance\n"
-         "disturbance = 1e-3\n", "disturbance channel requires an explicit seed"),
+        ("transmit", "source = pattern\npattern = 01\ndisturbance = 1e-3\n",
+         "disturbance channel requires an explicit seed"),
         ("digital", DIGITAL_CFG.replace("x0 = 122", "x0 = 122.7"),
          "fixed mode requires an integer x0"),
         ("digital", DIGITAL_CFG.replace("y0 = -1024", "y0 = -1.5"),
@@ -403,10 +433,11 @@ class TestErrorPaths:
         ("digital", DIGITAL_CFG + "mu = 4.0001\n", "mu must lie in (0, 4], got 4.0001"),
         ("sync", SYNC_CFG + "mode = fixed\n", "sync session runs in float mode"),
         ("hop", HOP_CFG + "mode = fixed\n", "hop session runs in float mode"),
-        ("hop", HOP_CFG + "channel = disturbance\ndisturbance = 0.5\n",
+        ("hop", HOP_CFG + "disturbance = 0.5\n",
          "hop session does not simulate a disturbance channel"),
     ], ids=["y0-1e12", "frac_bits-40", "frac_bits-negative", "rho-20", "hold-0",
-            "rho-nan", "guard-inf", "disturbance-inf", "guard-0", "guard-negative",
+            "rho-nan", "guard-inf", "disturbance-inf", "disturbance-negative",
+            "guard-0", "guard-negative",
             "sync_tol-0", "sync_tol-negative", "source_p-1.5", "source_p-negative", "operator-bogus",
             "disturbance-unseeded", "x0-fractional", "y0-fractional", "digital-mu-4.0001",
             "sync-fixed-mode", "hop-fixed-mode", "hop-disturbance"])
@@ -468,7 +499,6 @@ CONFIG_FIELDS = {
     "frame_m": _setting(st.sampled_from([16, 8, 32, 4, 5, 0])),
     "frame_n": _setting(st.sampled_from([4, 2, 1, 16, 3, 0])),
     "frac_bits": _setting(st.integers(0, 16)),
-    "channel": st.sampled_from(["ideal", "disturbance", "fading"]),
     "disturbance": _setting(st.floats(0.0, 1.0) | st.sampled_from([-1.0, 1e300])),
     "active_steps": _setting(st.integers(-1, 60)),
     "sync_tol": _setting(st.floats(-1e-6, 1.0) | st.sampled_from([1e-6, 0.0])),

@@ -3,58 +3,56 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaoslink.masking import (
-    InvertibleOperator,
-    get_operator,
-    register_operator,
-    threshold_detect,
-)
-
-additive = get_operator("additive")
-multiplicative = get_operator("multiplicative")
+from chaoslink.masking import OPERATORS, forward, recover, threshold_detect
 
 
 class TestOperators:
     def test_zero_symbol_identity(self):
-        assert additive.forward(0.333, 0.0) == 0.333
+        assert forward("additive", 0.333, 0.0) == 0.333
 
     def test_additive_forward(self):
-        assert additive.forward(0.333, 1.0) == pytest.approx(1.333)
+        assert forward("additive", 0.333, 1.0) == pytest.approx(1.333)
 
     @given(x=st.floats(0.001, 0.999), i=st.floats(-2.0, 2.0))
     def test_additive_round_trip(self, x, i):
-        assert additive.recover(additive.forward(x, i), x) == pytest.approx(i, abs=1e-12)
+        z = forward("additive", x, i)
+        assert recover("additive", z, x) == pytest.approx(i, abs=1e-12)
 
     @given(x=st.floats(0.01, 0.999), i=st.floats(-0.5, 0.5))
     def test_multiplicative_round_trip(self, x, i):
-        z = multiplicative.forward(x, i)
-        assert multiplicative.recover(z, x) == pytest.approx(i, abs=1e-9)
+        z = forward("multiplicative", x, i)
+        assert recover("multiplicative", z, x) == pytest.approx(i, abs=1e-9)
 
     def test_multiplicative_guards_zero_receiver(self):
         with pytest.raises(ZeroDivisionError):
-            multiplicative.recover(0.5, 0.0)
+            recover("multiplicative", 0.5, 0.0)
+        with pytest.raises(ZeroDivisionError):
+            recover("multiplicative", np.array([0.5, 0.5]), np.array([0.3, 1e-13]))
+
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_elementwise_on_arrays(self, operator):
+        x, i = np.array([0.2, 0.5, 0.9]), np.array([0.0, 0.1, -0.2])
+        z, y = forward(operator, x, i), x + 1e-3
+        assert z.tolist() == [forward(operator, a, b) for a, b in zip(x, i)]
+        assert (recover(operator, z, y).tolist()
+                == [recover(operator, a, b) for a, b in zip(z, y)])
 
     def test_unknown_operator(self):
-        with pytest.raises(KeyError):
-            get_operator("nope")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_operator(
-                InvertibleOperator("additive", lambda x, i: x, lambda z, y: z)
-            )
+        for call in (forward, recover):
+            with pytest.raises(ValueError, match="unknown operator 'nope'"):
+                call("nope", 0.5, 0.5)
 
 
 class TestRecovery:
     def test_exact_at_sync(self):
         x = 0.52
-        assert additive.recover(additive.forward(x, 1.0), x) == pytest.approx(1.0)
+        assert recover("additive", forward("additive", x, 1.0), x) == pytest.approx(1.0)
 
     def test_transient_fringe(self):
         # i = 0 with residual error e = 0.2: i_hat = i - e
         x = 0.3
         y = x + 0.2
-        assert additive.recover(additive.forward(x, 0.0), y) == pytest.approx(-0.2)
+        assert recover("additive", forward("additive", x, 0.0), y) == pytest.approx(-0.2)
 
 
 class TestThresholdDetect:

@@ -74,18 +74,13 @@ class TestConfig:
     def test_drawn_disturbance_requires_seed(self):
         # without a seed every run would draw a different disturbance
         with pytest.raises(ConfigError, match="disturbance channel requires an explicit seed"):
-            ScenarioConfig(source="pattern", pattern="01", channel="disturbance",
-                           disturbance=1e-3)
+            ScenarioConfig(source="pattern", pattern="01", disturbance=1e-3)
         for cfg in (dict(disturbance=0.0), dict(disturbance=1e-3, seed=1)):
-            ScenarioConfig(source="pattern", pattern="01", channel="disturbance", **cfg)
+            ScenarioConfig(source="pattern", pattern="01", **cfg)
 
     def test_x0_basin_enforced(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(x0=1.5)
-
-    def test_settle_before_steps(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(steps=10, settle=25)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6])
     def test_sync_tol_must_be_positive(self, tol):
@@ -104,11 +99,13 @@ class TestConfig:
 
     def test_every_field_parses_to_its_type(self):
         # one setting per type; a str field takes its default, which its
-        # check accepts
+        # check accepts, and disturbance a setting that needs no seed
         samples = {float: "0.5", int: "30"}
         for field in fields(ScenarioConfig):
             declared = (get_args(field.type) or (field.type,))[0]
             setting = samples.get(declared, field.default)
+            if field.name == "disturbance":
+                setting = "0.0"
             value = getattr(parse_config_text(f"{field.name} = {setting}\n"), field.name)
             assert type(value) is declared and value == declared(setting), field.name
 
@@ -133,6 +130,10 @@ class TestSyncSession:
         # error follows the closed form rho^n * e0
         for n, e in enumerate(trace.column("e")):
             assert abs(e - 0.5**n * -1.1) <= 1e-9 * max(n, 1)
+
+    def test_shorter_than_settle(self):
+        trace, metrics = run_sync_session(replace(SYNC_CFG, steps=10))
+        assert len(trace) == 11 and metrics.sync_step is None
 
     def test_equal_start(self):
         trace, metrics = run_sync_session(replace(SYNC_CFG, y0=0.1))
@@ -234,13 +235,25 @@ class TestTransmitSession:
         trace, metrics = run_transmit_session(cfg)
         assert len(trace) == cfg.steps + 1
 
+    def test_settle_before_steps(self):
+        with pytest.raises(ConfigError, match="settle must be smaller than steps"):
+            run_transmit_session(replace(TRANSMIT_CFG, steps=16, settle=25))
+        _, metrics = run_transmit_session(replace(TRANSMIT_CFG, steps=16, settle=8))
+        assert metrics.bits_total == 1
+
     def test_disturbance_zero_equals_ideal(self):
         ideal, _ = run_transmit_session(TRANSMIT_CFG)
-        dist, _ = run_transmit_session(
-            replace(TRANSMIT_CFG, channel="disturbance", disturbance=0.0)
-        )
+        dist, _ = run_transmit_session(replace(TRANSMIT_CFG, disturbance=0.0))
         assert np.array_equal(ideal.column("z"), dist.column("z"), equal_nan=True)
         assert np.array_equal(ideal.column("y"), dist.column("y"), equal_nan=True)
+
+    def test_disturbance_alone_draws_line_noise(self):
+        # disturbance > 0 is the one switch for the drawn disturbance
+        ideal, _ = run_transmit_session(TRANSMIT_CFG)
+        dist, _ = run_transmit_session(replace(TRANSMIT_CFG, disturbance=0.01))
+        noise = (dist.column("z") - ideal.column("z"))[:-1]
+        assert np.all(noise != 0) and np.all(np.abs(noise) <= 0.01 + 1e-12)
+        assert np.array_equal(dist.column("x"), ideal.column("x"))
 
 
 class TestDigitalSession:
@@ -273,6 +286,12 @@ class TestDigitalSession:
     def test_requires_fixed_mode(self):
         with pytest.raises(ConfigError):
             run_digital_session(replace(DIGITAL_CFG, mode="float"))
+
+    def test_one_frame_run(self):
+        # settle bounds transmit runs only: its default 25 > steps is fine here
+        trace, metrics = run_digital_session(replace(DIGITAL_CFG, steps=16))
+        assert len(trace) == 17
+        assert metrics.sync_step == 11 and metrics.bits_total == 0
 
     def test_steps_multiple_of_frame(self):
         with pytest.raises(ConfigError):
@@ -331,6 +350,13 @@ class TestHopSession:
         marked = channel[~np.isnan(channel)]
         assert len(marked) == 20
         assert [int(c) for c in marked] == [h.j_tx for h in metrics.hops]
+
+    def test_steps_and_settle_not_read(self):
+        trace, metrics = run_hop_session(HOP_CFG)
+        short, short_metrics = run_hop_session(replace(HOP_CFG, steps=1, settle=25))
+        assert repr(short_metrics) == repr(metrics)
+        for name in simkit.TRACE_COLUMNS:
+            assert short.column(name).tobytes() == trace.column(name).tobytes()
 
     def test_deterministic(self):
         a, ma = run_hop_session(HOP_CFG)
