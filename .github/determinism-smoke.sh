@@ -1,7 +1,9 @@
 #!/bin/sh
 # Determinism smoke check: runs every session command twice on one config
-# each, transmit also on a multiplicative line with a drawn disturbance,
-# and fails unless both runs wrote byte-identical trace and hop CSVs.
+# each, transmit also on a multiplicative line with a drawn disturbance, and
+# hop also as a multiplicative pattern hop (both line levels) and as a bare
+# source = off hop; fails unless both runs wrote byte-identical trace and hop
+# CSVs.
 #
 # usage, from the repository root: sh .github/determinism-smoke.sh
 set -eu
@@ -14,13 +16,15 @@ printf 'source = bernoulli\nseed = 1\nsteps = 2000\nthreshold = 5.0\n' > transmi
 printf 'operator = multiplicative\namplitude = 0.2\nsource = bernoulli\nseed = 7\nsteps = 2000\ndisturbance = 0.01\n' > transmit-mul.cfg
 printf 'mode = fixed\nk = 1024\nx0 = 122\ny0 = -1024\nsteps = 16000\nsource = bernoulli\nseed = 3\n' > digital.cfg
 printf 'source = bernoulli\nseed = 5\nsessions = 20\nactive_steps = 40\n' > hop.cfg
-for name in sync transmit transmit-mul digital hop; do
+printf 'operator = multiplicative\namplitude = 0.2\nsource = pattern\npattern = 0110\nhold = 4\nsessions = 120\nactive_steps = 40\n' > hop-mul.cfg
+printf 'source = off\nsessions = 120\n' > hop-off.cfg
+for name in sync transmit transmit-mul digital hop hop-mul hop-off; do
   command="${name%%-*}"
   for run in 1 2; do
     set -- "$command" --config "$name.cfg" --out "$name-$run.csv"
-    if [ "$command" = hop ]; then set -- "$@" --hops-out "hops-$run.csv"; fi
+    if [ "$command" = hop ]; then set -- "$@" --hops-out "$name-hops-$run.csv"; fi
     PYTHONPATH="$src" python -m chaoslink.cli "$@"
   done
   cmp "$name-1.csv" "$name-2.csv"
+  if [ "$command" = hop ]; then cmp "$name-hops-1.csv" "$name-hops-2.csv"; fi
 done
-cmp hops-1.csv hops-2.csv

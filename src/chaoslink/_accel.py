@@ -1,11 +1,18 @@
 """Hot inner loops, JIT-compiled with numba when available.
 
-Four kernels: logistic_orbit iterates the float map, control_effort is
+Five kernels: logistic_orbit iterates the float map, control_effort is
 the feedback law, response_track runs the controlled response on line
-samples, and fx_sync_run is the 16-bit quantized drive/response pair.
-Sessions and chaos diagnostics alike are built on these four; a hop
-session too steps no sample in Python: its drive is one logistic_orbit
-per run and each idle or active phase one response_track call.
+samples, hop_run steps whole hop sessions, and fx_sync_run is the 16-bit
+quantized drive/response pair.  Sessions and chaos diagnostics alike are
+built on these; no session steps a sample in Python outside them.
+
+hop_run steps idle and active phases in one loop over a chunk of the
+drive orbit, which logistic_orbit computes: each step takes its line
+sample (the drive when idle, one of two masked levels, chosen by the
+source bit, when active), applies control_effort, counts the trigger's
+run and checks the guard and the drive's escape.  It returns at the last
+session boundary of the chunk, so a caller steps a run in chunks of
+bounded size.
 
 response_track steps the response in blocks and, between blocks, checks
 for exact sync: y == z[n], sign bit included.  From there the error
@@ -221,6 +228,103 @@ def response_track(mu, k, rho, y0, z, guard):
                 return _array(ys), _array(us), m + 1
         n = end
     return _array(ys), _array(us), -1
+
+
+ESCAPED = 1  # hop_run failures: the drive left the basin,
+DIVERGED = 2  # the response passed the guard,
+IDLE_CAPPED = 3  # or an idle phase outlasted its cap
+
+
+@njit(cache=True)
+def hop_run(mu, k, rho, y0, x, escape, lo, hi, pick, width, sessions,
+            run, window, tol, guard, counted, cap):
+    """Whole hop sessions, each an idle phase then width active steps, on
+    the drive samples x (escape: index of the first one outside the basin,
+    or -1), in one loop over the rows.
+
+    Every step takes its line sample d, the drive x[r] on an idle step and
+    on an active one hi[r] or lo[r], the line level of a 1 or 0 source bit
+    as pick says (width entries per session), and applies
+    control_effort(y - d, d).  run counts the trailing steps with
+    |y - d| < tol: every idle step adds to it, an active one only if
+    counted.  An idle phase ends on the step that brings run to window, and
+    the session hops to the next row.
+
+    Returns (ys, us, hops, count, rows, run, fail).  ys has one sample more
+    than us, us[r] is the control on the r -> r+1 transition and hops[s]
+    the hop row of session s.  The loop stops at the first step whose new
+    drive sample is the escape (fail ESCAPED), whose response passes the
+    guard or is NaN (DIVERGED), or, for the idle step past the cap-th, that
+    leaves run below window (IDLE_CAPPED); then rows is that step's new row
+    and count the sessions that hopped.  Otherwise fail is 0, and the loop
+    runs `sessions` sessions or until x runs out, when it drops the
+    unfinished session: count sessions end at row rows, with run as given.
+    """
+    mu = float(mu)
+    k = float(k)
+    rho = float(rho)
+    tol = float(tol)
+    guard = float(guard)
+    n_steps = x.size - 1
+    stop = escape if escape >= 0 else n_steps  # the last row to step to
+    xs = _samples(x)
+    los = _samples(lo)
+    his = _samples(hi)
+    picks = _samples(pick)
+    ys = _buffer(n_steps + 1)
+    us = _buffer(n_steps)
+    hops = np.zeros(sessions, dtype=np.int64)
+    y = float(y0)
+    done = rows = fail = left = j = 0
+    kept = run
+    capped = cap + 1  # the row an idle phase fails at if it has not hopped
+    end = stop
+    for r in range(stop):
+        ys[r] = y
+        if left:  # active: the level of this step's source bit
+            d = his[r] if picks[j] else los[r]
+        else:  # idle: the bare drive state
+            d = xs[r]
+        e = y - d
+        u = control_effort(mu, k, rho, e, d)
+        us[r] = u
+        y = mu * y * (1.0 - y / k) + u
+        if not -guard <= y <= guard:
+            fail = DIVERGED
+            end = r + 1
+            break
+        if left:
+            if counted:
+                run = run + 1 if -tol < e < tol else 0
+            left -= 1
+            j += 1
+            if not left:
+                done += 1
+                rows = r + 1
+                kept = run
+                capped = rows + cap + 1
+                if done == sessions:
+                    end = rows
+                    break
+            continue
+        if -tol < e < tol:
+            run += 1
+            if run >= window and r + 1 != escape:
+                hops[done] = r + 1
+                left = width
+                continue
+        else:
+            run = 0
+        if r + 1 == capped:
+            fail = IDLE_CAPPED
+            end = r + 1
+            break
+    ys[end] = y
+    if end == escape:
+        fail = ESCAPED
+    if fail:
+        return _array(ys), _array(us), hops, done + (left > 0), end, run, fail
+    return _array(ys), _array(us), hops, done, rows, kept, 0
 
 
 @njit(cache=True)

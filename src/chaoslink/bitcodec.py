@@ -71,7 +71,11 @@ def correlate(received, spec: FrameSpec) -> np.ndarray:
     otherwise.
     """
     bits = _as_bits(received, spec.m)
-    return bits.reshape(-1, spec.r).mean(axis=1)
+    # the j-th bits of all blocks at once, summed exactly in int64
+    sums = bits[::spec.r].astype(np.int64)
+    for j in range(1, spec.r):
+        sums += bits[j::spec.r]
+    return sums / spec.r
 
 
 def decide(block_means, threshold: float = 0.5) -> np.ndarray:

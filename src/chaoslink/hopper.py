@@ -11,6 +11,7 @@ none was seen in 12 000 hops.
 
 import csv
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -61,8 +62,10 @@ class ChannelTable:
         return self.entries[index - 1]
 
 
+@cache
 def build_default_table() -> ChannelTable:
-    """The 100-entry 60-200 MHz table, 1.4 MHz per channel."""
+    """The 100-entry 60-200 MHz table, 1.4 MHz per channel; built once,
+    since a table is immutable."""
     entries = []
     for p in range(1, DEFAULT_CHANNEL_COUNT + 1):
         low = DEFAULT_F_LOW_MHZ + DEFAULT_WIDTH_MHZ * (p - 1)
@@ -99,19 +102,26 @@ def load_table_csv(path) -> ChannelTable:
     ))
 
 
-def select_channel(state: float, k: float, table: ChannelTable) -> int:
+def select_channel(state, k: float, table: ChannelTable):
     """Uniform binning j = 1 + floor(C*state/k), clamped to [1, C].
 
     Clamping absorbs out-of-basin response states; identical states give
-    identical indices exactly.
+    identical indices exactly.  An array of states gives an int64 array of
+    indices, elementwise.
     """
+    if not k > 0:
+        raise ValueError(f"scale factor k must be positive, got {k}")
     count = len(table)
-    j = 1 + int(count * state // k) if k else 1
-    return min(max(j, 1), count)
+    j = np.clip(1 + count * np.asarray(state, dtype=float) // k, 1, count)
+    if np.isnan(j).any():
+        raise ValueError(f"no channel for state {state} at scale factor {k}")
+    j = j.astype(np.int64)
+    return j if j.ndim else int(j)
 
 
-def hop_session(x: float, y: float, k: float, table: ChannelTable):
-    """Per-hop selection on both sides: (j_tx, j_rx, selection_error)."""
+def hop_session(x, y, k: float, table: ChannelTable):
+    """Per-hop selection on both sides: (j_tx, j_rx, selection_error),
+    elementwise on arrays of states."""
     j_tx = select_channel(x, k, table)
     j_rx = select_channel(y, k, table)
     return j_tx, j_rx, j_tx - j_rx

@@ -289,21 +289,18 @@ def _block_ends(values: np.ndarray, block: int, rows: int) -> np.ndarray:
     return column
 
 
-def _fail_at(stop: int, x, escape: int, diverge: int, guard: float,
-             start: int) -> None:
+def _fail_at(stop: int, x, escape: int, diverge: int, guard: float) -> None:
     """Raise the failure a step-by-step loop meets at step `stop`, if any: a
-    drive escape beats a divergence.  x is the drive from step start on,
-    escape and diverge index it (-1: none)."""
+    drive escape beats a divergence.  escape and diverge index the drive x
+    (-1: none)."""
     if stop == escape:
-        raise BasinEscapeError(start + escape, x[escape])
+        raise BasinEscapeError(escape, x[escape])
     if stop == diverge:
-        raise DivergenceError(
-            f"response exceeded guard {guard} at step {start + diverge}"
-        )
+        raise DivergenceError(f"response exceeded guard {guard} at step {diverge}")
 
 
 def _track(cfg: ScenarioConfig, operator: str, x, escape: int, y0, info,
-           dist=0.0, start: int = 0):
+           dist=0.0):
     """Line z = forward(operator, x, info) + dist on the drive samples x
     (escape: index of the first one outside the basin, or -1), response
     from y0 driven by z.  Returns (y, z, u, i_hat), y one sample longer
@@ -311,15 +308,14 @@ def _track(cfg: ScenarioConfig, operator: str, x, escape: int, y0, info,
 
     Failures are raised as a step-by-step loop meets them: the earliest step
     wins, a drive escape beats a divergence at the same step, and recovery
-    near y = 0 fails before its own step's update.  start numbers the first
-    step in error messages.
+    near y = 0 fails before its own step's update.
     """
     z = forward(operator, x[:-1], info) + dist
     guard = cfg.guard * cfg.k
     y, u, diverge = _accel.response_track(cfg.mu, cfg.k, cfg.rho, y0, z, guard)
     stop = min((i for i in (escape, diverge) if i >= 0), default=len(info))
     i_hat = recover(operator, z[:stop], y[:stop])
-    _fail_at(stop, x, escape, diverge, guard, start)
+    _fail_at(stop, x, escape, diverge, guard)
     return y, z, u, i_hat
 
 
@@ -430,33 +426,38 @@ def run_digital_session(cfg: ScenarioConfig):
 
 
 MAX_IDLE_STEPS = 10_000
-_IDLE_PROBE = 32  # idle steps in a first trigger probe; a retry is 4x wider
+_HOP_CHUNK = 4096  # most drive steps per hop_run call, unless one session needs more
 
 
 class _DriveOrbit:
-    """A hop run's drive orbit, stepped in chunks as the run outgrows it."""
+    """A hop run's drive orbit, stepped in chunks as the run outgrows it.
+
+    The samples so far are x[:size]; x grows by doubling, so a run of n
+    samples copies O(n) of them however many chunks it takes."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.mu, self.k = cfg.mu, cfg.k
-        self.x, self.escape = np.array([cfg.x0], dtype=float), -1
+        self.x, self.size, self.escape = np.array([cfg.x0], dtype=float), 1, -1
 
-    def window(self, start: int, steps: int, ahead: int):
+    def window(self, start: int, steps: int):
         """Samples start..start+steps and the index among them of the first
-        one outside the basin (-1: none).  An orbit too short for them is
-        stepped `ahead` samples further; samples past an escape are 0."""
-        missing = start + steps + 1 - self.x.size
-        if missing > 0:
+        one outside the basin (-1: none); samples past an escape are 0."""
+        end = start + steps + 1
+        if end > self.x.size:
+            self.x = np.concatenate((self.x[:self.size],
+                                     np.empty(max(end, 2 * self.x.size) - self.size)))
+        if end > self.size:
             if self.escape >= 0:
-                more = np.zeros(missing)
+                self.x[self.size:end] = 0.0
             else:
                 more, escape = _accel.logistic_orbit(
-                    self.mu, self.k, float(self.x[-1]), missing + ahead)
+                    self.mu, self.k, float(self.x[self.size - 1]), end - self.size)
                 if escape >= 0:
-                    self.escape = self.x.size - 1 + escape
-                more = more[1:]
-            self.x = np.concatenate((self.x, more))
+                    self.escape = self.size - 1 + escape
+                self.x[self.size:end] = more[1:]
+            self.size = end
         inside = start < self.escape <= start + steps
-        return self.x[start:start + steps + 1], self.escape - start if inside else -1
+        return self.x[start:end], self.escape - start if inside else -1
 
 
 def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
@@ -467,11 +468,15 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     drive sample, then transmits for active_steps.  Both sides select on
     their own states, so the selection error measures residual desync.
 
-    The drive is one orbit for the whole run.  An idle phase is the
-    response on a probe of the bare drive line, widened until the trigger
-    fires on its innovations (the trigger's window reaches back across
-    phases); an active phase is the response on the masked line.  The
-    trace columns and hop records are built once, from the hop steps.
+    The drive is one orbit for the whole run, extended a chunk at a time:
+    at most _HOP_CHUNK steps, sized to the sessions left, and larger only
+    when one session does not fit.  One _accel.hop_run pass steps whole
+    sessions on each chunk: the line is the bare drive state on idle steps
+    and one of two masked levels, chosen by the source bit, on active ones;
+    the trigger's window reaches back across phases.  A session the chunk
+    cuts short is stepped again on the next one.  The masked line, the
+    information and its recovery on the active rows, the trace columns and
+    the hop records are built once, after the loop.
     """
     if cfg.mode != "float":
         raise ConfigError("hop session runs in float mode")
@@ -482,82 +487,71 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     guard = cfg.guard * cfg.k
     transmit = cfg.source != SOURCE_OFF and cfg.active_steps > 0
     if transmit:
-        operator, width = cfg.operator, cfg.active_steps
+        operator, amplitude, width = cfg.operator, cfg.amplitude, cfg.active_steps
         blocks = -(-width // cfg.hold)
         bits = _symbol_stream(cfg, blocks, np.random.default_rng(cfg.seed),
                               cfg.sessions).reshape(cfg.sessions, blocks)
         # each session's samples hold its bits, hold steps per bit
-        info = (bits.astype(float) * cfg.amplitude)[:, np.arange(width) // cfg.hold]
+        bits = bits[:, np.arange(width) // cfg.hold]
     else:
         # one bare step on the new channel, its control not recorded
-        operator, width = "additive", 1
-        info = np.zeros((cfg.sessions, 1))
+        operator, amplitude, width = "additive", 0.0, 1
+        bits = np.zeros((cfg.sessions, 1), dtype=np.uint8)
     drive = _DriveOrbit(cfg)
-    keep = cfg.sync_window - 1  # innovations the trigger carries over
-    n, y, carried = 0, cfg.y0, np.empty(0)
-    hop_steps, y_parts = [], []
-    u_parts, z_parts, ihat_parts = ([np.empty(0)] for _ in range(3))
+    n, y, run, session, fail, chunk = 0, cfg.y0, 0, 0, 0, _HOP_CHUNK
+    # a session takes width + 1 steps or more: at first, reach for twice that
+    steps = min(chunk, 2 * (width + 1) * cfg.sessions)
+    y_parts, u_parts, hop_parts = [], [np.empty(0)], [np.empty(0, dtype=int)]
+    while session < cfg.sessions:
+        x, escape = drive.window(n, steps)
+        # the sessions that can start within `steps` steps
+        fits = min(cfg.sessions - session, steps // (width + 1) + 1)
+        ys, us, hops, count, rows, run, fail = _accel.hop_run(
+            cfg.mu, cfg.k, cfg.rho, y, x, escape,
+            forward(operator, x[:-1], 0.0 * amplitude) + 0.0,
+            forward(operator, x[:-1], amplitude) + 0.0,
+            bits[session:session + fits].ravel(), width, fits, run,
+            cfg.sync_window, cfg.sync_tol, guard, transmit, MAX_IDLE_STEPS)
+        if not (count or fail):  # one session does not fit: twice the steps
+            steps *= 2
+            chunk = max(chunk, steps)
+            continue
+        y_parts.append(ys[:rows])
+        u_parts.append(us[:rows])
+        hop_parts.append(n + hops[:count])
+        n, y, session = n + rows, ys[rows], session + count
+        if fail:
+            break
+        # the sessions left at 5/4 of the mean session so far
+        steps = min(chunk, 5 * (cfg.sessions - session) * n // (4 * session) + 1)
 
-    for session in range(cfg.sessions):
-        # rows the run will still need: from the rows per session so far, or
-        # at first at least one idle row and the active rows of each session
-        ahead = ((cfg.sessions - session) * n // session if session
-                 else cfg.sessions * (width + 1))
-        # idle phase: line carries the bare drive state
-        probe = _IDLE_PROBE
-        while True:
-            x, escape = drive.window(n, probe, ahead)
-            ys, us, diverge = _accel.response_track(cfg.mu, cfg.k, cfg.rho, y,
-                                                    x[:-1], guard)
-            eps = np.concatenate((carried, ys[:-1] - x[:-1]))
-            # the hop step counted from n; <= 0 if the trigger did not fire
-            hop = hop_trigger(eps, cfg.sync_tol, cfg.sync_window) + 1 - carried.size
-            stop = min((i for i in (escape, diverge, hop) if i > 0), default=0)
-            if stop:
-                break
-            if probe > MAX_IDLE_STEPS:
-                raise DivergenceError(
-                    f"no sync trigger within {MAX_IDLE_STEPS} idle steps"
-                )
-            probe = min(4 * probe, MAX_IDLE_STEPS + 1)
-        _fail_at(stop, x, escape, diverge, guard, n)
-        carried = eps[max(carried.size + hop - keep, 0):carried.size + hop]
-        y_parts.append(ys[:hop])
-        u_parts.append(us[:hop])
-        n, y = n + hop, float(ys[hop])
-        hop_steps.append(n)
-        # active phase: masked transmission on the new channel
-        x, escape = drive.window(n, width, ahead)
-        ty, z, u, ihat = _track(cfg, operator, x, escape, y, info[session],
-                                start=n)
-        y_parts.append(ty[:-1])
-        u_parts.append(u)
-        z_parts.append(z)
-        ihat_parts.append(ihat)
-        if transmit:
-            eps = np.concatenate((carried, ty[:-1] - z))
-            carried = eps[max(eps.size - keep, 0):]
-        n, y = n + width, float(ty[-1])
-
+    # On a failure n is the failing step: the rows before it are the run.
     x = drive.x[:n + 1]
     y = np.concatenate(y_parts + [[y]])
     u = np.concatenate(u_parts)
+    hop_steps = np.concatenate(hop_parts)
+    active = (hop_steps[:, None] + np.arange(width)).ravel()
+    active = active[active < n]
     z, i, i_hat = x[:-1].copy(), np.zeros(n), np.full(n, np.nan)
-    active = (np.array(hop_steps, dtype=int)[:, None] + np.arange(width)).ravel()
     if transmit:
-        z[active] = np.concatenate(z_parts)
-        i[active] = info.ravel()
-        i_hat[active] = np.concatenate(ihat_parts)
+        # recovery near y = 0 fails before any later step does
+        i[active] = (bits * amplitude).ravel()[:active.size]
+        z[active] = forward(operator, x[active], i[active]) + 0.0
+        i_hat[active] = recover(operator, z[active], y[active])
     else:
         z[active] = u[active] = i[active] = np.nan
-    hops = [HopRecord(session, step, *hop_session(xh, yh, cfg.k, table))
-            for session, (step, xh, yh) in enumerate(
-                zip(hop_steps, x[hop_steps].tolist(), y[hop_steps].tolist()))]
+    _fail_at(n, x, drive.escape, n if fail == _accel.DIVERGED else -1, guard)
+    if fail == _accel.IDLE_CAPPED:
+        raise DivergenceError(f"no sync trigger within {MAX_IDLE_STEPS} idle steps")
+    j_tx, j_rx, error = hop_session(x[hop_steps], y[hop_steps], cfg.k, table)
+    hops = [HopRecord(*record) for record in zip(
+        range(cfg.sessions), hop_steps.tolist(), j_tx.tolist(), j_rx.tolist(),
+        error.tolist())]
     errors = y - x
     # epsilon is y - z on line samples and e on bare hop rows
     epsilon = np.where(np.isnan(z), errors[:-1], y[:-1] - z)
     channel = np.full(len(x), np.nan)
-    channel[hop_steps] = [h.j_tx for h in hops]
+    channel[hop_steps] = j_tx
     trace = SessionTrace(len(x), x=x, y=y, z=z, e=errors, epsilon=epsilon,
                          u=u, i=i, i_hat=i_hat, channel=channel)
     # The maximum error skips rows without control (bare hop steps and the
@@ -567,7 +561,7 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     metrics = Metrics(
         sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
         max_abs_error=float(np.max(np.abs(errors[controlled]))),
-        channel_error_count=sum(1 for h in hops if h.error != 0),
+        channel_error_count=int(np.count_nonzero(error)),
         hops=tuple(hops),
     )
     return trace, metrics

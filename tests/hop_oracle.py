@@ -1,7 +1,8 @@
 """Stepwise reference for the hop session.
 
-The package builds a hop run from one drive orbit and whole-phase
-response_track calls; this is the per-sample loop the tests compare it
+The package steps a hop run in chunks of its drive orbit, each chunk in
+one _accel.hop_run pass, and builds the masked line and its recovery
+after the loop; this is the per-sample loop the tests compare it
 against.  It steps the drive, the response, the control law, the masking
 operator and the trigger window one sample at a time, and draws each
 session's source bits as its active phase starts.

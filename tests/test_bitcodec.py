@@ -78,6 +78,26 @@ class TestCorrelate:
         with pytest.raises(ValueError):
             correlate([1, 1, 0, 0, 1, 1], FrameSpec(4, 2))
 
+    def test_blocks_wider_than_a_byte_count(self):
+        # r = 512: a uint8 sum of an all-ones block would wrap to 0
+        spec = FrameSpec(1024, 2)
+        bits = np.repeat(np.array([1, 0], dtype=np.uint8), 512)
+        bits[1000] = 1
+        assert correlate(bits, spec).tolist() == [1.0, 1 / 512]
+
+    @given(
+        shape=st.sampled_from([(16, 4), (16, 16), (16, 1), (12, 4), (600, 2)]),
+        frames=st.integers(0, 4),
+        data=st.data(),
+    )
+    def test_matches_reshape_mean(self, shape, frames, data):
+        spec = FrameSpec(*shape)
+        bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=spec.m * frames,
+                                           max_size=spec.m * frames)), dtype=np.uint8)
+        means = correlate(bits, spec)
+        expected = bits.reshape(-1, spec.r).mean(axis=1)
+        assert means.dtype == np.float64 and means.tobytes() == expected.tobytes()
+
     @given(st.lists(st.integers(0, 1), min_size=16, max_size=16))
     def test_output_bounds(self, bits):
         spec = FrameSpec(16, 4)

@@ -16,6 +16,16 @@ from chaoslink.hopper import (
 )
 
 
+def _state(where, k):
+    """A drawn float in units of k, or the state on channel edge j, or the
+    float just below (-1) or above (+1) it."""
+    if not isinstance(where, tuple):
+        return where * k
+    j, step = where
+    edge = j * k / 100
+    return float(np.nextafter(edge, step * np.inf)) if step else edge
+
+
 @pytest.fixture(scope="module")
 def table():
     return build_default_table()
@@ -79,6 +89,27 @@ class TestSelect:
             697.0 / 1024.0, 1.0, table
         )
 
+    def test_rejects_a_scale_factor_at_or_below_zero(self, table):
+        with pytest.raises(ValueError, match="scale factor k must be positive"):
+            select_channel(0.5, 0.0, table)
+
+    @given(
+        k=st.sampled_from([1.0, 0.3, 3.7, 1024.0]),
+        # channel edges C*state/k = j and their float neighbours, states
+        # below 0 and at or above k, and the basin in between
+        where=st.lists(st.one_of(
+            st.tuples(st.integers(-3, 203), st.sampled_from([-1, 0, 1])),
+            st.floats(-3.0, 3.0, allow_nan=False),
+        ), min_size=1, max_size=20),
+    )
+    def test_matches_scalar_formula(self, table, k, where):
+        states = [_state(p, k) for p in where]
+        expected = [min(max(1 + int(100 * s // k), 1), 100) for s in states]
+        got = select_channel(np.array(states), k, table)
+        assert got.dtype == np.int64 and got.tolist() == expected
+        scalars = [select_channel(s, k, table) for s in states]
+        assert all(type(j) is int for j in scalars) and scalars == expected
+
 
 class TestHopSession:
     def test_identical_states(self, table):
@@ -92,6 +123,12 @@ class TestHopSession:
         j_tx, j_rx, err = hop_session(0.1, -1.0, 1.0, table)
         assert j_rx == 1
         assert err >= 0
+
+    def test_elementwise_on_arrays(self, table):
+        x, y = np.array([0.42, 0.1, 0.995]), np.array([0.42, -1.0, 0.985])
+        j_tx, j_rx, err = hop_session(x, y, 1.0, table)
+        assert (j_tx.tolist(), j_rx.tolist(), err.tolist()) == ([43, 11, 100], [43, 1, 99],
+                                                                 [0, 10, 1])
 
 
 class TestTrigger:

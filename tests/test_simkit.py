@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 from typing import get_args
 from unittest import mock
@@ -384,6 +385,17 @@ class TestHopSession:
                                 sync_window=1))
     # the drive escapes at step 1, where the response also passes the guard
     @example(cfg=ScenarioConfig(mu=4.0, x0=0.5, y0=999.0, rho=3.0))
+    # about 6 500 rows: the first 4096-step chunk ends inside a session
+    @example(cfg=ScenarioConfig(source="bernoulli", seed=3, sessions=80, active_steps=60))
+    # e' = 0.998 e: the first idle phase takes about 6 960 steps, more than
+    # one chunk, so the chunk grows
+    @example(cfg=ScenarioConfig(rho=0.998, source="pattern", pattern="01", sessions=2,
+                                active_steps=5))
+    # this mu = 4 drive reaches x = 1.0 at step 4440, in the second chunk
+    @example(cfg=ScenarioConfig(mu=4.0, x0=0.044666150338579715, rho=0.0,
+                                source="bernoulli", seed=1, sessions=200))
+    # rho = 1 never triggers: the cap comes after the chunk has grown past it
+    @example(cfg=ScenarioConfig(rho=1.0, sessions=2))
     def test_matches_stepwise_oracle(self, cfg):
         assert _hop_outcome(run_hop_session, cfg) == _hop_outcome(hop_session_oracle, cfg)
 
@@ -416,15 +428,32 @@ class TestHopSession:
             run_hop_session(replace(HOP_CFG, rho=1.0))
 
     def test_kernel_calls_per_run(self):
-        # one drive orbit per run, stepped in a few chunks, and about one
-        # response_track call per phase: no per-sample loop
+        # one hop_run pass and one drive orbit extension per chunk of about
+        # 4096 steps, and no response_track call for any phase
         cfg = replace(HOP_CFG, sessions=300)
         with (mock.patch.object(_accel, "logistic_orbit", wraps=_accel.logistic_orbit) as orbit,
+              mock.patch.object(_accel, "hop_run", wraps=_accel.hop_run) as kernel,
               mock.patch.object(_accel, "response_track", wraps=_accel.response_track) as track):
-            _, metrics = run_hop_session(cfg)
+            trace, metrics = run_hop_session(cfg)
         assert len(metrics.hops) == 300
-        assert orbit.call_count <= 4
-        assert track.call_count <= 2 * 300 + 8
+        assert kernel.call_count <= len(trace) // 4096 + 3
+        assert orbit.call_count <= kernel.call_count
+        assert track.call_count == 0
+
+    def test_peak_memory_is_chunk_bounded(self):
+        # Beyond the trace it returns, a 300-session run (18 826 rows) peaks
+        # at about 1.4 MiB: a chunk's Python floats and the trace assembly.
+        # Run-length Python lists (the same run in one chunk) need 3.0 MiB.
+        cfg = replace(HOP_CFG, sessions=300)
+        run_hop_session(cfg)
+        tracemalloc.start()
+        try:
+            trace, _ = run_hop_session(cfg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace) > 18_000
+        assert peak - kept < 2 * 2**20
 
     @settings(max_examples=40, deadline=None)
     @given(
