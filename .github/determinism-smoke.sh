@@ -1,8 +1,9 @@
 #!/bin/sh
 # Determinism smoke check: runs every session command twice on one config
 # each, transmit also on a multiplicative line with a drawn disturbance, and
-# hop also as a multiplicative pattern hop (both line levels) and as a bare
-# source = off hop; fails unless both runs wrote byte-identical trace and hop
+# hop also as a multiplicative pattern hop (both line levels), as a bare
+# source = off hop and as a hop whose first idle phase (about 6 960 steps at
+# rho = 0.998) outlasts one kernel call; fails unless both runs wrote byte-identical trace and hop
 # CSVs.
 #
 # usage, from the repository root: sh .github/determinism-smoke.sh
@@ -18,7 +19,8 @@ printf 'mode = fixed\nk = 1024\nx0 = 122\ny0 = -1024\nsteps = 16000\nsource = be
 printf 'source = bernoulli\nseed = 5\nsessions = 20\nactive_steps = 40\n' > hop.cfg
 printf 'operator = multiplicative\namplitude = 0.2\nsource = pattern\npattern = 0110\nhold = 4\nsessions = 120\nactive_steps = 40\n' > hop-mul.cfg
 printf 'source = off\nsessions = 120\n' > hop-off.cfg
-for name in sync transmit transmit-mul digital hop hop-mul hop-off; do
+printf 'rho = 0.998\nsource = pattern\npattern = 01\nsessions = 2\nactive_steps = 5\n' > hop-slow.cfg
+for name in sync transmit transmit-mul digital hop hop-mul hop-off hop-slow; do
   command="${name%%-*}"
   for run in 1 2; do
     set -- "$command" --config "$name.cfg" --out "$name-$run.csv"

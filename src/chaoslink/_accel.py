@@ -2,17 +2,18 @@
 
 Five kernels: logistic_orbit iterates the float map, control_effort is
 the feedback law, response_track runs the controlled response on line
-samples, hop_run steps whole hop sessions, and fx_sync_run is the 16-bit
-quantized drive/response pair.  Sessions and chaos diagnostics alike are
-built on these; no session steps a sample in Python outside them.
+samples, hop_run steps hop sessions, drive included, and fx_sync_run is
+the 16-bit quantized drive/response pair.  Sessions and chaos diagnostics
+alike are built on these; no session steps a sample in Python outside them.
 
-hop_run steps idle and active phases in one loop over a chunk of the
-drive orbit, which logistic_orbit computes: each step takes its line
-sample (the drive when idle, one of two masked levels, chosen by the
-source bit, when active), applies control_effort, counts the trigger's
-run and checks the guard and the drive's escape.  It returns at the last
-session boundary of the chunk, so a caller steps a run in chunks of
-bounded size.
+hop_run steps the drive and the response of idle and active phases in
+one loop: each step advances the drive with logistic_orbit's expression,
+takes its line sample (the drive when idle, the drive or its masked 1-bit
+level, chosen by the source bit, when active), applies control_effort,
+counts the trigger's run and checks the drive's escape and the guard.
+It takes and returns the whole carried state, so a call may stop at any
+row and the next one resumes there: a caller steps a run of any length in
+calls of a fixed number of rows.
 
 response_track steps the response in blocks and, between blocks, checks
 for exact sync: y == z[n], sign bit included.  From there the error
@@ -236,95 +237,88 @@ IDLE_CAPPED = 3  # or an idle phase outlasted its cap
 
 
 @njit(cache=True)
-def hop_run(mu, k, rho, y0, x, escape, lo, hi, pick, width, sessions,
-            run, window, tol, guard, counted, cap):
-    """Whole hop sessions, each an idle phase then width active steps, on
-    the drive samples x (escape: index of the first one outside the basin,
-    or -1), in one loop over the rows.
+def hop_run(mu, k, rho, x, y, run, left, idle, started, row, steps, hops,
+            scale, offset, pick, width, window, tol, guard, counted, cap):
+    """Up to `steps` rows of a hop run, from row `row` and the state the
+    last call returned: drive x, response y, trigger run, active steps
+    left in the current session, idle steps so far in this idle phase and
+    sessions started.  Each session is an idle phase then width active
+    steps; hops.size is the number of sessions.
 
-    Every step takes its line sample d, the drive x[r] on an idle step and
-    on an active one hi[r] or lo[r], the line level of a 1 or 0 source bit
-    as pick says (width entries per session), and applies
+    Every step advances the drive as logistic_orbit does, takes its line
+    sample d, the drive x on an idle step and on an active one x or
+    x * scale + offset, the line level of a 0 or 1 source bit as pick
+    says (width entries per session), and applies
     control_effort(y - d, d).  run counts the trailing steps with
     |y - d| < tol: every idle step adds to it, an active one only if
-    counted.  An idle phase ends on the step that brings run to window, and
-    the session hops to the next row.
+    counted.  An idle phase ends on the step that brings run to window:
+    the session's hop row, the next one, goes to hops[started].
 
-    Returns (ys, us, hops, count, rows, run, fail).  ys has one sample more
-    than us, us[r] is the control on the r -> r+1 transition and hops[s]
-    the hop row of session s.  The loop stops at the first step whose new
-    drive sample is the escape (fail ESCAPED), whose response passes the
-    guard or is NaN (DIVERGED), or, for the idle step past the cap-th, that
-    leaves run below window (IDLE_CAPPED); then rows is that step's new row
-    and count the sessions that hopped.  Otherwise fail is 0, and the loop
-    runs `sessions` sessions or until x runs out, when it drops the
-    unfinished session: count sessions end at row rows, with run as given.
+    Returns (xs, ys, us, x, y, run, left, idle, started, fail): xs, ys
+    and us hold the stepped rows, us[r] the control on the r -> r+1
+    transition, and the rest is the state at the row after them.  The
+    loop stops at the first step whose new drive sample lies outside
+    (0, k) (fail ESCAPED), else whose response passes the guard or is NaN
+    (DIVERGED), else that ends the cap-th idle step of a phase without a
+    trigger (IDLE_CAPPED).  Otherwise fail is 0 and the loop runs until
+    the last session's active phase ends or `steps` rows are stepped.
     """
     mu = float(mu)
     k = float(k)
     rho = float(rho)
+    x = float(x)
+    y = float(y)
+    scale = float(scale)
+    offset = float(offset)
     tol = float(tol)
     guard = float(guard)
-    n_steps = x.size - 1
-    stop = escape if escape >= 0 else n_steps  # the last row to step to
-    xs = _samples(x)
-    los = _samples(lo)
-    his = _samples(hi)
-    picks = _samples(pick)
-    ys = _buffer(n_steps + 1)
-    us = _buffer(n_steps)
-    hops = np.zeros(sessions, dtype=np.int64)
-    y = float(y0)
-    done = rows = fail = left = j = 0
-    kept = run
-    capped = cap + 1  # the row an idle phase fails at if it has not hopped
-    end = stop
-    for r in range(stop):
+    sessions = hops.size
+    first = started * width - left  # pick's index of the next active step
+    picks = _samples(pick[first:first + steps])
+    xs = _buffer(steps)
+    ys = _buffer(steps)
+    us = _buffer(steps)
+    j = fail = 0
+    rows = steps
+    for r in range(steps):
+        xs[r] = x
         ys[r] = y
-        if left:  # active: the level of this step's source bit
-            d = his[r] if picks[j] else los[r]
-        else:  # idle: the bare drive state
-            d = xs[r]
+        d = x
+        if left and picks[j]:  # active: the level of this step's 1 bit
+            d = x * scale + offset
         e = y - d
         u = control_effort(mu, k, rho, e, d)
         us[r] = u
+        x = mu * x * (1.0 - x / k)
         y = mu * y * (1.0 - y / k) + u
-        if not -guard <= y <= guard:
+        # a step that does not continue ends the call
+        if not 0.0 < x < k:
+            fail = ESCAPED
+        elif not -guard <= y <= guard:
             fail = DIVERGED
-            end = r + 1
-            break
-        if left:
+        elif left:
             if counted:
                 run = run + 1 if -tol < e < tol else 0
             left -= 1
             j += 1
-            if not left:
-                done += 1
-                rows = r + 1
-                kept = run
-                capped = rows + cap + 1
-                if done == sessions:
-                    end = rows
-                    break
-            continue
-        if -tol < e < tol:
-            run += 1
-            if run >= window and r + 1 != escape:
-                hops[done] = r + 1
-                left = width
+            if left or started < sessions:
                 continue
         else:
-            run = 0
-        if r + 1 == capped:
+            run = run + 1 if -tol < e < tol else 0
+            if run >= window:
+                hops[started] = row + r + 1
+                started += 1
+                left = width
+                idle = 0
+                continue
+            idle += 1
+            if idle <= cap:
+                continue
             fail = IDLE_CAPPED
-            end = r + 1
-            break
-    ys[end] = y
-    if end == escape:
-        fail = ESCAPED
-    if fail:
-        return _array(ys), _array(us), hops, done + (left > 0), end, run, fail
-    return _array(ys), _array(us), hops, done, rows, kept, 0
+        rows = r + 1
+        break
+    return (_array(xs[:rows]), _array(ys[:rows]), _array(us[:rows]),
+            x, y, run, left, idle, started, fail)
 
 
 @njit(cache=True)

@@ -105,14 +105,17 @@ def load_table_csv(path) -> ChannelTable:
 def select_channel(state, k: float, table: ChannelTable):
     """Uniform binning j = 1 + floor(C*state/k), clamped to [1, C].
 
-    Clamping absorbs out-of-basin response states; identical states give
-    identical indices exactly.  An array of states gives an int64 array of
-    indices, elementwise.
+    Clamping absorbs out-of-basin response states, infinite ones too;
+    identical states give identical indices exactly.  Only a NaN state has
+    no channel.  An array of states gives an int64 array of indices,
+    elementwise.
     """
     if not k > 0:
         raise ValueError(f"scale factor k must be positive, got {k}")
     count = len(table)
-    j = np.clip(1 + count * np.asarray(state, dtype=float) // k, 1, count)
+    # a state outside [0, k] bins as the nearer end, so C*state stays finite
+    within = np.clip(np.asarray(state, dtype=float), 0.0, k)
+    j = np.minimum(1 + count * within // k, count)
     if np.isnan(j).any():
         raise ValueError(f"no channel for state {state} at scale factor {k}")
     j = j.astype(np.int64)

@@ -18,13 +18,20 @@ DEFAULT_SETTLE = 25
 _MULTIPLICATIVE_GUARD = 1e-12
 
 
+def coefficients(operator: str, i):
+    """(scale, offset) of the line sample x * scale + offset for drive
+    state x carrying information i: both operators are affine in x."""
+    if operator == "additive":
+        return 1.0, i
+    if operator == "multiplicative":
+        return 1.0 + i, 0.0
+    raise ValueError(f"unknown operator {operator!r}")
+
+
 def forward(operator: str, x, i):
     """Line sample for drive state x carrying information i."""
-    if operator == "additive":
-        return x + i
-    if operator == "multiplicative":
-        return x * (1.0 + i)
-    raise ValueError(f"unknown operator {operator!r}")
+    scale, offset = coefficients(operator, i)
+    return x * scale + offset
 
 
 def recover(operator: str, z, y):

@@ -24,6 +24,7 @@ from .masking import (
     DEFAULT_OPERATOR,
     DEFAULT_SETTLE,
     OPERATORS,
+    coefficients,
     forward,
     recover,
     threshold_detect,
@@ -426,38 +427,7 @@ def run_digital_session(cfg: ScenarioConfig):
 
 
 MAX_IDLE_STEPS = 10_000
-_HOP_CHUNK = 4096  # most drive steps per hop_run call, unless one session needs more
-
-
-class _DriveOrbit:
-    """A hop run's drive orbit, stepped in chunks as the run outgrows it.
-
-    The samples so far are x[:size]; x grows by doubling, so a run of n
-    samples copies O(n) of them however many chunks it takes."""
-
-    def __init__(self, cfg: ScenarioConfig):
-        self.mu, self.k = cfg.mu, cfg.k
-        self.x, self.size, self.escape = np.array([cfg.x0], dtype=float), 1, -1
-
-    def window(self, start: int, steps: int):
-        """Samples start..start+steps and the index among them of the first
-        one outside the basin (-1: none); samples past an escape are 0."""
-        end = start + steps + 1
-        if end > self.x.size:
-            self.x = np.concatenate((self.x[:self.size],
-                                     np.empty(max(end, 2 * self.x.size) - self.size)))
-        if end > self.size:
-            if self.escape >= 0:
-                self.x[self.size:end] = 0.0
-            else:
-                more, escape = _accel.logistic_orbit(
-                    self.mu, self.k, float(self.x[self.size - 1]), end - self.size)
-                if escape >= 0:
-                    self.escape = self.size - 1 + escape
-                self.x[self.size:end] = more[1:]
-            self.size = end
-        inside = start < self.escape <= start + steps
-        return self.x[start:end], self.escape - start if inside else -1
+_HOP_CHUNK = 4096  # rows per hop_run call
 
 
 def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
@@ -468,15 +438,13 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     drive sample, then transmits for active_steps.  Both sides select on
     their own states, so the selection error measures residual desync.
 
-    The drive is one orbit for the whole run, extended a chunk at a time:
-    at most _HOP_CHUNK steps, sized to the sessions left, and larger only
-    when one session does not fit.  One _accel.hop_run pass steps whole
-    sessions on each chunk: the line is the bare drive state on idle steps
-    and one of two masked levels, chosen by the source bit, on active ones;
-    the trigger's window reaches back across phases.  A session the chunk
-    cuts short is stepped again on the next one.  The masked line, the
-    information and its recovery on the active rows, the trace columns and
-    the hop records are built once, after the loop.
+    _accel.hop_run steps the drive and the response together, _HOP_CHUNK
+    rows a call, and each call resumes from the state the last one
+    returned: the line is the bare drive state on idle steps and one of two
+    masked levels, chosen by the source bit, on active ones; the trigger's
+    window reaches back across phases.  The masked line, the information
+    and its recovery on the active rows, the trace columns and the hop
+    records are built once, after the loop.
     """
     if cfg.mode != "float":
         raise ConfigError("hop session runs in float mode")
@@ -487,60 +455,48 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     guard = cfg.guard * cfg.k
     transmit = cfg.source != SOURCE_OFF and cfg.active_steps > 0
     if transmit:
-        operator, amplitude, width = cfg.operator, cfg.amplitude, cfg.active_steps
+        width = cfg.active_steps
         blocks = -(-width // cfg.hold)
         bits = _symbol_stream(cfg, blocks, np.random.default_rng(cfg.seed),
                               cfg.sessions).reshape(cfg.sessions, blocks)
         # each session's samples hold its bits, hold steps per bit
-        bits = bits[:, np.arange(width) // cfg.hold]
+        bits = bits[:, np.arange(width) // cfg.hold].ravel()
     else:
         # one bare step on the new channel, its control not recorded
-        operator, amplitude, width = "additive", 0.0, 1
-        bits = np.zeros((cfg.sessions, 1), dtype=np.uint8)
-    drive = _DriveOrbit(cfg)
-    n, y, run, session, fail, chunk = 0, cfg.y0, 0, 0, 0, _HOP_CHUNK
-    # a session takes width + 1 steps or more: at first, reach for twice that
-    steps = min(chunk, 2 * (width + 1) * cfg.sessions)
-    y_parts, u_parts, hop_parts = [], [np.empty(0)], [np.empty(0, dtype=int)]
-    while session < cfg.sessions:
-        x, escape = drive.window(n, steps)
-        # the sessions that can start within `steps` steps
-        fits = min(cfg.sessions - session, steps // (width + 1) + 1)
-        ys, us, hops, count, rows, run, fail = _accel.hop_run(
-            cfg.mu, cfg.k, cfg.rho, y, x, escape,
-            forward(operator, x[:-1], 0.0 * amplitude) + 0.0,
-            forward(operator, x[:-1], amplitude) + 0.0,
-            bits[session:session + fits].ravel(), width, fits, run,
-            cfg.sync_window, cfg.sync_tol, guard, transmit, MAX_IDLE_STEPS)
-        if not (count or fail):  # one session does not fit: twice the steps
-            steps *= 2
-            chunk = max(chunk, steps)
-            continue
-        y_parts.append(ys[:rows])
-        u_parts.append(us[:rows])
-        hop_parts.append(n + hops[:count])
-        n, y, session = n + rows, ys[rows], session + count
-        if fail:
-            break
-        # the sessions left at 5/4 of the mean session so far
-        steps = min(chunk, 5 * (cfg.sessions - session) * n // (4 * session) + 1)
+        width = 1
+        bits = np.zeros(cfg.sessions, dtype=np.uint8)
+    # the line level of a 1 bit; a 0 bit's is the drive state itself
+    scale, offset = coefficients(cfg.operator, cfg.amplitude)
+    hop_steps = np.zeros(cfg.sessions, dtype=np.int64)
+    x, y, run, left, idle, started, fail = cfg.x0, cfg.y0, 0, 0, 0, 0, 0
+    n, x_parts, y_parts, u_parts = 0, [], [], [np.empty(0)]
+    while not fail and (left or started < cfg.sessions):
+        xs, ys, us, x, y, run, left, idle, started, fail = _accel.hop_run(
+            cfg.mu, cfg.k, cfg.rho, x, y, run, left, idle, started, n, _HOP_CHUNK,
+            hop_steps, scale, offset, bits, width, cfg.sync_window,
+            cfg.sync_tol, guard, transmit, MAX_IDLE_STEPS)
+        x_parts.append(xs)
+        y_parts.append(ys)
+        u_parts.append(us)
+        n += us.size
 
     # On a failure n is the failing step: the rows before it are the run.
-    x = drive.x[:n + 1]
+    x = np.concatenate(x_parts + [[x]])
     y = np.concatenate(y_parts + [[y]])
     u = np.concatenate(u_parts)
-    hop_steps = np.concatenate(hop_parts)
+    hop_steps = hop_steps[:started]
     active = (hop_steps[:, None] + np.arange(width)).ravel()
     active = active[active < n]
     z, i, i_hat = x[:-1].copy(), np.zeros(n), np.full(n, np.nan)
     if transmit:
         # recovery near y = 0 fails before any later step does
-        i[active] = (bits * amplitude).ravel()[:active.size]
-        z[active] = forward(operator, x[active], i[active]) + 0.0
-        i_hat[active] = recover(operator, z[active], y[active])
+        i[active] = bits[:active.size] * cfg.amplitude
+        z[active] = forward(cfg.operator, x[active], i[active]) + 0.0
+        i_hat[active] = recover(cfg.operator, z[active], y[active])
     else:
         z[active] = u[active] = i[active] = np.nan
-    _fail_at(n, x, drive.escape, n if fail == _accel.DIVERGED else -1, guard)
+    _fail_at(n, x, n if fail == _accel.ESCAPED else -1,
+             n if fail == _accel.DIVERGED else -1, guard)
     if fail == _accel.IDLE_CAPPED:
         raise DivergenceError(f"no sync trigger within {MAX_IDLE_STEPS} idle steps")
     j_tx, j_rx, error = hop_session(x[hop_steps], y[hop_steps], cfg.k, table)

@@ -317,49 +317,12 @@ def check_fx_sync_run(params, x0, y0, steps):
     (0.5, 999.0, 3.0, 1),
 ])
 def test_hop_run_escape_beats_a_trigger_or_guard(x0, y0, rho, escape):
-    x, found = _accel.logistic_orbit(4.0, 1.0, x0, 4)
-    lo = masking.forward("additive", x[:-1], 0.0) + 0.0
-    *_, count, rows, _, fail = _accel.hop_run(
-        4.0, 1.0, rho, y0, x, found, lo, lo, np.zeros(3, dtype=np.uint8), 3, 1,
-        0, 1, 1e-6, 1e3, True, 10_000)
-    assert (found, count, rows, fail) == (escape, 0, escape, _accel.ESCAPED)
-
-
-@given(
-    cut=st.floats(0.0, 1.0),
-    width=st.integers(1, 12),
-    counted=st.booleans(),
-    seed=st.integers(0, 2**16),
-)
-def test_hop_run_resumes_at_its_last_session_boundary(cut, width, counted, seed):
-    # A pass cut short returns at its last session boundary, with the
-    # trigger run there; a second pass from that boundary gives the rows of
-    # one uncut pass.
-    mu, k, rho, tol, guard, window, sessions = 3.7, 1.0, 0.5, 1e-6, 1e3, 5, 12
-    x, escape = _accel.logistic_orbit(mu, k, 0.3, 800)
-    assert escape < 0
-    lo = masking.forward("additive", x[:-1], 0.0) + 0.0
-    hi = masking.forward("additive", x[:-1], 0.5) + 0.0
-    pick = np.random.default_rng(seed).integers(0, 2, sessions * width).astype(np.uint8)
-
-    def run(start, steps, y0, first, left, carried):
-        return _accel.hop_run(mu, k, rho, y0, x[start:start + steps + 1], -1,
-                              lo[start:start + steps], hi[start:start + steps],
-                              pick[first * width:], width, left, carried, window,
-                              tol, guard, counted, 10_000)
-
-    ys, us, hops, count, rows, carried, fail = run(0, 800, -1.0, 0, sessions, 0)
-    assert (count, fail) == (sessions, 0)
-    split = 1 + int(cut * (rows - 2))
-    a_ys, a_us, a_hops, a_count, a_rows, a_run, a_fail = run(0, split, -1.0, 0, sessions, 0)
-    assert a_fail == 0 and a_count < sessions and a_rows <= split
-    assert a_rows == (hops[a_count - 1] + width if a_count else 0)
-    b_ys, b_us, b_hops, b_count, b_rows, b_run, b_fail = run(
-        a_rows, 800 - a_rows, a_ys[a_rows], a_count, sessions - a_count, a_run)
-    assert (a_count + b_count, a_rows + b_rows, b_run, b_fail) == (sessions, rows, carried, 0)
-    assert np.concatenate((a_hops[:a_count], a_rows + b_hops)).tolist() == hops.tolist()
-    assert np.concatenate((a_ys[:a_rows], b_ys[:b_rows + 1])).tobytes() == ys[:rows + 1].tobytes()
-    assert np.concatenate((a_us[:a_rows], b_us[:b_rows])).tobytes() == us[:rows].tobytes()
+    hops = np.zeros(1, dtype=np.int64)
+    xs, ys, us, x, *_, started, fail = _accel.hop_run(
+        4.0, 1.0, rho, x0, y0, 0, 0, 0, 0, 0, 8, hops, 1.0, 0.0,
+        np.zeros(3, dtype=np.uint8), 3, 1, 1e-6, 1e3, True, 10_000)
+    assert (us.size, started, fail, x) == (escape, 0, _accel.ESCAPED, 1.0)
+    assert xs.tolist() == _accel.logistic_orbit(4.0, 1.0, x0, escape)[0][:-1].tolist()
 
 
 # Small k over long runs reach the drive's cycle, so the tiled branch runs.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -109,6 +111,20 @@ class TestSelect:
         assert got.dtype == np.int64 and got.tolist() == expected
         scalars = [select_channel(s, k, table) for s in states]
         assert all(type(j) is int for j in scalars) and scalars == expected
+
+    def test_infinite_and_overflowing_states_clamp(self, table):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert select_channel(np.inf, 1.0, table) == 100
+            assert select_channel(-np.inf, 1.0, table) == 1
+            # C*state overflows
+            assert select_channel(1e308, 1e-300, table) == 100
+            assert select_channel(-1e308, 1e-300, table) == 1
+            states = np.array([np.inf, -np.inf, 1e308, -1e308, 0.5e-300])
+            assert select_channel(states, 1e-300, table).tolist() == [100, 1, 100, 1, 51]
+            for state in (np.nan, np.array([0.5, np.nan])):
+                with pytest.raises(ValueError, match="no channel for state"):
+                    select_channel(state, 1.0, table)
 
 
 class TestHopSession:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chaoslink.masking import OPERATORS, forward, recover, threshold_detect
+from chaoslink.masking import OPERATORS, coefficients, forward, recover, threshold_detect
 
 
 class TestOperators:
@@ -41,6 +41,34 @@ class TestOperators:
         for call in (forward, recover):
             with pytest.raises(ValueError, match="unknown operator 'nope'"):
                 call("nope", 0.5, 0.5)
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(x=finite, i=finite)
+# x * (1 + i) is -0.0
+@example(x=-0.5, i=-1.0)
+@example(x=-0.0, i=0.5)
+def test_forward_is_affine_in_x(x, i):
+    # x * scale + offset with (1, i) and (1 + i, 0): the operators' own
+    # formulas, a multiplicative -0.0 read as +0.0
+    assert _bits(forward("additive", x, i)) == _bits(x + i)
+    assert _bits(forward("multiplicative", x, i)) == _bits(x * (1.0 + i) + 0.0)
+    for operator in OPERATORS:
+        scale, offset = coefficients(operator, i)
+        assert _bits(forward(operator, x, i)) == _bits(x * scale + offset)
+
+
+@given(x=st.floats(0.0, exclude_min=True, allow_infinity=False),
+       operator=st.sampled_from(OPERATORS))
+def test_a_zero_symbol_leaves_a_basin_state_as_it_is(x, operator):
+    # the hop kernel's 0-bit line level is the drive state itself
+    assert _bits(forward(operator, x, 0.0) + 0.0) == _bits(x)
 
 
 class TestRecovery:

@@ -385,16 +385,16 @@ class TestHopSession:
                                 sync_window=1))
     # the drive escapes at step 1, where the response also passes the guard
     @example(cfg=ScenarioConfig(mu=4.0, x0=0.5, y0=999.0, rho=3.0))
-    # about 6 500 rows: the first 4096-step chunk ends inside a session
+    # about 6 500 rows: the first 4096-row hop_run call ends inside a session
     @example(cfg=ScenarioConfig(source="bernoulli", seed=3, sessions=80, active_steps=60))
-    # e' = 0.998 e: the first idle phase takes about 6 960 steps, more than
-    # one chunk, so the chunk grows
+    # e' = 0.998 e: the first idle phase takes about 6 960 steps, so it
+    # spans two hop_run calls
     @example(cfg=ScenarioConfig(rho=0.998, source="pattern", pattern="01", sessions=2,
                                 active_steps=5))
-    # this mu = 4 drive reaches x = 1.0 at step 4440, in the second chunk
+    # this mu = 4 drive reaches x = 1.0 at step 4440, in the second call
     @example(cfg=ScenarioConfig(mu=4.0, x0=0.044666150338579715, rho=0.0,
                                 source="bernoulli", seed=1, sessions=200))
-    # rho = 1 never triggers: the cap comes after the chunk has grown past it
+    # rho = 1 never triggers: the cap comes in the third call
     @example(cfg=ScenarioConfig(rho=1.0, sessions=2))
     def test_matches_stepwise_oracle(self, cfg):
         assert _hop_outcome(run_hop_session, cfg) == _hop_outcome(hop_session_oracle, cfg)
@@ -428,22 +428,45 @@ class TestHopSession:
             run_hop_session(replace(HOP_CFG, rho=1.0))
 
     def test_kernel_calls_per_run(self):
-        # one hop_run pass and one drive orbit extension per chunk of about
-        # 4096 steps, and no response_track call for any phase
+        # one hop_run call per 4096 rows, which steps the drive itself, and
+        # no response_track call for any phase
         cfg = replace(HOP_CFG, sessions=300)
         with (mock.patch.object(_accel, "logistic_orbit", wraps=_accel.logistic_orbit) as orbit,
               mock.patch.object(_accel, "hop_run", wraps=_accel.hop_run) as kernel,
               mock.patch.object(_accel, "response_track", wraps=_accel.response_track) as track):
             trace, metrics = run_hop_session(cfg)
         assert len(metrics.hops) == 300
-        assert kernel.call_count <= len(trace) // 4096 + 3
-        assert orbit.call_count <= kernel.call_count
-        assert track.call_count == 0
+        assert kernel.call_count == math.ceil((len(trace) - 1) / 4096)
+        assert (orbit.call_count, track.call_count) == (0, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=hop_configs(), chunk=st.sampled_from([1, 2, 3, 7, 64, 4096]))
+    # about 6 500 rows, hops and active phases falling on every cut
+    @example(cfg=ScenarioConfig(source="bernoulli", seed=3, sessions=80, active_steps=60),
+             chunk=7)
+    def test_outcome_does_not_depend_on_the_chunk_size(self, cfg, chunk):
+        # hop_run resumes at any row, so the rows per call change nothing
+        expected = _hop_outcome(run_hop_session, cfg)
+        with mock.patch.object(simkit, "_HOP_CHUNK", chunk):
+            assert _hop_outcome(run_hop_session, cfg) == expected
+
+    @pytest.mark.parametrize("cfg", [
+        replace(HOP_CFG, sessions=300),
+        replace(HOP_CFG, operator="multiplicative", amplitude=0.2, source="pattern",
+                pattern="0110", hold=4, sessions=120),
+        replace(HOP_CFG, source="off", sessions=2500),
+    ])
+    def test_drive_column_is_the_logistic_orbit(self, cfg):
+        # the kernel steps the drive with logistic_orbit's own expression
+        trace, _ = run_hop_session(cfg)
+        orbit, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, len(trace) - 1)
+        assert escape == -1 and len(trace) > 4096
+        assert trace.column("x").tobytes() == orbit.tobytes()
 
     def test_peak_memory_is_chunk_bounded(self):
         # Beyond the trace it returns, a 300-session run (18 826 rows) peaks
-        # at about 1.4 MiB: a chunk's Python floats and the trace assembly.
-        # Run-length Python lists (the same run in one chunk) need 3.0 MiB.
+        # at about 1.6 MiB: one hop_run call's Python floats, the rows so far
+        # and the trace assembly.  The same run in one call needs 2.8 MiB.
         cfg = replace(HOP_CFG, sessions=300)
         run_hop_session(cfg)
         tracemalloc.start()
