@@ -1,10 +1,11 @@
 #!/bin/sh
 # Determinism smoke check: runs every session command twice on one config
-# each, transmit also on a multiplicative line with a drawn disturbance, and
-# hop also as a multiplicative pattern hop (both line levels), as a bare
-# source = off hop and as a hop whose first idle phase (about 6 960 steps at
-# rho = 0.998) outlasts one kernel call; fails unless both runs wrote byte-identical trace and hop
-# CSVs.
+# each, sync also over 100 000 steps (longer than the largest 65 536-step
+# window of the exact-sync vector pass), transmit also on a multiplicative
+# line with a drawn disturbance, and hop also as a multiplicative pattern hop
+# (both line levels), as a bare source = off hop and as a hop whose first idle
+# phase (about 6 960 steps at rho = 0.998) outlasts one kernel call; fails
+# unless both runs wrote byte-identical trace and hop CSVs.
 #
 # usage, from the repository root: sh .github/determinism-smoke.sh
 set -eu
@@ -13,6 +14,7 @@ dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
 cd "$dir"
 printf 'steps = 2000\n' > sync.cfg
+printf 'steps = 100000\n' > sync-long.cfg
 printf 'source = bernoulli\nseed = 1\nsteps = 2000\nthreshold = 5.0\n' > transmit.cfg
 printf 'operator = multiplicative\namplitude = 0.2\nsource = bernoulli\nseed = 7\nsteps = 2000\ndisturbance = 0.01\n' > transmit-mul.cfg
 printf 'mode = fixed\nk = 1024\nx0 = 122\ny0 = -1024\nsteps = 16000\nsource = bernoulli\nseed = 3\n' > digital.cfg
@@ -20,7 +22,7 @@ printf 'source = bernoulli\nseed = 5\nsessions = 20\nactive_steps = 40\n' > hop.
 printf 'operator = multiplicative\namplitude = 0.2\nsource = pattern\npattern = 0110\nhold = 4\nsessions = 120\nactive_steps = 40\n' > hop-mul.cfg
 printf 'source = off\nsessions = 120\n' > hop-off.cfg
 printf 'rho = 0.998\nsource = pattern\npattern = 01\nsessions = 2\nactive_steps = 5\n' > hop-slow.cfg
-for name in sync transmit transmit-mul digital hop hop-mul hop-off hop-slow; do
+for name in sync sync-long transmit transmit-mul digital hop hop-mul hop-off hop-slow; do
   command="${name%%-*}"
   for run in 1 2; do
     set -- "$command" --config "$name.cfg" --out "$name-$run.csv"

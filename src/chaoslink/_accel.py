@@ -3,8 +3,9 @@
 Five kernels: logistic_orbit iterates the float map, control_effort is
 the feedback law, response_track runs the controlled response on line
 samples, hop_run steps hop sessions, drive included, and fx_sync_run is
-the 16-bit quantized drive/response pair.  Sessions and chaos diagnostics
-alike are built on these; no session steps a sample in Python outside them.
+the 16-bit quantized drive/response pair; control_column is the law over
+a whole session's rows.  Sessions and chaos diagnostics alike are built on
+these; no session steps a sample in Python outside them.
 
 hop_run steps the drive and the response of idle and active phases in
 one loop: each step advances the drive with logistic_orbit's expression,
@@ -20,8 +21,9 @@ for exact sync: y == z[n], sign bit included.  From there the error
 y - z[n] is exactly +0.0, the control is the law at e = +0.0 and the
 update is the line's own map, so as long as each image equals the next
 line sample the loop's results are those of one vector pass over the
-line.  That pass runs in doubling windows, so a stretch of exact sync
-costs O(its length) and the loop resumes where the line leaves it.
+line, written straight into the float64 output.  That pass runs in
+doubling windows, so a stretch of exact sync costs O(its length) and the
+loop resumes where the line leaves it.
 
 fx_sync_run steps the pair only until it synchronizes.  From then on the
 response is the drive, and the drive is a map on at most k states, so a
@@ -34,12 +36,14 @@ numba is optional (the ``jit`` extra).  Without it, or with
 fallback runs.  Both paths execute the same source and produce identical
 results; the fallback is simply slower on the million-step runs.
 
-The float kernels read and write per-step samples through three shims:
-_samples, _buffer and _array.  On the fallback, the shims turn line samples
-and output buffers into Python lists, since indexing a list of Python floats
-costs a fraction of a numpy item access, and return arrays at the end.
-Under numba they are identities or np.zeros, so the compiled code sees
-arrays.
+The float kernels keep only the state on each step.  Their loops iterate
+the line samples and append each new state to a Python list, since both
+cost a fraction of numpy item access on the fallback; _array turns a list
+into a float64 array once the loop is done, and _samples gives a loop a
+list of line samples (under numba, the array itself).  A control column is
+not stored per step: control_column rebuilds it from the stepped states in
+one vector call of control_effort, the same float64 operations in the same
+order as the loop's scalar call, so bit for bit the loop's control.
 """
 
 import math
@@ -75,27 +79,17 @@ if not USING_NUMBA:
     def _samples(a):
         return a.tolist()
 
-    def _buffer(n):
-        return [0.0] * n
-
-    def _array(buf):
-        # every buffer holds Python floats; naming the dtype skips numpy's
-        # type discovery
-        return np.array(buf, dtype=np.float64)
-
 else:
 
     @njit(cache=True)
     def _samples(a):
         return a
 
-    @njit(cache=True)
-    def _buffer(n):
-        return np.zeros(n)
 
-    @njit(cache=True)
-    def _array(buf):
-        return buf
+@njit(cache=True)
+def _array(buf):
+    # every list holds floats; naming the dtype skips numpy's type discovery
+    return np.array(buf, dtype=np.float64)
 
 
 I16_MIN = -32768
@@ -114,17 +108,15 @@ def logistic_orbit(mu, k, x0, n_steps):
     """
     mu = float(mu)
     k = float(k)
-    x0 = float(x0)
-    out = _buffer(n_steps + 1)
-    out[0] = x0
-    if not (0.0 < x0 < k):
-        return _array(out), 0
-    x = x0
+    x = float(x0)
+    out = [x]
+    if not (0.0 < x < k):
+        return _array(out + [0.0] * n_steps), 0
     for i in range(n_steps):
         x = mu * x * (1.0 - x / k)
-        out[i + 1] = x
+        out.append(x)
         if not (0.0 < x < k):
-            return _array(out), i + 1
+            return _array(out + [0.0] * (n_steps - i - 1)), i + 1
     return _array(out), -1
 
 
@@ -136,9 +128,20 @@ def control_effort(mu, k, rho, e, d):
 
 
 @njit(cache=True)
-def _follow_line(mu, k, rho, z, n, guard, ys, us):
-    """Fill ys and us from step n on, given that the response state equals
-    z[n] with the same sign bit.
+def control_column(mu, k, rho, y, z, rows):
+    """The control a loop applied on its first `rows` transitions, response
+    samples y against line samples z, as one vector call of control_effort;
+    the rest of the column is left at 0."""
+    u = np.zeros(z.size)
+    d = z[:rows]
+    u[:rows] = control_effort(float(mu), float(k), float(rho), y[:rows] - d, d)
+    return u
+
+
+@njit(cache=True)
+def _follow_line(mu, k, rho, z, n, guard, ys):
+    """Fill ys from step n on, given that the response state equals z[n]
+    with the same sign bit.
 
     While y == z[m] the loop's error y - z[m] is z[m] - z[m] (+0.0, never
     -0.0) and its update is the map on z[m] plus that control, so each
@@ -154,17 +157,14 @@ def _follow_line(mu, k, rho, z, n, guard, ys, us):
     while n < n_steps:
         hi = min(n + width, n_steps)
         d = z[n:hi]
-        e = d - d
-        u = control_effort(mu, k, rho, e, d)
-        nxt = mu * d * (1.0 - d / k) + u
+        nxt = mu * d * (1.0 - d / k) + control_effort(mu, k, rho, d - d, d)
         stops = ~(np.abs(nxt) <= guard)
         follow = z[n + 1:hi + 1]
         m = follow.size
         stops[:m] |= (nxt[:m] != follow) | (np.signbit(nxt[:m]) != np.signbit(follow))
         hits = np.flatnonzero(stops)
         last = int(hits[0]) if hits.size else hi - n - 1
-        us[n:n + last + 1] = _samples(u[:last + 1])
-        ys[n + 1:n + last + 2] = _samples(nxt[:last + 1])
+        ys[n + 1:n + last + 2] = nxt[:last + 1]
         if not abs(nxt[last]) <= guard:
             return n + last + 1, n + last + 1
         if hits.size:
@@ -175,10 +175,13 @@ def _follow_line(mu, k, rho, z, n, guard, ys, us):
 
 
 if not USING_NUMBA:
-    # A window may run past the sync into huge or infinite line samples:
-    # numpy warns on their overflow and inf - inf, the loop's Python floats
-    # and compiled code do not.
-    _follow_line = np.errstate(over="ignore", invalid="ignore")(_follow_line)
+    # A window may run past the sync into huge or infinite line samples,
+    # and a control column may hold huge or infinite states: numpy warns on
+    # their overflow and inf - inf, the loop's Python floats and compiled
+    # code do not.
+    _quiet = np.errstate(over="ignore", invalid="ignore")
+    _follow_line = _quiet(_follow_line)
+    control_column = _quiet(control_column)
 
 
 @njit(cache=True)
@@ -190,45 +193,46 @@ def response_track(mu, k, rho, y0, z, guard):
     on the n -> n+1 transition, and diverge_index is the first index with
     |y| > guard or y NaN (samples past it are left at 0), or -1 if none.
 
-    Before each whole block of _SYNC_CHECK steps the loop checks whether
-    y equals z[n] with the same sign bit.  Once it does, the error is
-    exactly +0.0 and the update is the line's own map, so _follow_line
-    copies the line's controlled continuation in vector form, bit for bit
-    what the loop would compute, and the loop resumes where the line stops
-    following its own map.
+    The loop keeps only the state: each stepwise stretch goes to a list,
+    copied into ys when it ends, and us is control_column over the stepped
+    rows once the loop is done.  Before each whole block of _SYNC_CHECK
+    steps the loop checks whether y equals z[n] with the same sign bit.
+    Once it does, the error is exactly +0.0 and the update is the line's
+    own map, so _follow_line writes the line's controlled continuation
+    into ys in vector form, bit for bit what the loop would compute, and
+    the loop resumes where the line stops following its own map.
     """
     mu = float(mu)
     k = float(k)
     rho = float(rho)
-    y0 = float(y0)
+    y = float(y0)
     guard = float(guard)
     n_steps = z.size
-    zs = _samples(z)
-    ys = _buffer(n_steps + 1)
-    us = _buffer(n_steps)
-    ys[0] = y0
-    y = y0
-    n = 0
-    while n < n_steps:
+    ys = np.zeros(n_steps + 1)
+    stretch = [y]  # the stepwise states from row `start` on, not yet in ys
+    start = n = 0
+    diverge = -1
+    while n < n_steps and diverge < 0:
         end = n + _SYNC_CHECK
         if end > n_steps:  # a vector pass is not worth a partial block
             end = n_steps
-        elif y == zs[n] and math.copysign(1.0, y) == math.copysign(1.0, zs[n]):
-            n, diverge = _follow_line(mu, k, rho, z, n, guard, ys, us)
-            if diverge >= 0:
-                return _array(ys), _array(us), diverge
-            y = ys[n]
+        elif y == z[n] and math.copysign(1.0, y) == math.copysign(1.0, z[n]):
+            ys[start:n + 1] = _array(stretch)
+            n, diverge = _follow_line(mu, k, rho, z, n, guard, ys)
+            y = float(ys[n])
+            stretch = [y]
+            start = n
             continue
-        for m in range(n, end):
-            d = zs[m]
-            u = control_effort(mu, k, rho, y - d, d)
-            us[m] = u
-            y = mu * y * (1.0 - y / k) + u
-            ys[m + 1] = y
+        for d in _samples(z[n:end]):
+            y = mu * y * (1.0 - y / k) + control_effort(mu, k, rho, y - d, d)
+            stretch.append(y)
             if not abs(y) <= guard:
-                return _array(ys), _array(us), m + 1
+                diverge = start + len(stretch) - 1
+                break
         n = end
-    return _array(ys), _array(us), -1
+    ys[start:start + len(stretch)] = _array(stretch)
+    rows = n_steps if diverge < 0 else diverge
+    return ys, control_column(mu, k, rho, ys, z, rows), diverge
 
 
 ESCAPED = 1  # hop_run failures: the drive left the basin,
@@ -254,9 +258,9 @@ def hop_run(mu, k, rho, x, y, run, left, idle, started, row, steps, hops,
     counted.  An idle phase ends on the step that brings run to window:
     the session's hop row, the next one, goes to hops[started].
 
-    Returns (xs, ys, us, x, y, run, left, idle, started, fail): xs, ys
-    and us hold the stepped rows, us[r] the control on the r -> r+1
-    transition, and the rest is the state at the row after them.  The
+    Returns (xs, ys, x, y, run, left, idle, started, fail): xs and ys
+    hold the stepped rows and the rest is the state at the row after them;
+    the controls are control_column over the rows' line samples.  The
     loop stops at the first step whose new drive sample lies outside
     (0, k) (fail ESCAPED), else whose response passes the guard or is NaN
     (DIVERGED), else that ends the cap-th idle step of a phase without a
@@ -275,22 +279,18 @@ def hop_run(mu, k, rho, x, y, run, left, idle, started, row, steps, hops,
     sessions = hops.size
     first = started * width - left  # pick's index of the next active step
     picks = _samples(pick[first:first + steps])
-    xs = _buffer(steps)
-    ys = _buffer(steps)
-    us = _buffer(steps)
+    xs = []
+    ys = []
     j = fail = 0
-    rows = steps
     for r in range(steps):
-        xs[r] = x
-        ys[r] = y
+        xs.append(x)
+        ys.append(y)
         d = x
         if left and picks[j]:  # active: the level of this step's 1 bit
             d = x * scale + offset
         e = y - d
-        u = control_effort(mu, k, rho, e, d)
-        us[r] = u
         x = mu * x * (1.0 - x / k)
-        y = mu * y * (1.0 - y / k) + u
+        y = mu * y * (1.0 - y / k) + control_effort(mu, k, rho, e, d)
         # a step that does not continue ends the call
         if not 0.0 < x < k:
             fail = ESCAPED
@@ -315,10 +315,8 @@ def hop_run(mu, k, rho, x, y, run, left, idle, started, row, steps, hops,
             if idle <= cap:
                 continue
             fail = IDLE_CAPPED
-        rows = r + 1
         break
-    return (_array(xs[:rows]), _array(ys[:rows]), _array(us[:rows]),
-            x, y, run, left, idle, started, fail)
+    return _array(xs), _array(ys), x, y, run, left, idle, started, fail
 
 
 @njit(cache=True)

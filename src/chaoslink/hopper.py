@@ -10,6 +10,7 @@ none was seen in 12 000 hops.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -113,9 +114,13 @@ def select_channel(state, k: float, table: ChannelTable):
     if not k > 0:
         raise ValueError(f"scale factor k must be positive, got {k}")
     count = len(table)
-    # a state outside [0, k] bins as the nearer end, so C*state stays finite
-    within = np.clip(np.asarray(state, dtype=float), 0.0, k)
-    j = np.minimum(1 + count * within // k, count)
+    # A state outside [0, k] bins as the nearer end.  Dividing state and k
+    # by the power of two 2**e above k is exact, so the bins are those of
+    # the formula, and keeps C*state finite for any k; a state it leaves
+    # subnormal lies in channel 1 either way.
+    m, e = math.frexp(k)  # k = m * 2**e with 0.5 <= m < 1
+    within = np.ldexp(np.clip(np.asarray(state, dtype=float), 0.0, k), -e)
+    j = np.minimum(1 + count * within // m, count)
     if np.isnan(j).any():
         raise ValueError(f"no channel for state {state} at scale factor {k}")
     j = j.astype(np.int64)

@@ -443,8 +443,8 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     returned: the line is the bare drive state on idle steps and one of two
     masked levels, chosen by the source bit, on active ones; the trigger's
     window reaches back across phases.  The masked line, the information
-    and its recovery on the active rows, the trace columns and the hop
-    records are built once, after the loop.
+    and its recovery on the active rows, the control column, the trace
+    columns and the hop records are built once, after the loop.
     """
     if cfg.mode != "float":
         raise ConfigError("hop session runs in float mode")
@@ -469,21 +469,19 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     scale, offset = coefficients(cfg.operator, cfg.amplitude)
     hop_steps = np.zeros(cfg.sessions, dtype=np.int64)
     x, y, run, left, idle, started, fail = cfg.x0, cfg.y0, 0, 0, 0, 0, 0
-    n, x_parts, y_parts, u_parts = 0, [], [], [np.empty(0)]
+    n, x_parts, y_parts = 0, [], []
     while not fail and (left or started < cfg.sessions):
-        xs, ys, us, x, y, run, left, idle, started, fail = _accel.hop_run(
+        xs, ys, x, y, run, left, idle, started, fail = _accel.hop_run(
             cfg.mu, cfg.k, cfg.rho, x, y, run, left, idle, started, n, _HOP_CHUNK,
             hop_steps, scale, offset, bits, width, cfg.sync_window,
             cfg.sync_tol, guard, transmit, MAX_IDLE_STEPS)
         x_parts.append(xs)
         y_parts.append(ys)
-        u_parts.append(us)
-        n += us.size
+        n += ys.size
 
     # On a failure n is the failing step: the rows before it are the run.
     x = np.concatenate(x_parts + [[x]])
     y = np.concatenate(y_parts + [[y]])
-    u = np.concatenate(u_parts)
     hop_steps = hop_steps[:started]
     active = (hop_steps[:, None] + np.arange(width)).ravel()
     active = active[active < n]
@@ -493,7 +491,8 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
         i[active] = bits[:active.size] * cfg.amplitude
         z[active] = forward(cfg.operator, x[active], i[active]) + 0.0
         i_hat[active] = recover(cfg.operator, z[active], y[active])
-    else:
+    u = _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z, n)
+    if not transmit:
         z[active] = u[active] = i[active] = np.nan
     _fail_at(n, x, n if fail == _accel.ESCAPED else -1,
              n if fail == _accel.DIVERGED else -1, guard)

@@ -2,11 +2,11 @@
 
 The package steps the drive and the response of a hop run together in
 _accel.hop_run calls of a fixed number of rows, each resuming where the
-last stopped, and builds the masked line and its recovery after the
-loop; this is the per-sample loop the tests compare it against.  It
-steps the drive, the response, the control law, the masking operator and
-the trigger window one sample at a time, and draws each session's source
-bits as its active phase starts.
+last stopped, and builds the masked line, its recovery and the control
+column after the loop; this is the per-sample loop the tests compare it
+against.  It steps the drive, the response, the control law, the masking
+operator and the trigger window one sample at a time, and draws each
+session's source bits as its active phase starts.
 """
 
 from collections import deque

@@ -1,12 +1,13 @@
 """The kernels against the scalar reference functions, and the whole-stream
 digital codec against its per-frame calls."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from fx_oracle import PairRun, fx_sync_oracle
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from chaoslink import _accel, masking
@@ -130,6 +131,41 @@ def test_response_track_fast_path_on_idle_lines(mu, rho, x0, y0, k, steps, pertu
         kind, at = perturb
         z[at] = PERTURBATIONS[kind](z[at])
     check_response_track(mu, k, rho, y0 * k, z, 3.0 * k)
+
+
+@given(
+    mu=open_interval(3.6, 4.0),
+    rho=open_interval(-1.3, 1.3),
+    x0=open_interval(0.05, 0.95),
+    y0=st.floats(-1.0, 2.0),
+    steps=st.integers(0, 3 * _accel._SYNC_CHECK),
+    guard=st.sampled_from([1.5, 3.0]) | st.floats(1.0, 1e3),
+)
+# rho > 1 and y0 = x0 + 1e-8: the error grows as rho**n, so |y| rises past
+# the guard (between |y[n - 1]| and |y[n]|) at step n, here the last step of
+# the first and the second whole block and of a partial last block
+@example(mu=3.7, rho=1.2, x0=0.3, y0=0.3 + 1e-8, steps=200, guard=125.0)
+@example(mu=3.7, rho=1.1, x0=0.3, y0=0.3 + 1e-8, steps=300, guard=375.0)
+@example(mu=3.7, rho=1.08, x0=0.3, y0=0.3 + 1e-8, steps=300, guard=100.0)
+def test_response_track_matches_stepwise_oracle(mu, rho, x0, y0, steps, guard):
+    x, escape = _accel.logistic_orbit(mu, 1.0, x0, steps)
+    assume(escape == -1)
+    check_response_track(mu, 1.0, rho, y0, x[:-1], guard)
+
+
+@pytest.mark.parametrize("y0, line", [
+    (0.5, [1e300] * 3),  # the first control overflows, in the loop
+    (1e300, [1e300] * 3),  # the line's own map overflows, in the vector pass
+    (-1e300, [-1e300, 3e299, 7e299]),
+    # huge samples late in a stepwise block, after a synced block
+    (0.3, np.concatenate([map_line(3.7, 1.0, 0.3, 200), [9e299, -1e300]])),
+])
+def test_response_track_overflow_is_quiet(y0, line):
+    # the loop's Python floats overflow silently; so must the vector passes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho in (-0.5, 0.5, 3.0):
+            check_response_track(3.7, 1.0, rho, y0, np.array(line), 1e308)
 
 
 @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9])
@@ -318,11 +354,16 @@ def check_fx_sync_run(params, x0, y0, steps):
 ])
 def test_hop_run_escape_beats_a_trigger_or_guard(x0, y0, rho, escape):
     hops = np.zeros(1, dtype=np.int64)
-    xs, ys, us, x, *_, started, fail = _accel.hop_run(
+    xs, ys, x, *_, started, fail = _accel.hop_run(
         4.0, 1.0, rho, x0, y0, 0, 0, 0, 0, 0, 8, hops, 1.0, 0.0,
         np.zeros(3, dtype=np.uint8), 3, 1, 1e-6, 1e3, True, 10_000)
-    assert (us.size, started, fail, x) == (escape, 0, _accel.ESCAPED, 1.0)
+    assert (ys.size, started, fail, x) == (escape, 0, _accel.ESCAPED, 1.0)
     assert xs.tolist() == _accel.logistic_orbit(4.0, 1.0, x0, escape)[0][:-1].tolist()
+    # the rows are idle, so their line is the drive: the session's control
+    # column is the law on each row
+    u = _accel.control_column(4.0, 1.0, rho, ys, xs, escape)
+    assert u.tolist() == [_accel.control_effort(4.0, 1.0, rho, y - d, d)
+                          for d, y in zip(xs.tolist(), ys.tolist())]
 
 
 # Small k over long runs reach the drive's cycle, so the tiled branch runs.

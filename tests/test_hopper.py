@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -111,6 +112,24 @@ class TestSelect:
         assert got.dtype == np.int64 and got.tolist() == expected
         scalars = [select_channel(s, k, table) for s in states]
         assert all(type(j) is int for j in scalars) and scalars == expected
+
+    @given(
+        k=st.sampled_from([1.0, 0.3, 3.7, 1024.0]),
+        where=st.lists(st.one_of(
+            st.tuples(st.integers(-3, 203), st.sampled_from([-1, 0, 1])),
+            st.floats(-3.0, 3.0, allow_nan=False),
+        ), min_size=1, max_size=20),
+    )
+    def test_bins_do_not_depend_on_a_power_of_two_scale(self, table, k, where):
+        # Scaled so that 3k stays below 2**1023: C*state overflows on the
+        # upper channels, yet every bin is the formula's at the small scale.
+        states = [_state(p, k) for p in where]
+        expected = [min(max(1 + int(100 * s // k), 1), 100) for s in states]
+        scale = 2.0 ** (1023 - math.ceil(math.log2(3 * k)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = select_channel(np.array(states) * scale, k * scale, table)
+        assert got.tolist() == expected
 
     def test_infinite_and_overflowing_states_clamp(self, table):
         with warnings.catch_warnings():

@@ -2,6 +2,7 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from typing import get_args
 from unittest import mock
@@ -369,6 +370,33 @@ class TestHopSession:
         # step(y) overflows to -inf and u to inf, so y is NaN after one step
         with pytest.raises(DivergenceError, match=r"guard 1e\+300 at step 1$"):
             run_hop_session(replace(HOP_CFG, y0=1e200, guard=1e300))
+
+    @pytest.mark.parametrize("cfg", [
+        replace(HOP_CFG, y0=1e200, guard=1e300),
+        replace(HOP_CFG, source="off", y0=1e200, guard=1e300),
+        # the first active line sample is x * (1 + 1e300), so its control
+        # overflows
+        replace(HOP_CFG, operator="multiplicative", amplitude=1e300, source="pattern",
+                pattern="1"),
+    ])
+    def test_overflowing_response_is_quiet(self, cfg):
+        # the kernel's Python floats overflow silently; so must the session's
+        # vector control pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = _hop_outcome(run_hop_session, cfg)
+        assert outcome[0] is DivergenceError
+        assert outcome == _hop_outcome(hop_session_oracle, cfg)
+
+    def test_scale_factor_whose_channel_count_multiple_overflows(self):
+        # C*k overflows for k = 1e307: the channels come from states and k
+        # divided by a power of two
+        cfg = ScenarioConfig(k=1e307, x0=3e306, y0=3e306, sessions=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, metrics = run_hop_session(cfg)
+        assert [(h.j_tx, h.j_rx) for h in metrics.hops] == [(93, 93), (73, 73)]
+        assert _hop_outcome(run_hop_session, cfg) == _hop_outcome(hop_session_oracle, cfg)
 
     @settings(max_examples=80, deadline=None)
     @given(cfg=hop_configs())
