@@ -5,10 +5,12 @@
 # line with a drawn disturbance, and hop also as a multiplicative pattern hop
 # (both line levels), as a bare source = off hop and as a hop whose first idle
 # phase (about 6 960 steps at rho = 0.998) outlasts one kernel call; fails
-# unless both runs wrote byte-identical trace and hop CSVs.
+# unless both runs wrote byte-identical trace and hop CSVs.  PYTHONWARNINGS=error
+# turns any warning into a traceback, so a run that warns fails too.
 #
 # usage, from the repository root: sh .github/determinism-smoke.sh
 set -eu
+export PYTHONWARNINGS=error
 src="$(pwd)/src"
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT

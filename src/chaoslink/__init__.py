@@ -5,7 +5,6 @@ masking, a 16-bit fixed-point hardware twin, bit-level spreading with a
 correlation-summation receiver, and chaos-driven channel hopping.
 """
 
-from ._accel import USING_NUMBA
 from .bitcodec import FrameSpec, correlate, decide, lsb_bits, mask_bits, spread
 from .control import ControllerGains, control, lyapunov_delta, step_response
 from .core import (
@@ -43,3 +42,7 @@ from .simkit import (
 )
 
 __version__ = "0.1.0"
+
+# The kernels are pure Python/numpy: no compiled backend runs.  Records that
+# name the backend that ran read this.
+USING_NUMBA = False

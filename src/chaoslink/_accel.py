@@ -1,4 +1,4 @@
-"""Hot inner loops, JIT-compiled with numba when available.
+"""Hot inner loops, as pure Python/numpy.
 
 Five kernels: logistic_orbit iterates the float map, control_effort is
 the feedback law, response_track runs the controlled response on line
@@ -31,62 +31,20 @@ visited table of size k finds its cycle within k steps; the rest of the
 run is that cycle tiled by slice copies, with the saturation count tiled
 alongside.  A run of any length therefore costs O(sync + k) steps.
 
-numba is optional (the ``jit`` extra).  Without it, or with
-``CHAOSLINK_NO_NUMBA=1`` set before first import, the pure-Python/numpy
-fallback runs.  Both paths execute the same source and produce identical
-results; the fallback is simply slower on the million-step runs.
-
 The float kernels keep only the state on each step.  Their loops iterate
 the line samples and append each new state to a Python list, since both
-cost a fraction of numpy item access on the fallback; _array turns a list
-into a float64 array once the loop is done, and _samples gives a loop a
-list of line samples (under numba, the array itself).  A control column is
-not stored per step: control_column rebuilds it from the stepped states in
-one vector call of control_effort, the same float64 operations in the same
-order as the loop's scalar call, so bit for bit the loop's control.
+cost a fraction of numpy item access; _array turns a list into a float64
+array once the loop is done.  A control column is not stored per step:
+control_column rebuilds it from the stepped states in one vector call of
+control_effort, the same float64 operations in the same order as the
+loop's scalar call, so bit for bit the loop's control.
 """
 
 import math
-import os
 
 import numpy as np
 
-_disable = os.environ.get("CHAOSLINK_NO_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
 
-if not _disable:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # numba is optional: the `jit` extra
-        USING_NUMBA = False
-else:
-    USING_NUMBA = False
-
-if not USING_NUMBA:
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorate(func):
-            return func
-
-        return decorate
-
-    def _samples(a):
-        return a.tolist()
-
-else:
-
-    @njit(cache=True)
-    def _samples(a):
-        return a
-
-
-@njit(cache=True)
 def _array(buf):
     # every list holds floats; naming the dtype skips numpy's type discovery
     return np.array(buf, dtype=np.float64)
@@ -97,8 +55,12 @@ I16_MAX = 32767
 _SYNC_CHECK = 128  # response steps between exact-sync checks
 _SYNC_PROBE_MAX = 1 << 16  # largest window of one exact-sync vector pass
 
+# An exact-sync window may run past the sync into huge or infinite line
+# samples, and a control column may hold huge or infinite states: numpy
+# warns on their overflow and inf - inf, the loops' Python floats do not.
+quiet = np.errstate(over="ignore", invalid="ignore")
 
-@njit(cache=True)
+
 def logistic_orbit(mu, k, x0, n_steps):
     """Iterate the map, recording n_steps+1 samples.
 
@@ -120,14 +82,13 @@ def logistic_orbit(mu, k, x0, n_steps):
     return _array(out), -1
 
 
-@njit(cache=True)
 def control_effort(mu, k, rho, e, d):
     """The feedback law u = [mu(e + 2d - k) + rho*k] * e / k for error e
     against the drive-side sample d; see chaoslink.control."""
     return (mu * (e + 2.0 * d - k) + rho * k) * e / k
 
 
-@njit(cache=True)
+@quiet
 def control_column(mu, k, rho, y, z, rows):
     """The control a loop applied on its first `rows` transitions, response
     samples y against line samples z, as one vector call of control_effort;
@@ -138,7 +99,7 @@ def control_column(mu, k, rho, y, z, rows):
     return u
 
 
-@njit(cache=True)
+@quiet
 def _follow_line(mu, k, rho, z, n, guard, ys):
     """Fill ys from step n on, given that the response state equals z[n]
     with the same sign bit.
@@ -174,17 +135,6 @@ def _follow_line(mu, k, rho, z, n, guard, ys):
     return n, -1
 
 
-if not USING_NUMBA:
-    # A window may run past the sync into huge or infinite line samples,
-    # and a control column may hold huge or infinite states: numpy warns on
-    # their overflow and inf - inf, the loop's Python floats and compiled
-    # code do not.
-    _quiet = np.errstate(over="ignore", invalid="ignore")
-    _follow_line = _quiet(_follow_line)
-    control_column = _quiet(control_column)
-
-
-@njit(cache=True)
 def response_track(mu, k, rho, y0, z, guard):
     """Response map driven by the float64 line z under the feedback law.
 
@@ -223,7 +173,7 @@ def response_track(mu, k, rho, y0, z, guard):
             stretch = [y]
             start = n
             continue
-        for d in _samples(z[n:end]):
+        for d in z[n:end].tolist():
             y = mu * y * (1.0 - y / k) + control_effort(mu, k, rho, y - d, d)
             stretch.append(y)
             if not abs(y) <= guard:
@@ -240,7 +190,6 @@ DIVERGED = 2  # the response passed the guard,
 IDLE_CAPPED = 3  # or an idle phase outlasted its cap
 
 
-@njit(cache=True)
 def hop_run(mu, k, rho, x, y, run, left, idle, started, row, steps, hops,
             scale, offset, pick, width, window, tol, guard, counted, cap):
     """Up to `steps` rows of a hop run, from row `row` and the state the
@@ -278,7 +227,7 @@ def hop_run(mu, k, rho, x, y, run, left, idle, started, row, steps, hops,
     guard = float(guard)
     sessions = hops.size
     first = started * width - left  # pick's index of the next active step
-    picks = _samples(pick[first:first + steps])
+    picks = pick[first:first + steps].tolist()
     xs = []
     ys = []
     j = fail = 0
@@ -319,7 +268,6 @@ def hop_run(mu, k, rho, x, y, run, left, idle, started, row, steps, hops,
     return _array(xs), _array(ys), x, y, run, left, idle, started, fail
 
 
-@njit(cache=True)
 def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     """Quantized drive/response pair with quantized control.
 
@@ -343,8 +291,7 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     logistic_orbit; saturations counts clipped response states; transient
     is the first index from which the drive repeats with period `period`,
     both -1 unless the synchronized drive revisits a state within n_steps.
-    The arguments are plain ints, which keeps the fallback's arithmetic
-    fast.
+    The arguments are plain ints, which keeps the arithmetic fast.
     """
     xs = np.zeros(n_steps + 1, dtype=np.int64)
     ys = np.zeros(n_steps + 1, dtype=np.int64)

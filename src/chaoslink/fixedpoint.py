@@ -21,8 +21,8 @@ MAX_K = 1 << 15
 
 
 def _check_frac_bits(frac_bits: int) -> None:
-    # These bounds keep every wide product of fx_sync_run below 2**62, so
-    # int64 (numba) and Python ints (fallback) agree.
+    # These bounds keep every wide product of fx_sync_run below 2**62, so a
+    # signed 64-bit intermediate holds it.
     if not 1 <= frac_bits <= 15:
         raise ValueError(f"frac_bits must lie in [1, 15], got {frac_bits}")
 

@@ -143,6 +143,8 @@ def hop_trigger(epsilon_history, tol: float, window: int) -> int:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+    if window > len(epsilon_history):  # no run fits; build no needle
+        return -1
     # one byte per sample, 1 where it lies below tol: the trigger ends the
     # first run of `window` ones
     start = (np.abs(epsilon_history) < tol).tobytes().find(b"\x01" * window)

@@ -8,6 +8,7 @@ take numpy arrays and then work elementwise.
 
 import numpy as np
 
+from ._accel import quiet
 from .bitcodec import decide
 
 OPERATORS = ("additive", "multiplicative")
@@ -28,12 +29,16 @@ def coefficients(operator: str, i):
     raise ValueError(f"unknown operator {operator!r}")
 
 
+# A line sample or an estimate may overflow to inf, as the kernels' states
+# do, and just as quietly.
+@quiet
 def forward(operator: str, x, i):
     """Line sample for drive state x carrying information i."""
     scale, offset = coefficients(operator, i)
     return x * scale + offset
 
 
+@quiet
 def recover(operator: str, z, y):
     """Information estimate from line sample z and receiver state y."""
     if operator == "additive":

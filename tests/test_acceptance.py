@@ -1,8 +1,8 @@
 """Acceptance gate: every criterion runs at its stated tolerance.
 
 Each test prints one PASS line (visible with pytest -s or in the
-captured output summary).  Every runtime bound is asserted on both
-backends, the numba JIT and the pure-Python fallback.
+captured output summary).  Every runtime bound is asserted on the
+pure-Python/numpy kernels.
 """
 
 import math
@@ -31,7 +31,7 @@ import itertools
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile the JIT kernels before any timed section
+    # run each kernel once before any timed section, so none times a first call
     iterate(LogisticParams(3.7), 0.1, 8)
     lyapunov_exponent(LogisticParams(3.7), 0.1, 10, burn_in=2)
     run_sync_session(ScenarioConfig(steps=30, settle=5))

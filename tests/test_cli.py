@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,14 @@ disturbance = 0.01
 }
 
 
+# every bit a 1, and a settle that suits 64 steps
+ONE_BITS = "source = pattern\npattern = 1\nsteps = 64\nsettle = 8\n"
+
+# a drive near 5e299 on a multiplicative line whose 1 bit scales it by 1e100
+OVERFLOWING_LINE = ("operator = multiplicative\namplitude = 1e100\nk = 1e300\n"
+                    "x0 = 5e299\ny0 = 5e299\n" + ONE_BITS)
+
+
 @pytest.fixture
 def workdir(tmp_path):
     for name, text in [
@@ -78,14 +87,39 @@ def run(args, capsys):
     return code, out.out, out.err
 
 
-def run_fresh(args):
-    """Run the CLI in a new interpreter on the same package and backend."""
+def run_python(*argv):
+    """Run a new interpreter, with these arguments, on the same package."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "chaoslink.cli", *args],
+    done = subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     return done.returncode, done.stdout, done.stderr
+
+
+def run_fresh(args):
+    """Run the CLI in a new interpreter on the same package."""
+    return run_python("-m", "chaoslink.cli", *args)
+
+
+# An installed numba whose njit fails on any call.
+NUMBA_TRAP = """\
+import sys, types
+
+def njit(*args, **kwargs):
+    raise AssertionError("a kernel was handed to numba")
+
+numba = types.ModuleType("numba")
+numba.njit = njit
+sys.modules["numba"] = numba
+import chaoslink
+print(chaoslink.USING_NUMBA is False)
+"""
+
+
+def test_import_hands_no_kernel_to_numba():
+    """The kernels are pure Python/numpy, whether or not numba is installed."""
+    assert run_python("-c", NUMBA_TRAP) == (0, "True\n", "")
 
 
 def session_argv(workdir, command, out_dir):
@@ -97,7 +131,7 @@ def session_argv(workdir, command, out_dir):
 
 
 # SHA-256 of the files the session commands write for the configs above.
-# Both backends must write these bytes; a change to the CSV format shows here.
+# A change to the CSV format, or to any number in a trace, shows here.
 PINNED_SHA256 = {
     "sync.csv": "cf725f2aef96c5b0c178254e98b618202f1ff8789e3d99b6fa2774d907f58c7d",
     "transmit.csv": "43d98415ea7e99837f8ad27a8b97abec79529f88e881cb00490be7a8f9dd6fab",
@@ -226,7 +260,7 @@ class TestDiagnoseAndLut:
         )
         assert code == 0
         assert "chaotic: True" in out
-        # a plain float repr, whichever backend ran
+        # a plain float repr, not a numpy scalar's
         line = next(v for v in out.splitlines() if v.startswith("lyapunov_exponent: "))
         text = line.removeprefix("lyapunov_exponent: ")
         assert repr(float(text)) == text
@@ -363,6 +397,29 @@ class TestErrorPaths:
         assert code == 2
         assert err == "error: response exceeded guard 1e+300 at step 18\n"
 
+    @pytest.mark.parametrize("command,text,message", [
+        # the 1 bit's line level x * (1 + 1e100) overflows to inf, and the
+        # response passes its guard on the first step that takes it
+        ("transmit", OVERFLOWING_LINE, "1e+303 at step 1"),
+        ("hop", OVERFLOWING_LINE + "sessions = 2\nactive_steps = 4\n", "1e+303 at step 6"),
+        # the first step's estimate z / y or z - y overflows
+        ("transmit", "operator = multiplicative\namplitude = 1e300\ny0 = 1e-10\n"
+         + ONE_BITS, "1000.0 at step 1"),
+        ("transmit", "amplitude = 1e308\ny0 = -1e308\nguard = 1e300\n" + ONE_BITS,
+         "1e+300 at step 1"),
+    ], ids=["transmit-line", "hop-line", "quotient", "difference"])
+    def test_overflow_is_quiet(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "line.cfg"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(
+                [command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+                capsys,
+            )
+        assert code == 2
+        assert err == f"error: response exceeded guard {message}\n"
+
     def test_hop_idle_cap_exit_code(self, tmp_path, capsys):
         # rho = 1 keeps the sync error constant, so the trigger never fires
         cfg = tmp_path / "cap.cfg"
@@ -481,7 +538,7 @@ def _setting(values):
 # steps is a multiple of 16, so that most hold and frame sizes divide it.
 CONFIG_FIELDS = {
     "mu": _setting(st.floats(0.0, 4.5) | st.sampled_from([3.7, 4.0, 1e300])),
-    "k": _setting(st.sampled_from([1.0, 2.0, 0.5, 1024, 32768, 40000, 1e-300])),
+    "k": _setting(st.sampled_from([1.0, 2.0, 0.5, 1024, 32768, 40000, 1e-300, 1e300])),
     "rho": _setting(st.floats(-1.5, 1.5) | st.sampled_from([8.0, -9.0, 1e300])),
     "x0": _setting(st.floats(0.0, 1.0) | st.integers(-1, 40000)),
     "y0": _setting(st.floats(-3.0, 3.0) | st.integers(-40000, 40000)

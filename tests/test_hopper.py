@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -189,6 +190,16 @@ class TestTrigger:
         assert hop_trigger([], tol=1e-6, window=1) == -1
         with pytest.raises(ValueError, match="window must be >= 1"):
             hop_trigger([0.0], tol=1e-6, window=0)
+
+    def test_window_longer_than_history_allocates_nothing(self):
+        # a window the history cannot fill is no trigger, however large
+        tracemalloc.start()
+        try:
+            assert hop_trigger(np.zeros(10), tol=1e-6, window=10**7) == -1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(
         epsilon=st.lists(st.sampled_from([0.0, -1e-7, 1e-6, 0.5, np.nan, -np.inf]),
