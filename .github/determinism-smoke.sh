@@ -5,8 +5,12 @@
 # line with a drawn disturbance, and hop also as a multiplicative pattern hop
 # (both line levels), as a bare source = off hop and as a hop whose first idle
 # phase (about 6 960 steps at rho = 0.998) outlasts one kernel call; fails
-# unless both runs wrote byte-identical trace and hop CSVs.  PYTHONWARNINGS=error
-# turns any warning into a traceback, so a run that warns fails too.
+# unless both runs wrote byte-identical trace and hop CSVs.  Two failing
+# sessions also run twice each: a transmit whose response passes its guard
+# at step 18, inside the kernel's first block, and a sync whose drive
+# escapes at step 2 (x: 0.146... -> 0.5 -> 1.0); each must exit 2 with
+# byte-identical stderr.  PYTHONWARNINGS=error turns any warning into a
+# traceback, so a run that warns fails too.
 #
 # usage, from the repository root: sh .github/determinism-smoke.sh
 set -eu
@@ -33,4 +37,20 @@ for name in sync sync-long transmit transmit-mul digital hop hop-mul hop-off hop
   done
   cmp "$name-1.csv" "$name-2.csv"
   if [ "$command" = hop ]; then cmp "$name-hops-1.csv" "$name-hops-2.csv"; fi
+done
+printf 'source = bernoulli\nseed = 1\nsteps = 2000\namplitude = 1e100\nthreshold = 5e99\nguard = 1e300\n' > transmit-guard.cfg
+printf 'mu = 4.0\nx0 = 0.1464466094067262\n' > sync-escape.cfg
+for name in transmit-guard sync-escape; do
+  command="${name%%-*}"
+  for run in 1 2; do
+    status=0
+    PYTHONPATH="$src" python -m chaoslink.cli "$command" --config "$name.cfg" \
+      --out "$name-$run.csv" 2> "$name-$run.err" || status=$?
+    if [ "$status" -ne 2 ]; then
+      echo "$name run $run: exit $status, expected 2" >&2
+      cat "$name-$run.err" >&2
+      exit 1
+    fi
+  done
+  cmp "$name-1.err" "$name-2.err"
 done

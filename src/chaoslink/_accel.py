@@ -16,14 +16,14 @@ It takes and returns the whole carried state, so a call may stop at any
 row and the next one resumes there: a caller steps a run of any length in
 calls of a fixed number of rows.
 
-response_track steps the response in blocks and, between blocks, checks
-for exact sync: y == z[n], sign bit included.  From there the error
-y - z[n] is exactly +0.0, the control is the law at e = +0.0 and the
-update is the line's own map, so as long as each image equals the next
-line sample the loop's results are those of one vector pass over the
-line, written straight into the float64 output.  That pass runs in
-doubling windows, so a stretch of exact sync costs O(its length) and the
-loop resumes where the line leaves it.
+response_track steps the response in blocks of _SYNC_CHECK steps and,
+between blocks, checks for exact sync: y == z[n], sign bit included.
+From there the error y - z[n] is exactly +0.0, the control is the law at
+e = +0.0 and the update is the line's own map, so as long as each image
+equals the next line sample the loop's results are those of one vector
+pass over the line, written straight into the float64 output.  That pass
+runs in doubling windows, so a stretch of exact sync costs O(its length)
+and the loop resumes where the line leaves it.
 
 fx_sync_run steps the pair only until it synchronizes.  From then on the
 response is the drive, and the drive is a map on at most k states, so a
@@ -31,13 +31,20 @@ visited table of size k finds its cycle within k steps; the rest of the
 run is that cycle tiled by slice copies, with the saturation count tiled
 alongside.  A run of any length therefore costs O(sync + k) steps.
 
-The float kernels keep only the state on each step.  Their loops iterate
-the line samples and append each new state to a Python list, since both
-cost a fraction of numpy item access; _array turns a list into a float64
-array once the loop is done.  A control column is not stored per step:
-control_column rebuilds it from the stepped states in one vector call of
-control_effort, the same float64 operations in the same order as the
-loop's scalar call, so bit for bit the loop's control.
+The float kernels keep only the state on each step.  logistic_orbit and
+response_track step each block in one list comprehension whose assignment
+expression carries the state, written straight into the preallocated
+float64 output, and test the block once in numpy: the orbit must lie in
+(0, k), the response within the guard, which a NaN fails.  On a failure
+the first bad index is the kernel's result and the samples after it are
+zeroed, so a failing run does at most one block of work past the failure;
+Python floats overflow to inf and NaN without a warning, so that work is
+quiet.  hop_run, which branches on the phase at every step, appends each
+row to lists that _array turns into float64 arrays once the loop is done.
+A control column is not stored per step: control_column rebuilds it from
+the stepped states in one vector call of control_effort, the same float64
+operations in the same order as the loop's scalar call, so bit for bit
+the loop's control.
 """
 
 import math
@@ -52,7 +59,7 @@ def _array(buf):
 
 I16_MIN = -32768
 I16_MAX = 32767
-_SYNC_CHECK = 128  # response steps between exact-sync checks
+_SYNC_CHECK = 1024  # steps per block; the response checks exact sync between blocks
 _SYNC_PROBE_MAX = 1 << 16  # largest window of one exact-sync vector pass
 
 # An exact-sync window may run past the sync into huge or infinite line
@@ -71,15 +78,22 @@ def logistic_orbit(mu, k, x0, n_steps):
     mu = float(mu)
     k = float(k)
     x = float(x0)
-    out = [x]
-    if not (0.0 < x < k):
-        return _array(out + [0.0] * n_steps), 0
-    for i in range(n_steps):
-        x = mu * x * (1.0 - x / k)
-        out.append(x)
-        if not (0.0 < x < k):
-            return _array(out + [0.0] * (n_steps - i - 1)), i + 1
-    return _array(out), -1
+    orbit = np.zeros(n_steps + 1)
+    orbit[0] = x
+    if not 0.0 < x < k:
+        return orbit, 0
+    n = 1
+    while n <= n_steps:
+        end = min(n + _SYNC_CHECK, n_steps + 1)
+        block = orbit[n:end]
+        block[:] = [x := mu * x * (1.0 - x / k) for _ in range(end - n)]
+        inside = (block > 0.0) & (block < k)
+        if not inside.all():
+            escape = n + int(np.flatnonzero(~inside)[0])
+            orbit[escape + 1:end] = 0.0
+            return orbit, escape
+        n = end
+    return orbit, -1
 
 
 def control_effort(mu, k, rho, e, d):
@@ -143,10 +157,10 @@ def response_track(mu, k, rho, y0, z, guard):
     on the n -> n+1 transition, and diverge_index is the first index with
     |y| > guard or y NaN (samples past it are left at 0), or -1 if none.
 
-    The loop keeps only the state: each stepwise stretch goes to a list,
-    copied into ys when it ends, and us is control_column over the stepped
-    rows once the loop is done.  Before each whole block of _SYNC_CHECK
-    steps the loop checks whether y equals z[n] with the same sign bit.
+    Each block of _SYNC_CHECK steps is one comprehension written into ys
+    and checked against the guard in one vector test; us is control_column
+    over the stepped rows once the loop is done.  Before each whole block
+    the loop checks whether y equals z[n] with the same sign bit.
     Once it does, the error is exactly +0.0 and the update is the line's
     own map, so _follow_line writes the line's controlled continuation
     into ys in vector form, bit for bit what the loop would compute, and
@@ -159,28 +173,25 @@ def response_track(mu, k, rho, y0, z, guard):
     guard = float(guard)
     n_steps = z.size
     ys = np.zeros(n_steps + 1)
-    stretch = [y]  # the stepwise states from row `start` on, not yet in ys
-    start = n = 0
+    ys[0] = y
+    n = 0
     diverge = -1
     while n < n_steps and diverge < 0:
         end = n + _SYNC_CHECK
         if end > n_steps:  # a vector pass is not worth a partial block
             end = n_steps
         elif y == z[n] and math.copysign(1.0, y) == math.copysign(1.0, z[n]):
-            ys[start:n + 1] = _array(stretch)
             n, diverge = _follow_line(mu, k, rho, z, n, guard, ys)
             y = float(ys[n])
-            stretch = [y]
-            start = n
             continue
-        for d in z[n:end].tolist():
-            y = mu * y * (1.0 - y / k) + control_effort(mu, k, rho, y - d, d)
-            stretch.append(y)
-            if not abs(y) <= guard:
-                diverge = start + len(stretch) - 1
-                break
+        block = ys[n + 1:end + 1]
+        block[:] = [y := mu * y * (1.0 - y / k) + control_effort(mu, k, rho, y - d, d)
+                    for d in z[n:end].tolist()]
+        held = np.abs(block) <= guard  # False for NaN
+        if not held.all():
+            diverge = n + 1 + int(np.flatnonzero(~held)[0])
+            ys[diverge + 1:end + 1] = 0.0
         n = end
-    ys[start:start + len(stretch)] = _array(stretch)
     rows = n_steps if diverge < 0 else diverge
     return ys, control_column(mu, k, rho, ys, z, rows), diverge
 

@@ -300,6 +300,13 @@ def _fail_at(stop: int, x, escape: int, diverge: int, guard: float) -> None:
         raise DivergenceError(f"response exceeded guard {guard} at step {diverge}")
 
 
+@_accel.quiet
+def _difference(a, b):
+    """a - b, which for states near the top of the float range overflows to
+    inf as quietly as the kernels' arithmetic."""
+    return a - b
+
+
 def _track(cfg: ScenarioConfig, operator: str, x, escape: int, y0, info,
            dist=0.0):
     """Line z = forward(operator, x, info) + dist on the drive samples x
@@ -502,7 +509,7 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     hops = [HopRecord(*record) for record in zip(
         range(cfg.sessions), hop_steps.tolist(), j_tx.tolist(), j_rx.tolist(),
         error.tolist())]
-    errors = y - x
+    errors = _difference(y, x)
     # epsilon is y - z on line samples and e on bare hop rows
     epsilon = np.where(np.isnan(z), errors[:-1], y[:-1] - z)
     channel = np.full(len(x), np.nan)

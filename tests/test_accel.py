@@ -3,6 +3,7 @@ digital codec against its per-frame calls."""
 
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -90,6 +91,27 @@ def check_response_track(mu, k, rho, y0, z, guard):
     return ys, diverge
 
 
+def logistic_orbit_oracle(mu, k, x0, n_steps):
+    """logistic_orbit as one stepwise loop that stops at the first escape."""
+    orbit = np.zeros(n_steps + 1)
+    orbit[0] = x = x0
+    if not 0.0 < x < k:
+        return orbit, 0
+    for n in range(1, n_steps + 1):
+        orbit[n] = x = mu * x * (1.0 - x / k)
+        if not 0.0 < x < k:
+            return orbit, n
+    return orbit, -1
+
+
+def check_logistic_orbit(mu, k, x0, steps):
+    orbit, escape = _accel.logistic_orbit(mu, k, x0, steps)
+    ref, ref_escape = logistic_orbit_oracle(mu, k, x0, steps)
+    assert escape == ref_escape
+    assert orbit.tobytes() == ref.tobytes()
+    return escape
+
+
 def map_line(mu, k, x0, steps):
     """The map's own orbit from x0, unchecked: negative starts run off to
     -inf, which a basin-checked orbit would stop."""
@@ -141,16 +163,141 @@ def test_response_track_fast_path_on_idle_lines(mu, rho, x0, y0, k, steps, pertu
     steps=st.integers(0, 3 * _accel._SYNC_CHECK),
     guard=st.sampled_from([1.5, 3.0]) | st.floats(1.0, 1e3),
 )
-# rho > 1 and y0 = x0 + 1e-8: the error grows as rho**n, so |y| rises past
-# the guard (between |y[n - 1]| and |y[n]|) at step n, here the last step of
-# the first and the second whole block and of a partial last block
-@example(mu=3.7, rho=1.2, x0=0.3, y0=0.3 + 1e-8, steps=200, guard=125.0)
-@example(mu=3.7, rho=1.1, x0=0.3, y0=0.3 + 1e-8, steps=300, guard=375.0)
-@example(mu=3.7, rho=1.08, x0=0.3, y0=0.3 + 1e-8, steps=300, guard=100.0)
+# rho > 1 and y0 = x0 + 1e-8: the error grows as rho**n, so |y| first
+# passes the guard (above every earlier |y|, below |y[n]|) at step n, here
+# the last step of the first and the second whole block of 1024 steps and
+# of a partial last block
+@example(mu=3.7, rho=1.022, x0=0.3, y0=0.3 + 1e-8, steps=1500, guard=47.7)
+@example(mu=3.7, rho=1.0115, x0=0.3, y0=0.3 + 1e-8, steps=2500, guard=148.0)
+@example(mu=3.7, rho=1.0089, x0=0.3, y0=0.3 + 1e-8, steps=2500, guard=42.3)
 def test_response_track_matches_stepwise_oracle(mu, rho, x0, y0, steps, guard):
     x, escape = _accel.logistic_orbit(mu, 1.0, x0, steps)
     assume(escape == -1)
     check_response_track(mu, 1.0, rho, y0, x[:-1], guard)
+
+
+# mu = 0.5 halves the orbit until it underflows to 0 after about 1075 steps
+@given(
+    mu=open_interval(3.5, 4.5) | st.just(0.5),
+    k=st.sampled_from([1.0, 3.0, 1024.0]),
+    x0=st.floats(-0.5, 1.5),
+    steps=st.integers(0, 3 * _accel._SYNC_CHECK),
+)
+def test_logistic_orbit_matches_stepwise_oracle(mu, k, x0, steps):
+    check_logistic_orbit(mu, k, x0 * k, steps)
+
+
+# Just above mu = 4 the orbit escapes when it comes near k / 2; these starts
+# escape on the last sample of the first and the second block of 1024
+# samples, on the first sample of the second and on the last sample of a
+# partial last block.  The last case halves 2**-1000 exactly until it
+# reaches 0 at step 75.
+MU_ESCAPING = 4.0 + 2.0**-20
+ORBIT_ESCAPES = [(MU_ESCAPING, 1.0, 0.128071, 1500, 1024),
+                 (MU_ESCAPING, 1.0, 0.435366, 1500, 1025),
+                 (MU_ESCAPING, 1.0, 0.816887, 2500, 2048),
+                 (MU_ESCAPING, 1.0, 0.302843, 2500, 2500),
+                 (0.5, 2.0**20, 2.0**-1000, 200, 75)]
+
+
+@pytest.mark.parametrize("mu, k, x0, steps, escape", ORBIT_ESCAPES)
+def test_logistic_orbit_escape_at_block_edges(mu, k, x0, steps, escape):
+    assert check_logistic_orbit(mu, k, x0, steps) == escape
+
+
+BLOCKS = [1, 2, 3, 7, 64, 1024]
+
+
+@given(
+    mu=open_interval(3.5, 4.5) | st.just(MU_ESCAPING),
+    rho=open_interval(-1.3, 1.3) | st.sampled_from([-1.3, -0.5, 0.0, 0.5, 1.3]),
+    k=st.sampled_from([1.0, 3.0, 1024.0]),
+    x0=open_interval(0.0, 1.0),
+    y0=st.none() | st.floats(-1.0, 2.0),
+    steps=st.integers(0, 2200),
+    amplitude=st.sampled_from([0.0, 0.05, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                st.sampled_from([np.nan, np.inf, -np.inf])),
+                      max_size=3),
+    guard=st.sampled_from([1.5, 3.0, 1e3, 1e300]),
+)
+def test_kernels_do_not_depend_on_block_size(
+    mu, rho, k, x0, y0, steps, amplitude, seed, specials, guard
+):
+    # mu above 4 makes orbits escape, MU_ESCAPING often after hundreds of
+    # steps.  The line is the map's unchecked orbit, which then runs off to
+    # -inf, masked with drawn bits and with NaN or inf samples, so responses
+    # diverge inside and outside the exact-sync vector pass.  y0 None starts
+    # the response on the line.
+    x0 *= k
+    line = map_line(mu, k, x0, steps)
+    line += k * amplitude * (np.random.default_rng(seed).random(steps) < 0.5)
+    for at, value in specials:
+        if steps:
+            line[int(at * (steps - 1))] = value
+    y0 = x0 if y0 is None else y0 * k
+    guard *= k
+    ref_orbit, ref_escape = logistic_orbit_oracle(mu, k, x0, steps)
+    ref_ys, ref_us, ref_diverge = response_track_oracle(mu, k, rho, y0, line, guard)
+    for block in BLOCKS:
+        with mock.patch.object(_accel, "_SYNC_CHECK", block):
+            orbit, escape = _accel.logistic_orbit(mu, k, x0, steps)
+            ys, us, diverge = _accel.response_track(mu, k, rho, y0, line, guard)
+        assert (escape, diverge) == (ref_escape, ref_diverge), block
+        assert orbit.tobytes() == ref_orbit.tobytes(), block
+        assert ys.tobytes() == ref_ys.tobytes(), block
+        assert us.tobytes() == ref_us.tobytes(), block
+
+
+def counting(calls, fn, counts):
+    """fn, recording counts(*args) of each call in calls."""
+    def wrapper(*args):
+        calls.append(counts(*args))
+        return fn(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1024])
+@pytest.mark.parametrize("mu, k, x0, steps, escape", ORBIT_ESCAPES)
+def test_orbit_steps_at_most_one_block_past_an_escape(
+    monkeypatch, block, mu, k, x0, steps, escape
+):
+    # the orbit's only range is the one each block's comprehension steps over
+    stepped = []
+    monkeypatch.setattr(_accel, "_SYNC_CHECK", block)
+    monkeypatch.setattr(_accel, "range", counting(stepped, range, lambda *a: len(range(*a))),
+                        raising=False)
+    assert _accel.logistic_orbit(mu, k, x0, steps)[1] == escape
+    assert escape <= sum(stepped) < escape + block
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1024])
+@pytest.mark.parametrize("rho, steps, guard, nan_at, diverge", [
+    # the three block-edge examples of the stepwise-oracle test above
+    (1.022, 1500, 47.7, None, 1024),
+    (1.0115, 2500, 148.0, None, 2048),
+    (1.0089, 2500, 42.3, None, 2500),
+    # rho = 1 keeps the error at 1e-8; a NaN line sample makes the next
+    # response sample NaN
+    (1.0, 2500, 3.0, 1100, 1101),
+])
+def test_response_steps_at_most_one_block_past_a_divergence(
+    monkeypatch, block, rho, steps, guard, nan_at, diverge
+):
+    # with rho >= 1 the response never meets the line exactly, so every step
+    # is a scalar control call in the block loop
+    x, _ = _accel.logistic_orbit(3.7, 1.0, 0.3, steps)
+    z = x[:-1].copy()
+    if nan_at is not None:
+        z[nan_at] = np.nan
+    y0 = 0.3 + 1e-8
+    stepped = []
+    monkeypatch.setattr(_accel, "_SYNC_CHECK", block)
+    monkeypatch.setattr(_accel, "control_effort", counting(
+        stepped, _accel.control_effort, lambda *a: isinstance(a[-1], float)))
+    assert _accel.response_track(3.7, 1.0, rho, y0, z, guard)[2] == diverge
+    assert diverge <= sum(stepped) < diverge + block
 
 
 @pytest.mark.parametrize("y0, line", [
@@ -194,9 +341,17 @@ def test_response_track_guard_inside_copied_run(rho, x0, guard, steps):
 
 # A response equal to the line from step 0 follows it in windows of steps
 # [0, W), [W, 3W), [3W, 7W), ...; a sample changed at `at` ends the run on
-# step at - 1, here the first or last step of a window or between.
+# step at - 1, here the first or last step of a window or between.  The
+# edges of 128-step windows, the block size before 1024, stay as steps
+# inside the first window.
 W = _accel._SYNC_CHECK
-WINDOW_EDGES = [1, W - 1, W, W + 1, 2 * W, 3 * W - 1, 3 * W, 3 * W + 1, 7 * W - 1, 7 * W]
+
+
+def window_edges(w):
+    return [1, w - 1, w, w + 1, 2 * w, 3 * w - 1, 3 * w, 3 * w + 1, 7 * w - 1, 7 * w]
+
+
+WINDOW_EDGES = sorted(set(window_edges(128) + window_edges(W)))
 
 
 @pytest.mark.parametrize("at", WINDOW_EDGES)
@@ -209,7 +364,11 @@ def test_response_track_run_ends_at_window_edges(at, kind, rho):
     check_response_track(3.9, 1.0, rho, 0.3, z, 3.0)
 
 
-@pytest.mark.parametrize("steps", [0, 1, 2, W - 1, W, W + 1, 3 * W, 3 * W + 1, 7 * W])
+def line_ends(w):
+    return [w - 1, w, w + 1, 3 * w, 3 * w + 1, 7 * w]
+
+
+@pytest.mark.parametrize("steps", sorted({0, 1, 2, *line_ends(128), *line_ends(W)}))
 @pytest.mark.parametrize("y0", [0.3, 0.3000000000000001, -1.0])
 def test_response_track_line_ends_in_sync(steps, y0):
     x, _ = _accel.logistic_orbit(3.7, 1.0, 0.3, steps)

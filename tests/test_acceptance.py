@@ -39,6 +39,8 @@ def warm_kernels():
         ScenarioConfig(source="bernoulli", seed=0, steps=64, settle=8)
     )
     fx_run_sync(FixedParams.from_real(3.7, 0.5), 122, -1024, 8)
+    # a one-session hop run also builds the cached channel table
+    run_hop_session(ScenarioConfig(source="bernoulli", seed=0, sessions=1, active_steps=8))
 
 
 def _timed(label, limit, fn):

@@ -563,6 +563,36 @@ CONFIG_FIELDS = {
     "guard": _setting(st.floats(0.0, 1e6) | st.sampled_from([1e-300, 1e300])),
 }
 
+# A float-mode line of drawn bits at k = HUGE_K, with states and amplitude
+# as multiples of k: the orbit and the line samples x + a and x * (1 + a)
+# come near the top of the float range, where they may overflow.
+HUGE_K = 1e308
+SCALED_FIELDS = {
+    "x0": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "y0": st.floats(-1.5, 1.5),
+    "amplitude": st.floats(1.0, 1.5),
+}
+
+
+@st.composite
+def config_fields(draw):
+    """Settings for a config: steps and sessions, then any of CONFIG_FIELDS;
+    half the time a line at k = HUGE_K over them."""
+    fields = draw(st.fixed_dictionaries(
+        {"steps": _setting(st.integers(2, 20).map(lambda n: 16 * n)),
+         "sessions": _setting(st.integers(0, 3))},
+        optional=CONFIG_FIELDS,
+    ))
+    if draw(st.booleans()):
+        fields.update(mode="float", source="bernoulli",
+                      seed=str(draw(st.integers(0, 2**32 - 1))),
+                      operator=draw(st.sampled_from(["multiplicative", "additive"])),
+                      k=repr(HUGE_K))
+        for name, share in SCALED_FIELDS.items():
+            fields[name] = repr(draw(share) * HUGE_K)
+    return fields
+
+
 # Settings each session command needs to get past its own checks.
 COMMAND_BASES = {
     "sync": {},
@@ -575,11 +605,7 @@ COMMAND_BASES = {
 @settings(max_examples=80, deadline=None)
 @given(
     base=st.sampled_from(list(COMMAND_BASES.values())),
-    fields=st.fixed_dictionaries(
-        {"steps": _setting(st.integers(2, 20).map(lambda n: 16 * n)),
-         "sessions": _setting(st.integers(0, 3))},
-        optional=CONFIG_FIELDS,
-    ),
+    fields=config_fields(),
 )
 def test_every_config_exits_cleanly(tmp_path_factory, base, fields):
     """A config parse_config_text accepts runs or fails with exit 1 or 2

@@ -388,6 +388,15 @@ class TestHopSession:
         assert outcome[0] is DivergenceError
         assert outcome == _hop_outcome(hop_session_oracle, cfg)
 
+    def test_zero_session_error_overflow_is_quiet(self):
+        # no row is stepped, and the one error, y0 - x0, overflows to -inf
+        cfg = ScenarioConfig(k=1e308, x0=8.75e307, y0=-1e308, sessions=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace, metrics = run_hop_session(cfg)
+        assert trace.column("e").tolist() == [-np.inf]
+        assert metrics.max_abs_error == np.inf
+
     def test_scale_factor_whose_channel_count_multiple_overflows(self):
         # C*k overflows for k = 1e307: the channels come from states and k
         # divided by a power of two
