@@ -4,13 +4,16 @@
 # window of the exact-sync vector pass), transmit also on a multiplicative
 # line with a drawn disturbance, and hop also as a multiplicative pattern hop
 # (both line levels), as a bare source = off hop and as a hop whose first idle
-# phase (about 6 960 steps at rho = 0.998) outlasts one kernel call; fails
-# unless both runs wrote byte-identical trace and hop CSVs.  Two failing
+# phase (about 6 960 steps at rho = 0.998) outlasts one kernel chunk; fails
+# unless both runs wrote byte-identical trace and hop CSVs.  Four failing
 # sessions also run twice each: a transmit whose response passes its guard
-# at step 18, inside the kernel's first block, and a sync whose drive
-# escapes at step 2 (x: 0.146... -> 0.5 -> 1.0); each must exit 2 with
-# byte-identical stderr.  PYTHONWARNINGS=error turns any warning into a
-# traceback, so a run that warns fails too.
+# at step 18, inside the kernel's first block, a sync whose drive escapes at
+# step 2 (x: 0.146... -> 0.5 -> 1.0), a hop at rho = 1 whose first idle
+# phase never triggers, and a hop whose drive escapes on that same step 2,
+# where its trigger would hop; the two hops end the hop kernel's last chunk
+# on a failure.  Each must exit 2 with byte-identical stderr.
+# PYTHONWARNINGS=error turns any warning into a traceback, so a run that
+# warns fails too.
 #
 # usage, from the repository root: sh .github/determinism-smoke.sh
 set -eu
@@ -40,7 +43,9 @@ for name in sync sync-long transmit transmit-mul digital hop hop-mul hop-off hop
 done
 printf 'source = bernoulli\nseed = 1\nsteps = 2000\namplitude = 1e100\nthreshold = 5e99\nguard = 1e300\n' > transmit-guard.cfg
 printf 'mu = 4.0\nx0 = 0.1464466094067262\n' > sync-escape.cfg
-for name in transmit-guard sync-escape; do
+printf 'rho = 1.0\nsessions = 2\n' > hop-idle.cfg
+printf 'mu = 4.0\nx0 = 0.1464466094067262\nrho = 0.0\nsync_window = 1\n' > hop-escape.cfg
+for name in transmit-guard sync-escape hop-idle hop-escape; do
   command="${name%%-*}"
   for run in 1 2; do
     status=0

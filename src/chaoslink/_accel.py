@@ -12,9 +12,9 @@ one loop: each step advances the drive with logistic_orbit's expression,
 takes its line sample (the drive when idle, the drive or its masked 1-bit
 level, chosen by the source bit, when active), applies control_effort,
 counts the trigger's run and checks the drive's escape and the guard.
-It takes and returns the whole carried state, so a call may stop at any
-row and the next one resumes there: a caller steps a run of any length in
-calls of a fixed number of rows.
+It is a generator that keeps the whole loop state in its own frame and
+yields the rows a fixed number at a time, so a run of any length holds
+one chunk of Python floats.
 
 response_track steps the response in blocks of _SYNC_CHECK steps and,
 between blocks, checks for exact sync: y == z[n], sign bit included.
@@ -40,7 +40,7 @@ the first bad index is the kernel's result and the samples after it are
 zeroed, so a failing run does at most one block of work past the failure;
 Python floats overflow to inf and NaN without a warning, so that work is
 quiet.  hop_run, which branches on the phase at every step, appends each
-row to lists that _array turns into float64 arrays once the loop is done.
+row to lists that become float64 arrays as each chunk is yielded.
 A control column is not stored per step: control_column rebuilds it from
 the stepped states in one vector call of control_effort, the same float64
 operations in the same order as the loop's scalar call, so bit for bit
@@ -50,11 +50,6 @@ the loop's control.
 import math
 
 import numpy as np
-
-
-def _array(buf):
-    # every list holds floats; naming the dtype skips numpy's type discovery
-    return np.array(buf, dtype=np.float64)
 
 
 I16_MIN = -32768
@@ -201,31 +196,27 @@ DIVERGED = 2  # the response passed the guard,
 IDLE_CAPPED = 3  # or an idle phase outlasted its cap
 
 
-def hop_run(mu, k, rho, x, y, run, left, idle, started, row, steps, hops,
-            scale, offset, pick, width, window, tol, guard, counted, cap):
-    """Up to `steps` rows of a hop run, from row `row` and the state the
-    last call returned: drive x, response y, trigger run, active steps
-    left in the current session, idle steps so far in this idle phase and
-    sessions started.  Each session is an idle phase then width active
-    steps; hops.size is the number of sessions.
+def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
+            guard, counted, cap, chunk):
+    """A hop run from drive x and response y, as a generator of row chunks.
 
-    Every step advances the drive as logistic_orbit does, takes its line
-    sample d, the drive x on an idle step and on an active one x or
-    x * scale + offset, the line level of a 0 or 1 source bit as pick
-    says (width entries per session), and applies
-    control_effort(y - d, d).  run counts the trailing steps with
-    |y - d| < tol: every idle step adds to it, an active one only if
-    counted.  An idle phase ends on the step that brings run to window:
-    the session's hop row, the next one, goes to hops[started].
+    Each session is an idle phase then width active steps.  Every step
+    advances the drive as logistic_orbit does, takes its line sample d,
+    the drive x on an idle step and on an active one x or x * scale +
+    offset, the line level of a 0 or 1 source bit as pick says (width
+    entries per session), and applies control_effort(y - d, d).  The
+    trigger's run counts the trailing steps with |y - d| < tol: every idle
+    step adds to it, an active one only if counted.  An idle phase ends on
+    the step that brings the run to window; the row after it is a hop row.
 
-    Returns (xs, ys, x, y, run, left, idle, started, fail): xs and ys
-    hold the stepped rows and the rest is the state at the row after them;
-    the controls are control_column over the rows' line samples.  The
-    loop stops at the first step whose new drive sample lies outside
-    (0, k) (fail ESCAPED), else whose response passes the guard or is NaN
-    (DIVERGED), else that ends the cap-th idle step of a phase without a
-    trigger (IDLE_CAPPED).  Otherwise fail is 0 and the loop runs until
-    the last session's active phase ends or `steps` rows are stepped.
+    Yields (xs, ys, hops, fail) every chunk rows: the drive and response
+    rows as float64 arrays and the hop rows among them as a list; the
+    controls are control_column over the rows' line samples.  The run stops
+    at the first step whose new drive sample lies outside (0, k) (fail
+    ESCAPED), else whose response passes the guard or is NaN (DIVERGED),
+    else that ends the cap-th idle step of a phase without a trigger
+    (IDLE_CAPPED), else (fail 0) after the last active phase.  The last
+    chunk ends with the state the run stopped at, the one row if no session.
     """
     mu = float(mu)
     k = float(k)
@@ -236,47 +227,56 @@ def hop_run(mu, k, rho, x, y, run, left, idle, started, row, steps, hops,
     offset = float(offset)
     tol = float(tol)
     guard = float(guard)
-    sessions = hops.size
-    first = started * width - left  # pick's index of the next active step
-    picks = pick[first:first + steps].tolist()
-    xs = []
-    ys = []
-    j = fail = 0
-    for r in range(steps):
-        xs.append(x)
-        ys.append(y)
-        d = x
-        if left and picks[j]:  # active: the level of this step's 1 bit
-            d = x * scale + offset
-        e = y - d
-        x = mu * x * (1.0 - x / k)
-        y = mu * y * (1.0 - y / k) + control_effort(mu, k, rho, e, d)
-        # a step that does not continue ends the call
-        if not 0.0 < x < k:
-            fail = ESCAPED
-        elif not -guard <= y <= guard:
-            fail = DIVERGED
-        elif left:
-            if counted:
+    xs, ys, hops = [], [], []
+    run = left = idle = started = first = row = fail = 0
+    while sessions:
+        picks = pick[first:first + chunk].tolist()  # from the next active step
+        j = 0
+        for n in range(row, row + chunk):
+            xs.append(x)
+            ys.append(y)
+            d = x
+            if left and picks[j]:  # active: the level of this step's 1 bit
+                d = x * scale + offset
+            e = y - d
+            x = mu * x * (1.0 - x / k)
+            y = mu * y * (1.0 - y / k) + control_effort(mu, k, rho, e, d)
+            # a step that does not continue ends the run
+            if not 0.0 < x < k:
+                fail = ESCAPED
+            elif not -guard <= y <= guard:
+                fail = DIVERGED
+            elif left:
+                if counted:
+                    run = run + 1 if -tol < e < tol else 0
+                left -= 1
+                j += 1
+                if left or started < sessions:
+                    continue
+            else:
                 run = run + 1 if -tol < e < tol else 0
-            left -= 1
-            j += 1
-            if left or started < sessions:
-                continue
-        else:
-            run = run + 1 if -tol < e < tol else 0
-            if run >= window:
-                hops[started] = row + r + 1
-                started += 1
-                left = width
-                idle = 0
-                continue
-            idle += 1
-            if idle <= cap:
-                continue
-            fail = IDLE_CAPPED
+                if run >= window:
+                    hops.append(n + 1)
+                    started += 1
+                    left = width
+                    idle = 0
+                    continue
+                idle += 1
+                if idle <= cap:
+                    continue
+                fail = IDLE_CAPPED
+            break
+        else:  # a whole chunk, and the run goes on
+            # every list holds floats; naming the dtype skips type discovery
+            yield np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), hops, 0
+            xs, ys, hops = [], [], []
+            first += j
+            row += chunk
+            continue
         break
-    return _array(xs), _array(ys), x, y, run, left, idle, started, fail
+    xs.append(x)
+    ys.append(y)
+    yield np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), hops, fail
 
 
 def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):

@@ -37,6 +37,8 @@ class LogisticParams:
             raise ValueError(f"scale factor k must be positive, got {self.k}")
         if not 0.0 < self.mu <= 4.0:
             raise ValueError(f"mu must lie in (0, 4], got {self.mu}")
+        if not np.isfinite(float(self.mu) * float(self.k)):
+            raise ValueError(f"scale factor k = {self.k} is too large: mu * k overflows")
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,7 @@ def bifurcation_scan(
     """
     if not (0.0 < mu_min <= mu_max <= 4.0):
         raise ValueError("mu range must satisfy 0 < mu_min <= mu_max <= 4")
+    LogisticParams(mu_max, k)
     if settle < 100:
         raise ValueError("settle must be >= 100")
     if keep < 0:

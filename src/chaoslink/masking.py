@@ -29,8 +29,8 @@ def coefficients(operator: str, i):
     raise ValueError(f"unknown operator {operator!r}")
 
 
-# A line sample or an estimate may overflow to inf, as the kernels' states
-# do, and just as quietly.
+# A line sample, an estimate or a block mean of estimates may overflow to
+# inf, as the kernels' states do, and just as quietly.
 @quiet
 def forward(operator: str, x, i):
     """Line sample for drive state x carrying information i."""
@@ -52,6 +52,7 @@ def recover(operator: str, z, y):
     raise ValueError(f"unknown operator {operator!r}")
 
 
+@quiet
 def threshold_detect(symbols, hold: int, threshold: float):
     """Hard bit decisions from raw symbol estimates.
 

@@ -9,7 +9,7 @@ session is deterministic in (config, seed).
 import csv
 import math
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import chain, islice
 from typing import get_args
 
 import numpy as np
@@ -122,6 +122,9 @@ class ScenarioConfig:
             LogisticParams(self.mu, self.k)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if not math.isfinite((float(self.mu) + abs(float(self.rho))) * float(self.k)):
+            raise ConfigError(f"scale factor k = {float(self.k)} is too large: "
+                              "(mu + |rho|) * k overflows")
 
     @property
     def detect_threshold(self) -> float:
@@ -434,7 +437,7 @@ def run_digital_session(cfg: ScenarioConfig):
 
 
 MAX_IDLE_STEPS = 10_000
-_HOP_CHUNK = 4096  # rows per hop_run call
+_HOP_CHUNK = 4096  # rows per hop_run chunk
 
 
 def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
@@ -445,9 +448,9 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     drive sample, then transmits for active_steps.  Both sides select on
     their own states, so the selection error measures residual desync.
 
-    _accel.hop_run steps the drive and the response together, _HOP_CHUNK
-    rows a call, and each call resumes from the state the last one
-    returned: the line is the bare drive state on idle steps and one of two
+    _accel.hop_run steps the drive and the response together and yields
+    their rows _HOP_CHUNK at a time, so the Python floats in flight stay
+    bounded: the line is the bare drive state on idle steps and one of two
     masked levels, chosen by the source bit, on active ones; the trigger's
     window reaches back across phases.  The masked line, the information
     and its recovery on the active rows, the control column, the trace
@@ -474,22 +477,14 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
         bits = np.zeros(cfg.sessions, dtype=np.uint8)
     # the line level of a 1 bit; a 0 bit's is the drive state itself
     scale, offset = coefficients(cfg.operator, cfg.amplitude)
-    hop_steps = np.zeros(cfg.sessions, dtype=np.int64)
-    x, y, run, left, idle, started, fail = cfg.x0, cfg.y0, 0, 0, 0, 0, 0
-    n, x_parts, y_parts = 0, [], []
-    while not fail and (left or started < cfg.sessions):
-        xs, ys, x, y, run, left, idle, started, fail = _accel.hop_run(
-            cfg.mu, cfg.k, cfg.rho, x, y, run, left, idle, started, n, _HOP_CHUNK,
-            hop_steps, scale, offset, bits, width, cfg.sync_window,
-            cfg.sync_tol, guard, transmit, MAX_IDLE_STEPS)
-        x_parts.append(xs)
-        y_parts.append(ys)
-        n += ys.size
-
-    # On a failure n is the failing step: the rows before it are the run.
-    x = np.concatenate(x_parts + [[x]])
-    y = np.concatenate(y_parts + [[y]])
-    hop_steps = hop_steps[:started]
+    x_parts, y_parts, hop_parts, fails = zip(*_accel.hop_run(
+        cfg.mu, cfg.k, cfg.rho, cfg.x0, cfg.y0, cfg.sessions, scale, offset, bits, width,
+        cfg.sync_window, cfg.sync_tol, guard, transmit, MAX_IDLE_STEPS, _HOP_CHUNK))
+    # The last row is the state the run stopped at; on a failure n is the
+    # failing step, and the rows before it are the run.
+    x, y, fail = np.concatenate(x_parts), np.concatenate(y_parts), fails[-1]
+    n = y.size - 1
+    hop_steps = np.fromiter(chain.from_iterable(hop_parts), dtype=np.int64)
     active = (hop_steps[:, None] + np.arange(width)).ravel()
     active = active[active < n]
     z, i, i_hat = x[:-1].copy(), np.zeros(n), np.full(n, np.nan)

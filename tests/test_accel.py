@@ -1,6 +1,7 @@
 """The kernels against the scalar reference functions, and the whole-stream
 digital codec against its per-frame calls."""
 
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -512,17 +513,46 @@ def check_fx_sync_run(params, x0, y0, steps):
     (0.5, 999.0, 3.0, 1),
 ])
 def test_hop_run_escape_beats_a_trigger_or_guard(x0, y0, rho, escape):
-    hops = np.zeros(1, dtype=np.int64)
-    xs, ys, x, *_, started, fail = _accel.hop_run(
-        4.0, 1.0, rho, x0, y0, 0, 0, 0, 0, 0, 8, hops, 1.0, 0.0,
-        np.zeros(3, dtype=np.uint8), 3, 1, 1e-6, 1e3, True, 10_000)
-    assert (ys.size, started, fail, x) == (escape, 0, _accel.ESCAPED, 1.0)
-    assert xs.tolist() == _accel.logistic_orbit(4.0, 1.0, x0, escape)[0][:-1].tolist()
+    [(xs, ys, hops, fail)] = _accel.hop_run(
+        4.0, 1.0, rho, x0, y0, 1, 1.0, 0.0, np.zeros(3, dtype=np.uint8), 3, 1, 1e-6,
+        1e3, True, 10_000, 8)
+    # the one chunk ends with the escaped drive sample
+    assert (ys.size, hops, fail, xs[-1]) == (escape + 1, [], _accel.ESCAPED, 1.0)
+    assert xs.tolist() == _accel.logistic_orbit(4.0, 1.0, x0, escape)[0].tolist()
     # the rows are idle, so their line is the drive: the session's control
     # column is the law on each row
     u = _accel.control_column(4.0, 1.0, rho, ys, xs, escape)
-    assert u.tolist() == [_accel.control_effort(4.0, 1.0, rho, y - d, d)
-                          for d, y in zip(xs.tolist(), ys.tolist())]
+    assert u[:escape].tolist() == [_accel.control_effort(4.0, 1.0, rho, y - d, d)
+                                   for d, y in zip(xs[:-1].tolist(), ys[:-1].tolist())]
+
+
+def test_hop_run_of_no_sessions_is_its_start():
+    chunks = list(_accel.hop_run(3.7, 1.0, 0.5, 0.1, -1.0, 0, 1.0, 0.0,
+                                 np.zeros(0, dtype=np.uint8), 40, 5, 1e-6, 1e3, True,
+                                 10_000, 4096))
+    assert len(chunks) == 1
+    xs, ys, hops, fail = chunks[0]
+    assert (xs.tolist(), ys.tolist(), hops, fail) == ([0.1], [-1.0], [], 0)
+    assert (xs.dtype, ys.dtype) == (np.float64, np.float64)
+
+
+def test_hop_run_holds_one_chunk_of_rows():
+    # 300 masked sessions, about 20 000 rows, read a chunk at a time: the
+    # rows in flight peak at about 0.4 MiB, against 1.7 MiB for the same
+    # run in one chunk
+    pick = np.random.default_rng(5).integers(0, 2, 300 * 40).astype(np.uint8)
+    chunks = _accel.hop_run(3.7, 1.0, 0.5, 0.1, -1.0, 300, 1.0, 1.0, pick, 40, 5, 1e-6,
+                            1e3, True, 10_000, 4096)
+    rows = 0
+    tracemalloc.start()
+    try:
+        for xs, *_ in chunks:
+            rows += xs.size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows > 16_000
+    assert peak < 2**20
 
 
 # Small k over long runs reach the drive's cycle, so the tiled branch runs.

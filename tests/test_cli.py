@@ -298,6 +298,21 @@ class TestDiagnoseAndLut:
         assert err == f"error: orbit escaped the basin (0, k) {message}\n"
         assert not (tmp_path / "bif.csv").exists()
 
+    @pytest.mark.parametrize("args", [
+        # the exact orbit stays within 0.27k..0.92k, but mu * x overflowed
+        # before (1 - x/k) scaled it, a false escape at step 3
+        ["--mu", "3.7", "--k", "1e308", "--x0", "1e307", "--spectrum-out", "s.csv"],
+        # 3.7 * k is finite, but the scan reaches mu = 4
+        ["--mu", "3.7", "--k", "4.6e307", "--x0", "1e307", "--bifurcation-out", "s.csv"],
+    ], ids=["spectrum", "bifurcation"])
+    def test_overflowing_scale_factor_exit_code(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(["diagnose"] + args, capsys)
+        assert code == 1
+        k = float(args[3])
+        assert err == f"error: scale factor k = {k} is too large: mu * k overflows\n"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_lut_emit(self, tmp_path, capsys):
         path = tmp_path / "lut.csv"
         code, out, _ = run(["lut", "--emit", str(path)], capsys)
@@ -492,12 +507,19 @@ class TestErrorPaths:
         ("hop", HOP_CFG + "mode = fixed\n", "hop session runs in float mode"),
         ("hop", HOP_CFG + "disturbance = 0.5\n",
          "hop session does not simulate a disturbance channel"),
+        # mu * (2d - k) overflowed at e = 0, so the first control was NaN
+        ("sync", "k = 1e308\nx0 = 1e307\ny0 = 1e307\n",
+         "scale factor k = 1e+308 is too large: mu * k overflows"),
+        # 3.7 * k is finite, (3.7 + 0.5) * k is not
+        ("hop", HOP_CFG + "k = 4.3e307\nx0 = 1e307\ny0 = 1e307\n",
+         "scale factor k = 4.3e+307 is too large: (mu + |rho|) * k overflows"),
     ], ids=["y0-1e12", "frac_bits-40", "frac_bits-negative", "rho-20", "hold-0",
             "rho-nan", "guard-inf", "disturbance-inf", "disturbance-negative",
             "guard-0", "guard-negative",
             "sync_tol-0", "sync_tol-negative", "source_p-1.5", "source_p-negative", "operator-bogus",
             "disturbance-unseeded", "x0-fractional", "y0-fractional", "digital-mu-4.0001",
-            "sync-fixed-mode", "hop-fixed-mode", "hop-disturbance"])
+            "sync-fixed-mode", "hop-fixed-mode", "hop-disturbance", "sync-k-1e308",
+            "hop-k-4.3e307"])
     def test_out_of_range_config_exit_code(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -565,8 +587,10 @@ CONFIG_FIELDS = {
 
 # A float-mode line of drawn bits at k = HUGE_K, with states and amplitude
 # as multiples of k: the orbit and the line samples x + a and x * (1 + a)
-# come near the top of the float range, where they may overflow.
-HUGE_K = 1e308
+# come near the top of the float range, where they may overflow.  HUGE_K is
+# about the largest k a config accepts at the default mu and rho, whose
+# (mu + |rho|) * k must be finite.
+HUGE_K = 4.28e307
 SCALED_FIELDS = {
     "x0": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     "y0": st.floats(-1.5, 1.5),

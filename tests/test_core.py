@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,16 @@ class TestParams:
 
     def test_accepts_boundary_mu(self):
         LogisticParams(mu=4.0)
+
+    @pytest.mark.parametrize("mu, k", [(3.7, 1e308), (4.0, 4.5e307), (1.0, float("inf"))])
+    def test_rejects_k_whose_mu_multiple_overflows(self, mu, k):
+        message = f"scale factor k = {k} is too large: mu * k overflows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LogisticParams(mu=mu, k=k)
+
+    def test_accepts_the_largest_k(self):
+        LogisticParams(mu=4.0, k=np.finfo(float).max / 4.0)
+        LogisticParams(mu=0.5, k=np.finfo(float).max)
 
 
 class TestStep:

@@ -100,6 +100,11 @@ class TestThresholdDetect:
         with pytest.raises(ValueError):
             threshold_detect([1.0, 0.0, 1.0], 2, 0.5)
 
+    def test_overflowing_block_mean_is_quiet(self):
+        # eight estimates of 4.28e307 (an amplitude at about the largest k a
+        # config accepts) sum past the float range: the mean is inf, quietly
+        assert threshold_detect(np.full(16, 4.28e307), 8, 2.14e307).tolist() == [1, 1]
+
 
 def test_masking_opacity():
     # Correlation between the bit sequence and the line signal, measured

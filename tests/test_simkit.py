@@ -111,6 +111,16 @@ class TestConfig:
             value = getattr(parse_config_text(f"{field.name} = {setting}\n"), field.name)
             assert type(value) is declared and value == declared(setting), field.name
 
+    def test_rejects_k_whose_law_overflows(self):
+        # (3.7 + 0.5) * 4.28e307 is finite; * 4.29e307 is not, nor with rho
+        # = -0.5, though 3.7 * 4.29e307 is, and rho = 0 accepts it
+        ScenarioConfig(k=4.28e307, x0=1e307)
+        ScenarioConfig(k=4.29e307, x0=1e307, rho=0.0)
+        message = "scale factor k = 4.29e+307 is too large: (mu + |rho|) * k overflows"
+        for rho in (0.5, -0.5):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                ScenarioConfig(k=4.29e307, x0=1e307, rho=rho)
+
     @pytest.mark.parametrize("mu", ["5", "0"])
     def test_map_parameters_checked_at_parse(self, mu):
         message = f"mu must lie in (0, 4], got {float(mu)}"
@@ -389,8 +399,9 @@ class TestHopSession:
         assert outcome == _hop_outcome(hop_session_oracle, cfg)
 
     def test_zero_session_error_overflow_is_quiet(self):
-        # no row is stepped, and the one error, y0 - x0, overflows to -inf
-        cfg = ScenarioConfig(k=1e308, x0=8.75e307, y0=-1e308, sessions=0)
+        # no row is stepped, and the one error, y0 - x0, overflows to -inf;
+        # k is about the largest that (mu + |rho|) * k allows
+        cfg = ScenarioConfig(k=4.28e307, x0=4e307, y0=-1.5e308, sessions=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trace, metrics = run_hop_session(cfg)
@@ -422,16 +433,16 @@ class TestHopSession:
                                 sync_window=1))
     # the drive escapes at step 1, where the response also passes the guard
     @example(cfg=ScenarioConfig(mu=4.0, x0=0.5, y0=999.0, rho=3.0))
-    # about 6 500 rows: the first 4096-row hop_run call ends inside a session
+    # about 6 500 rows: the first 4096-row hop_run chunk ends inside a session
     @example(cfg=ScenarioConfig(source="bernoulli", seed=3, sessions=80, active_steps=60))
     # e' = 0.998 e: the first idle phase takes about 6 960 steps, so it
-    # spans two hop_run calls
+    # spans two hop_run chunks
     @example(cfg=ScenarioConfig(rho=0.998, source="pattern", pattern="01", sessions=2,
                                 active_steps=5))
-    # this mu = 4 drive reaches x = 1.0 at step 4440, in the second call
+    # this mu = 4 drive reaches x = 1.0 at step 4440, in the second chunk
     @example(cfg=ScenarioConfig(mu=4.0, x0=0.044666150338579715, rho=0.0,
                                 source="bernoulli", seed=1, sessions=200))
-    # rho = 1 never triggers: the cap comes in the third call
+    # rho = 1 never triggers: the cap comes in the third chunk
     @example(cfg=ScenarioConfig(rho=1.0, sessions=2))
     def test_matches_stepwise_oracle(self, cfg):
         assert _hop_outcome(run_hop_session, cfg) == _hop_outcome(hop_session_oracle, cfg)
@@ -465,15 +476,24 @@ class TestHopSession:
             run_hop_session(replace(HOP_CFG, rho=1.0))
 
     def test_kernel_calls_per_run(self):
-        # one hop_run call per 4096 rows, which steps the drive itself, and
-        # no response_track call for any phase
+        # one hop_run generator per run, one chunk per 4096 rows; it steps
+        # the drive itself, and no phase calls response_track
         cfg = replace(HOP_CFG, sessions=300)
+        chunks, hop_run = [], _accel.hop_run
+
+        def counted(*args):
+            for chunk in hop_run(*args):
+                chunks.append(chunk)
+                yield chunk
+
         with (mock.patch.object(_accel, "logistic_orbit", wraps=_accel.logistic_orbit) as orbit,
-              mock.patch.object(_accel, "hop_run", wraps=_accel.hop_run) as kernel,
+              mock.patch.object(_accel, "hop_run", side_effect=counted) as kernel,
               mock.patch.object(_accel, "response_track", wraps=_accel.response_track) as track):
             trace, metrics = run_hop_session(cfg)
         assert len(metrics.hops) == 300
-        assert kernel.call_count == math.ceil((len(trace) - 1) / 4096)
+        assert kernel.call_count == 1
+        assert len(chunks) == math.ceil((len(trace) - 1) / 4096)
+        assert [xs.size for xs, *_ in chunks[:-1]] == [4096] * (len(chunks) - 1)
         assert (orbit.call_count, track.call_count) == (0, 0)
 
     @settings(max_examples=60, deadline=None)
@@ -482,7 +502,8 @@ class TestHopSession:
     @example(cfg=ScenarioConfig(source="bernoulli", seed=3, sessions=80, active_steps=60),
              chunk=7)
     def test_outcome_does_not_depend_on_the_chunk_size(self, cfg, chunk):
-        # hop_run resumes at any row, so the rows per call change nothing
+        # hop_run keeps its state across chunks, so the rows per chunk
+        # change nothing
         expected = _hop_outcome(run_hop_session, cfg)
         with mock.patch.object(simkit, "_HOP_CHUNK", chunk):
             assert _hop_outcome(run_hop_session, cfg) == expected
@@ -502,8 +523,9 @@ class TestHopSession:
 
     def test_peak_memory_is_chunk_bounded(self):
         # Beyond the trace it returns, a 300-session run (18 826 rows) peaks
-        # at about 1.6 MiB: one hop_run call's Python floats, the rows so far
-        # and the trace assembly.  The same run in one call needs 2.8 MiB.
+        # at about 1.4 MiB, in the trace assembly, whether or not the rows
+        # come in chunks; test_hop_run_holds_one_chunk_of_rows bounds the
+        # kernel's own rows in flight.
         cfg = replace(HOP_CFG, sessions=300)
         run_hop_session(cfg)
         tracemalloc.start()
