@@ -122,9 +122,16 @@ class ScenarioConfig:
             LogisticParams(self.mu, self.k)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not math.isfinite((float(self.mu) + abs(float(self.rho))) * float(self.k)):
+        # 2d for a basin state d, the law's terms and the response guard stay finite
+        scale = max(float(self.mu) + abs(float(self.rho)), 2.0, float(self.guard))
+        if not math.isfinite(scale * float(self.k)):
             raise ConfigError(f"scale factor k = {float(self.k)} is too large: "
-                              "(mu + |rho|) * k overflows")
+                              "max(mu + |rho|, 2, guard) * k overflows")
+
+    @property
+    def response_guard(self) -> float:
+        """The bound on |y| past which a response has diverged."""
+        return self.guard * self.k
 
     @property
     def detect_threshold(self) -> float:
@@ -322,7 +329,7 @@ def _track(cfg: ScenarioConfig, operator: str, x, escape: int, y0, info,
     near y = 0 fails before its own step's update.
     """
     z = forward(operator, x[:-1], info) + dist
-    guard = cfg.guard * cfg.k
+    guard = cfg.response_guard
     y, u, diverge = _accel.response_track(cfg.mu, cfg.k, cfg.rho, y0, z, guard)
     stop = min((i for i in (escape, diverge) if i >= 0), default=len(info))
     i_hat = recover(operator, z[:stop], y[:stop])
@@ -462,7 +469,7 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
         raise ConfigError("hop session does not simulate a disturbance channel")
     if table is None:
         table = build_default_table()
-    guard = cfg.guard * cfg.k
+    guard = cfg.response_guard
     transmit = cfg.source != SOURCE_OFF and cfg.active_steps > 0
     if transmit:
         width = cfg.active_steps
@@ -544,46 +551,38 @@ def export_csv(trace: SessionTrace, path) -> None:
             fh.write(text.replace("nan", ""))
 
 
-def _check_row_widths(lines, first: int, path) -> None:
-    """Raise ValueError naming the first of lines, numbered from first,
-    without exactly one cell per trace column."""
-    for index, line in enumerate(lines, start=first):
-        cells = line.count(",") + 1
-        if cells != len(TRACE_COLUMNS):
-            raise ValueError(f"{path}: data row {index} has {cells} cells, "
-                             f"not {len(TRACE_COLUMNS)}")
-
-
 def load_trace_csv(path) -> SessionTrace:
     """Read an export_csv file back; blank lines are skipped.
 
-    Unquoted cells only; empty cells load as NaN.  _CSV_BLOCK lines at a
-    time go through numpy's parser.
+    Unquoted cells only, each value equal to float() of its cell and an
+    empty cell NaN; a cell with "_" or a non-ASCII character is rejected,
+    though float() takes "1_000" and fullwidth digits.  _CSV_BLOCK lines at
+    a time are split into cells and parsed column by column; a column with
+    no value in the block is not parsed at all.
     """
-    blocks, first = [], 0
+    width = len(TRACE_COLUMNS)
+    blocks, first = [np.empty((0, width))], 0
     with open(path) as fh:
         if fh.readline().rstrip("\n") != ",".join(TRACE_COLUMNS):
             raise ValueError(f"unexpected trace header in {path}")
-        while raw := list(islice(fh, _CSV_BLOCK)):
-            lines = [line for line in raw if line != "\n"]
-            if not lines:
-                continue
-            text = "\n" + "".join(lines).rstrip("\n") + "\n"
-            if text.count(",") != (len(TRACE_COLUMNS) - 1) * len(lines):
-                _check_row_widths(lines, first, path)
-            # Empty cells become "nan".  The leading newline lets "\n," match
-            # an empty first cell on the first line; ",,," needs two passes
-            # because replace() does not overlap matches.
-            text = (text.replace(",,", ",nan,").replace(",,", ",nan,")
-                    .replace("\n,", "\nnan,").replace(",\n", ",nan\n"))
-            try:
-                blocks.append(np.loadtxt(text[1:-1].split("\n"), delimiter=",",
-                                         comments=None, ndmin=2))
-            except ValueError:
-                _check_row_widths(lines, first, path)  # rows evening out the count
-                raise
-            first += len(lines)
-    data = np.concatenate(blocks) if blocks else np.empty((0, len(TRACE_COLUMNS)))
+        while text := "".join(islice(fh, _CSV_BLOCK)):
+            rows = [line.split(",") for line in text.split("\n") if line]
+            for index, row in enumerate(rows, start=first):
+                if len(row) != width:
+                    raise ValueError(f"{path}: data row {index} has {len(row)} cells, "
+                                     f"not {width}")
+            if "_" in text or not text.isascii():
+                cell = next(c for row in rows for c in row if "_" in c or not c.isascii())
+                raise ValueError(f"could not convert string to float: {cell!r}")
+            block = np.full((len(rows), width), np.nan)
+            for j, cells in enumerate(zip(*rows)):
+                if all(cells):
+                    block[:, j] = list(map(float, cells))
+                elif any(cells):
+                    block[:, j] = [float(cell) if cell else math.nan for cell in cells]
+            blocks.append(block)
+            first += len(rows)
+    data = np.concatenate(blocks)
     return SessionTrace(len(data), **dict(zip(TRACE_COLUMNS, data.T)))
 
 

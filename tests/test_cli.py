@@ -510,16 +510,22 @@ class TestErrorPaths:
         # mu * (2d - k) overflowed at e = 0, so the first control was NaN
         ("sync", "k = 1e308\nx0 = 1e307\ny0 = 1e307\n",
          "scale factor k = 1e+308 is too large: mu * k overflows"),
-        # 3.7 * k is finite, (3.7 + 0.5) * k is not
-        ("hop", HOP_CFG + "k = 4.3e307\nx0 = 1e307\ny0 = 1e307\n",
-         "scale factor k = 4.3e+307 is too large: (mu + |rho|) * k overflows"),
+        # with guard = 1, 3.7 * k is finite and (3.7 + 0.5) * k is not
+        ("hop", HOP_CFG + "k = 4.3e307\nx0 = 1e307\ny0 = 1e307\nguard = 1\n",
+         "scale factor k = 4.3e+307 is too large: max(mu + |rho|, 2, guard) * k overflows"),
+        # 2 * x0 overflows in the law; it exited 2 at step 1, guard inf
+        ("sync", "mu = 1.0\nrho = 0.5\nk = 1e308\nx0 = 9.5e307\ny0 = 9.5e307\n",
+         "scale factor k = 1e+308 is too large: max(mu + |rho|, 2, guard) * k overflows"),
+        # guard * k overflows; it exited 2 at step 2, guard inf
+        ("sync", "k = 4.28e307\nx0 = 1e307\ny0 = 3e307\n",
+         "scale factor k = 4.28e+307 is too large: max(mu + |rho|, 2, guard) * k overflows"),
     ], ids=["y0-1e12", "frac_bits-40", "frac_bits-negative", "rho-20", "hold-0",
             "rho-nan", "guard-inf", "disturbance-inf", "disturbance-negative",
             "guard-0", "guard-negative",
             "sync_tol-0", "sync_tol-negative", "source_p-1.5", "source_p-negative", "operator-bogus",
             "disturbance-unseeded", "x0-fractional", "y0-fractional", "digital-mu-4.0001",
             "sync-fixed-mode", "hop-fixed-mode", "hop-disturbance", "sync-k-1e308",
-            "hop-k-4.3e307"])
+            "hop-k-4.3e307", "sync-law-2x0", "sync-guard-k"])
     def test_out_of_range_config_exit_code(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -589,7 +595,8 @@ CONFIG_FIELDS = {
 # as multiples of k: the orbit and the line samples x + a and x * (1 + a)
 # come near the top of the float range, where they may overflow.  HUGE_K is
 # about the largest k a config accepts at the default mu and rho, whose
-# (mu + |rho|) * k must be finite.
+# max(mu + |rho|, 2, guard) * k must be finite; guard = 4.2 = mu + |rho|
+# puts the response guard at about the largest float.
 HUGE_K = 4.28e307
 SCALED_FIELDS = {
     "x0": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -611,7 +618,7 @@ def config_fields(draw):
         fields.update(mode="float", source="bernoulli",
                       seed=str(draw(st.integers(0, 2**32 - 1))),
                       operator=draw(st.sampled_from(["multiplicative", "additive"])),
-                      k=repr(HUGE_K))
+                      k=repr(HUGE_K), guard="4.2")
         for name, share in SCALED_FIELDS.items():
             fields[name] = repr(draw(share) * HUGE_K)
     return fields

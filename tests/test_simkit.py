@@ -112,14 +112,16 @@ class TestConfig:
             assert type(value) is declared and value == declared(setting), field.name
 
     def test_rejects_k_whose_law_overflows(self):
-        # (3.7 + 0.5) * 4.28e307 is finite; * 4.29e307 is not, nor with rho
-        # = -0.5, though 3.7 * 4.29e307 is, and rho = 0 accepts it
-        ScenarioConfig(k=4.28e307, x0=1e307)
-        ScenarioConfig(k=4.29e307, x0=1e307, rho=0.0)
-        message = "scale factor k = 4.29e+307 is too large: (mu + |rho|) * k overflows"
+        # with guard = 1, (3.7 + 0.5) * 4.28e307 is finite; * 4.29e307 is
+        # not, nor with rho = -0.5, though 3.7 * 4.29e307 is, and rho = 0
+        # accepts it
+        ScenarioConfig(k=4.28e307, x0=1e307, guard=1.0)
+        ScenarioConfig(k=4.29e307, x0=1e307, rho=0.0, guard=1.0)
+        message = ("scale factor k = 4.29e+307 is too large: "
+                   "max(mu + |rho|, 2, guard) * k overflows")
         for rho in (0.5, -0.5):
             with pytest.raises(ConfigError, match=re.escape(message)):
-                ScenarioConfig(k=4.29e307, x0=1e307, rho=rho)
+                ScenarioConfig(k=4.29e307, x0=1e307, rho=rho, guard=1.0)
 
     @pytest.mark.parametrize("mu", ["5", "0"])
     def test_map_parameters_checked_at_parse(self, mu):
@@ -400,8 +402,8 @@ class TestHopSession:
 
     def test_zero_session_error_overflow_is_quiet(self):
         # no row is stepped, and the one error, y0 - x0, overflows to -inf;
-        # k is about the largest that (mu + |rho|) * k allows
-        cfg = ScenarioConfig(k=4.28e307, x0=4e307, y0=-1.5e308, sessions=0)
+        # k is about the largest that max(mu + |rho|, 2, guard) * k allows
+        cfg = ScenarioConfig(k=4.28e307, x0=4e307, y0=-1.5e308, sessions=0, guard=4.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trace, metrics = run_hop_session(cfg)
@@ -411,7 +413,7 @@ class TestHopSession:
     def test_scale_factor_whose_channel_count_multiple_overflows(self):
         # C*k overflows for k = 1e307: the channels come from states and k
         # divided by a power of two
-        cfg = ScenarioConfig(k=1e307, x0=3e306, y0=3e306, sessions=2)
+        cfg = ScenarioConfig(k=1e307, x0=3e306, y0=3e306, sessions=2, guard=4.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, metrics = run_hop_session(cfg)
@@ -763,7 +765,20 @@ class TestTraceCsvBlocks:
             assert np.array_equal(_bits(loaded.column(name)),
                                   _bits(trace.column(name) + 0.0))
 
-    @pytest.mark.parametrize("cell", ["abc", '"1.5"', "1_000", " "])
+    def test_first_block_all_blank(self, tmp_path):
+        trace, _ = run_sync_session(replace(SYNC_CFG, steps=4, settle=0))
+        path = tmp_path / "a.csv"
+        export_csv(trace, path)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, "", "", "", *rows]) + "\n")
+        with mock.patch.object(simkit, "_CSV_BLOCK", 3):
+            loaded = load_trace_csv(path)
+        for name in simkit.TRACE_COLUMNS:
+            assert np.array_equal(_bits(loaded.column(name)),
+                                  _bits(trace.column(name) + 0.0))
+
+    # float() itself takes "1_000" and the fullwidth "１"
+    @pytest.mark.parametrize("cell", ["abc", '"1.5"', "1_000", " ", "１"])
     def test_non_numeric_cell_rejected(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(simkit.TRACE_COLUMNS) + f"\n0,{cell},,,,,,,,,\n")
@@ -776,6 +791,16 @@ class TestTraceCsvBlocks:
                         + ",".join(["1"] * 12) + "\n" + ",".join(["1"] * 10) + "\n")
         with pytest.raises(ValueError, match="data row 0 has 12 cells, not 11"):
             load_trace_csv(path)
+
+    def test_ragged_rows_that_even_out_in_a_later_block_rejected(self, tmp_path):
+        # rows are numbered across blocks, blank lines not counted
+        path = tmp_path / "ragged.csv"
+        path.write_text(",".join(simkit.TRACE_COLUMNS) + "\n\n"
+                        + "\n".join([",".join(["1"] * width) for width in (11, 11, 10, 12)])
+                        + "\n")
+        with mock.patch.object(simkit, "_CSV_BLOCK", 3):
+            with pytest.raises(ValueError, match="data row 2 has 10 cells, not 11"):
+                load_trace_csv(path)
 
 
 class TestMetricsConsistency:
