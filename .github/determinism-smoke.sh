@@ -2,21 +2,23 @@
 # Determinism smoke check: runs every session command twice on one config
 # each, sync also over 100 000 steps (longer than the largest 65 536-step
 # window of the exact-sync vector pass), transmit also on a multiplicative
-# line with a drawn disturbance, and hop also as a multiplicative pattern hop
-# (both line levels), as a bare source = off hop and as a hop whose first idle
-# phase (about 6 960 steps at rho = 0.998) outlasts one kernel chunk; fails
-# unless both runs wrote byte-identical trace and hop CSVs.  Four failing
-# sessions also run twice each: a transmit whose response passes its guard
-# at step 18, inside the kernel's first block, a sync whose drive escapes at
-# step 2 (x: 0.146... -> 0.5 -> 1.0), a hop at rho = 1 whose first idle
-# phase never triggers, and a hop whose drive escapes on that same step 2,
-# where its trigger would hop; the two hops end the hop kernel's last chunk
-# on a failure.  Each must exit 2 with byte-identical stderr.  Every trace
-# CSV is also read back with load_trace_csv and written again, which must
-# give the same bytes.  Two configs whose scale factor k is too large also
-# run twice each: a sync whose 2 * x0 overflows in the control law
-# (mu + |rho| < 2) and a sync whose guard * k overflows; each must exit 1
-# with byte-identical stderr.
+# line with a drawn disturbance and, for each operator, over 20 000 steps
+# (the benchmark's analog size; the additive one at the paper's rho = 0.5,
+# y0 = -1), and hop also as a multiplicative pattern hop (both line
+# levels), as a bare source = off hop and as a hop whose first idle phase
+# (about 6 960 steps at rho = 0.998) outlasts one kernel chunk; fails
+# unless both runs wrote byte-identical trace and hop CSVs and stdout.
+# Four failing sessions also run twice each: a transmit whose response
+# passes its guard at step 18, inside the kernel's first block, a sync
+# whose drive escapes at step 2 (x: 0.146... -> 0.5 -> 1.0), a hop at
+# rho = 1 whose first idle phase never triggers, and a hop whose drive
+# escapes on that same step 2, where its trigger would hop; the two hops
+# end the hop kernel's last chunk on a failure.  Each must exit 2 with
+# byte-identical stderr.  Every trace CSV is also read back with
+# load_trace_csv and written again, which must give the same bytes.  Two
+# configs whose scale factor k is too large also run twice each: a sync
+# whose 2 * x0 overflows in the control law (mu + |rho| < 2) and a sync
+# whose guard * k overflows; each must exit 1 with byte-identical stderr.
 # PYTHONWARNINGS=error turns any warning into a traceback, so a run that
 # warns fails too.
 #
@@ -31,21 +33,25 @@ printf 'steps = 2000\n' > sync.cfg
 printf 'steps = 100000\n' > sync-long.cfg
 printf 'source = bernoulli\nseed = 1\nsteps = 2000\nthreshold = 5.0\n' > transmit.cfg
 printf 'operator = multiplicative\namplitude = 0.2\nsource = bernoulli\nseed = 7\nsteps = 2000\ndisturbance = 0.01\n' > transmit-mul.cfg
+printf 'rho = 0.5\ny0 = -1\nsource = bernoulli\nseed = 2\nsteps = 20000\nthreshold = 5.0\n' > transmit-long.cfg
+printf 'operator = multiplicative\namplitude = 0.2\nsource = bernoulli\nseed = 4\nsteps = 20000\n' > transmit-mul-long.cfg
 printf 'mode = fixed\nk = 1024\nx0 = 122\ny0 = -1024\nsteps = 16000\nsource = bernoulli\nseed = 3\n' > digital.cfg
 printf 'source = bernoulli\nseed = 5\nsessions = 20\nactive_steps = 40\n' > hop.cfg
 printf 'operator = multiplicative\namplitude = 0.2\nsource = pattern\npattern = 0110\nhold = 4\nsessions = 120\nactive_steps = 40\n' > hop-mul.cfg
 printf 'source = off\nsessions = 120\n' > hop-off.cfg
 printf 'rho = 0.998\nsource = pattern\npattern = 01\nsessions = 2\nactive_steps = 5\n' > hop-slow.cfg
 traces=""
-for name in sync sync-long transmit transmit-mul digital hop hop-mul hop-off hop-slow; do
+for name in sync sync-long transmit transmit-mul transmit-long transmit-mul-long digital \
+    hop hop-mul hop-off hop-slow; do
   command="${name%%-*}"
   for run in 1 2; do
     traces="$traces $name-$run.csv"
     set -- "$command" --config "$name.cfg" --out "$name-$run.csv"
     if [ "$command" = hop ]; then set -- "$@" --hops-out "$name-hops-$run.csv"; fi
-    PYTHONPATH="$src" python -m chaoslink.cli "$@"
+    PYTHONPATH="$src" python -m chaoslink.cli "$@" > "$name-$run.out"
   done
   cmp "$name-1.csv" "$name-2.csv"
+  cmp "$name-1.out" "$name-2.out"
   if [ "$command" = hop ]; then cmp "$name-hops-1.csv" "$name-hops-2.csv"; fi
 done
 PYTHONPATH="$src" python -c '

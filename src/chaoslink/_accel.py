@@ -7,10 +7,15 @@ the 16-bit quantized drive/response pair; control_column is the law over
 a whole session's rows.  Sessions and chaos diagnostics alike are built on
 these; no session steps a sample in Python outside them.
 
+The float law is one text, _LAW.  At import it is compiled into
+control_effort and into _response_block, the response's block stepper,
+which has the law inline with y - d for the error, so a response step
+pays no Python call for its control.
+
 hop_run steps the drive and the response of idle and active phases in
 one loop: each step advances the drive with logistic_orbit's expression,
 takes its line sample (the drive when idle, the drive or its masked 1-bit
-level, chosen by the source bit, when active), applies control_effort,
+level, chosen by the source bit, when active), calls control_effort,
 counts the trigger's run and checks the drive's escape and the guard.
 It is a generator that keeps the whole loop state in its own frame and
 yields the rows a fixed number at a time, so a run of any length holds
@@ -33,14 +38,16 @@ alongside.  A run of any length therefore costs O(sync + k) steps.
 
 The float kernels keep only the state on each step.  logistic_orbit and
 response_track step each block in one list comprehension whose assignment
-expression carries the state, written straight into the preallocated
-float64 output, and test the block once in numpy: the orbit must lie in
-(0, k), the response within the guard, which a NaN fails.  On a failure
-the first bad index is the kernel's result and the samples after it are
-zeroed, so a failing run does at most one block of work past the failure;
-Python floats overflow to inf and NaN without a warning, so that work is
-quiet.  hop_run, which branches on the phase at every step, appends each
-row to lists that become float64 arrays as each chunk is yielded.
+expression carries the state (response_track's is _response_block), hand
+the block's Python floats to numpy with np.fromiter, copy it into the
+preallocated float64 output, and test it once in numpy: the orbit must
+lie in (0, k), the response within the guard, which a NaN fails.  On a
+failure the first bad index is the kernel's result and the samples after
+it are zeroed, so a failing run does at most one block of work past the
+failure; Python floats overflow to inf and NaN without a warning, so that
+work is quiet.  hop_run, which branches on the phase at every step,
+appends each row to lists that np.fromiter makes float64 arrays as each
+chunk is yielded.
 A control column is not stored per step: control_column rebuilds it from
 the stepped states in one vector call of control_effort, the same float64
 operations in the same order as the loop's scalar call, so bit for bit
@@ -48,6 +55,7 @@ the loop's control.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -80,8 +88,9 @@ def logistic_orbit(mu, k, x0, n_steps):
     n = 1
     while n <= n_steps:
         end = min(n + _SYNC_CHECK, n_steps + 1)
-        block = orbit[n:end]
-        block[:] = [x := mu * x * (1.0 - x / k) for _ in range(end - n)]
+        block = np.fromiter([x := mu * x * (1.0 - x / k) for _ in range(end - n)],
+                            np.float64, end - n)
+        orbit[n:end] = block
         inside = (block > 0.0) & (block < k)
         if not inside.all():
             escape = n + int(np.flatnonzero(~inside)[0])
@@ -91,10 +100,37 @@ def logistic_orbit(mu, k, x0, n_steps):
     return orbit, -1
 
 
-def control_effort(mu, k, rho, e, d):
+# The float feedback law, the one place it is written, with {e} for the
+# error.  The stepper computes y - d at both places of {e}, the same bits
+# as the once-computed error control_effort is passed.  Each function built
+# from the law is one line numbered as the line below, so a traceback
+# through it shows the law.
+_LAW = "(mu * ({e} + 2.0 * d - k) + rho * k) * {e} / k"
+_LAW_LINE = sys._getframe().f_lineno - 1
+
+
+def _from_law(name, params, body, doc):
+    """The function `def name(params): return body`, compiled into this
+    module from constant text."""
+    source = "\n" * (_LAW_LINE - 1) + f"def {name}({params}): return {body}"
+    namespace = {}
+    exec(compile(source, __file__, "exec"), globals(), namespace)
+    fn = namespace[name]
+    fn.__doc__ = doc
+    return fn
+
+
+control_effort = _from_law(
+    "control_effort", "mu, k, rho, e, d", _LAW.format(e="e"),
     """The feedback law u = [mu(e + 2d - k) + rho*k] * e / k for error e
-    against the drive-side sample d; see chaoslink.control."""
-    return (mu * (e + 2.0 * d - k) + rho * k) * e / k
+    against the drive-side sample d; see chaoslink.control.""")
+
+_response_block = _from_law(
+    "_response_block", "mu, k, rho, y, ds",
+    f"[y := mu * y * (1.0 - y / k) + {_LAW.format(e='(y - d)')} for d in ds]",
+    """The response states after each line sample d of ds, from state y,
+    as Python floats: y = mu*y*(1 - y/k) + control_effort(mu, k, rho,
+    y - d, d), step by step.""")
 
 
 @quiet
@@ -147,13 +183,15 @@ def _follow_line(mu, k, rho, z, n, guard, ys):
 def response_track(mu, k, rho, y0, z, guard):
     """Response map driven by the float64 line z under the feedback law.
 
-    Step n applies control_effort(y - z[n], z[n]).  Returns (ys, us,
+    Step n is y = mu*y*(1 - y/k) + control_effort(y - z[n], z[n]), with
+    the law compiled inline in _response_block.  Returns (ys, us,
     diverge_index): ys has one sample more than z, us[n] is the control
     on the n -> n+1 transition, and diverge_index is the first index with
     |y| > guard or y NaN (samples past it are left at 0), or -1 if none.
 
-    Each block of _SYNC_CHECK steps is one comprehension written into ys
-    and checked against the guard in one vector test; us is control_column
+    Each block of _SYNC_CHECK steps is one _response_block call, handed to
+    ys through np.fromiter and checked against the guard in one vector
+    test; y goes on from the block's last state; us is control_column
     over the stepped rows once the loop is done.  Before each whole block
     the loop checks whether y equals z[n] with the same sign bit.
     Once it does, the error is exactly +0.0 and the update is the line's
@@ -179,9 +217,10 @@ def response_track(mu, k, rho, y0, z, guard):
             n, diverge = _follow_line(mu, k, rho, z, n, guard, ys)
             y = float(ys[n])
             continue
-        block = ys[n + 1:end + 1]
-        block[:] = [y := mu * y * (1.0 - y / k) + control_effort(mu, k, rho, y - d, d)
-                    for d in z[n:end].tolist()]
+        vals = _response_block(mu, k, rho, y, z[n:end].tolist())
+        y = vals[-1]
+        block = np.fromiter(vals, np.float64, end - n)
+        ys[n + 1:end + 1] = block
         held = np.abs(block) <= guard  # False for NaN
         if not held.all():
             diverge = n + 1 + int(np.flatnonzero(~held)[0])
@@ -267,8 +306,8 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
                 fail = IDLE_CAPPED
             break
         else:  # a whole chunk, and the run goes on
-            # every list holds floats; naming the dtype skips type discovery
-            yield np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), hops, 0
+            yield (np.fromiter(xs, np.float64, len(xs)), np.fromiter(ys, np.float64, len(ys)),
+                   hops, 0)
             xs, ys, hops = [], [], []
             first += j
             row += chunk
@@ -276,7 +315,7 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
         break
     xs.append(x)
     ys.append(y)
-    yield np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), hops, fail
+    yield np.fromiter(xs, np.float64, len(xs)), np.fromiter(ys, np.float64, len(ys)), hops, fail
 
 
 def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):

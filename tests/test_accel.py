@@ -1,8 +1,11 @@
 """The kernels against the scalar reference functions, and the whole-stream
 digital codec against its per-frame calls."""
 
+import ast
+import math
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -287,7 +290,7 @@ def test_response_steps_at_most_one_block_past_a_divergence(
     monkeypatch, block, rho, steps, guard, nan_at, diverge
 ):
     # with rho >= 1 the response never meets the line exactly, so every step
-    # is a scalar control call in the block loop
+    # is a line sample handed to the block stepper
     x, _ = _accel.logistic_orbit(3.7, 1.0, 0.3, steps)
     z = x[:-1].copy()
     if nan_at is not None:
@@ -295,10 +298,64 @@ def test_response_steps_at_most_one_block_past_a_divergence(
     y0 = 0.3 + 1e-8
     stepped = []
     monkeypatch.setattr(_accel, "_SYNC_CHECK", block)
-    monkeypatch.setattr(_accel, "control_effort", counting(
-        stepped, _accel.control_effort, lambda *a: isinstance(a[-1], float)))
+    monkeypatch.setattr(_accel, "_response_block", counting(
+        stepped, _accel._response_block, lambda mu, k, rho, y, ds: len(ds)))
     assert _accel.response_track(3.7, 1.0, rho, y0, z, guard)[2] == diverge
     assert diverge <= sum(stepped) < diverge + block
+
+
+# signed zeros, the smallest subnormals, the extremes, infinities and NaN
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+               math.inf, -math.inf, math.nan]
+any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+def float_bytes_or_error(step):
+    """The bytes of step()'s floats, or the type of the error it raised."""
+    try:
+        return np.array(step(), dtype=np.float64).tobytes()
+    except ZeroDivisionError as error:  # k = 0
+        return type(error)
+
+
+@given(mu=any_float, k=any_float, rho=any_float, y=any_float,
+       ds=st.lists(any_float, max_size=40))
+def test_response_block_is_the_scalar_law_loop(mu, k, rho, y, ds):
+    def scalar_loop():
+        states, state = [], y
+        for d in ds:
+            state = (mu * state * (1.0 - state / k)
+                     + _accel.control_effort(mu, k, rho, state - d, d))
+            states.append(state)
+        return states
+
+    assert (float_bytes_or_error(lambda: _accel._response_block(mu, k, rho, y, ds))
+            == float_bytes_or_error(scalar_loop))
+
+
+def products(tree, left, right):
+    """The products left * right written in tree's code."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and ast.unparse(node.left) == left and ast.unparse(node.right) == right]
+
+
+def test_float_law_is_written_once():
+    # _accel's code and every string in it that parses as an expression,
+    # with the law text's {e} placeholder read as a name: the law's products
+    # rho * k and 2.0 * d appear once, in _LAW
+    tree = ast.parse(Path(_accel.__file__).read_text())
+    codes = [tree]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                codes.append(ast.parse(node.value.replace("{e}", "e"), mode="eval"))
+            except SyntaxError:
+                pass
+    law = ast.parse(_accel._LAW.replace("{e}", "e"), mode="eval")
+    for left, right in [("rho", "k"), ("2.0", "d")]:
+        assert len(products(law, left, right)) == 1
+        assert sum(len(products(code, left, right)) for code in codes) == 1
 
 
 @pytest.mark.parametrize("y0, line", [
