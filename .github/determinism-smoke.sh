@@ -1,13 +1,17 @@
 #!/bin/sh
 # Determinism smoke check: runs every session command twice on one config
-# each, sync also over 100 000 steps (longer than the largest 65 536-step
-# window of the exact-sync vector pass), transmit also on a multiplicative
-# line with a drawn disturbance and, for each operator, over 20 000 steps
-# (the benchmark's analog size; the additive one at the paper's rho = 0.5,
-# y0 = -1), and hop also as a multiplicative pattern hop (both line
-# levels), as a bare source = off hop and as a hop whose first idle phase
-# (about 6 960 steps at rho = 0.998) outlasts one kernel chunk; fails
-# unless both runs wrote byte-identical trace and hop CSVs and stdout.
+# each, sync also over 100 000 steps (longer than the widest 65 536-step
+# exact-sync block of the response kernel), transmit also on a
+# multiplicative line with a drawn disturbance and, for each operator, over
+# 20 000 steps (the benchmark's analog size; the additive one at the
+# paper's rho = 0.5, y0 = -1), and hop also as a multiplicative pattern hop
+# (both line levels), as a bare source = off hop, as a hop whose first idle
+# phase takes about 6 960 steps at rho = 0.998 (more than the 4 096 rows
+# of a kernel chunk, which the hop kernel cuts only between sessions, so
+# the phase stays in one chunk) and as a 300-session bernoulli hop of
+# about 18 400 rows (the benchmark's hop size, which the kernel yields in
+# five chunks); fails unless both runs wrote byte-identical trace and hop
+# CSVs and stdout.
 # Four failing sessions also run twice each: a transmit whose response
 # passes its guard at step 18, inside the kernel's first block, a sync
 # whose drive escapes at step 2 (x: 0.146... -> 0.5 -> 1.0), a hop at
@@ -40,9 +44,10 @@ printf 'source = bernoulli\nseed = 5\nsessions = 20\nactive_steps = 40\n' > hop.
 printf 'operator = multiplicative\namplitude = 0.2\nsource = pattern\npattern = 0110\nhold = 4\nsessions = 120\nactive_steps = 40\n' > hop-mul.cfg
 printf 'source = off\nsessions = 120\n' > hop-off.cfg
 printf 'rho = 0.998\nsource = pattern\npattern = 01\nsessions = 2\nactive_steps = 5\n' > hop-slow.cfg
+printf 'source = bernoulli\nseed = 1\nsessions = 300\nactive_steps = 40\n' > hop-long.cfg
 traces=""
 for name in sync sync-long transmit transmit-mul transmit-long transmit-mul-long digital \
-    hop hop-mul hop-off hop-slow; do
+    hop hop-mul hop-off hop-slow hop-long; do
   command="${name%%-*}"
   for run in 1 2; do
     traces="$traces $name-$run.csv"

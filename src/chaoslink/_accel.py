@@ -12,24 +12,6 @@ control_effort and into _response_block, the response's block stepper,
 which has the law inline with y - d for the error, so a response step
 pays no Python call for its control.
 
-hop_run steps the drive and the response of idle and active phases in
-one loop: each step advances the drive with logistic_orbit's expression,
-takes its line sample (the drive when idle, the drive or its masked 1-bit
-level, chosen by the source bit, when active), calls control_effort,
-counts the trigger's run and checks the drive's escape and the guard.
-It is a generator that keeps the whole loop state in its own frame and
-yields the rows a fixed number at a time, so a run of any length holds
-one chunk of Python floats.
-
-response_track steps the response in blocks of _SYNC_CHECK steps and,
-between blocks, checks for exact sync: y == z[n], sign bit included.
-From there the error y - z[n] is exactly +0.0, the control is the law at
-e = +0.0 and the update is the line's own map, so as long as each image
-equals the next line sample the loop's results are those of one vector
-pass over the line, written straight into the float64 output.  That pass
-runs in doubling windows, so a stretch of exact sync costs O(its length)
-and the loop resumes where the line leaves it.
-
 fx_sync_run steps the pair only until it synchronizes.  From then on the
 response is the drive, and the drive is a map on at most k states, so a
 visited table of size k finds its cycle within k steps; the rest of the
@@ -38,16 +20,16 @@ alongside.  A run of any length therefore costs O(sync + k) steps.
 
 The float kernels keep only the state on each step.  logistic_orbit and
 response_track step each block in one list comprehension whose assignment
-expression carries the state (response_track's is _response_block), hand
-the block's Python floats to numpy with np.fromiter, copy it into the
-preallocated float64 output, and test it once in numpy: the orbit must
-lie in (0, k), the response within the guard, which a NaN fails.  On a
-failure the first bad index is the kernel's result and the samples after
-it are zeroed, so a failing run does at most one block of work past the
-failure; Python floats overflow to inf and NaN without a warning, so that
-work is quiet.  hop_run, which branches on the phase at every step,
-appends each row to lists that np.fromiter makes float64 arrays as each
-chunk is yielded.
+expression carries the state (response_track's is _response_block, for a
+block not in exact sync), hand the block's Python floats to numpy with
+np.fromiter, copy it into the preallocated float64 output, and test it
+once in numpy: the orbit must lie in (0, k), the response within the
+guard, which a NaN fails.  On a failure the first bad index is the
+kernel's result and the samples after it are zeroed, so a failing run
+does at most one block of work past the failure; Python floats overflow
+to inf and NaN without a warning, so that work is quiet.  hop_run, which
+branches on the phase at every step, appends each row to lists that
+np.fromiter makes float64 arrays as each chunk is yielded.
 A control column is not stored per step: control_column rebuilds it from
 the stepped states in one vector call of control_effort, the same float64
 operations in the same order as the loop's scalar call, so bit for bit
@@ -63,11 +45,14 @@ import numpy as np
 I16_MIN = -32768
 I16_MAX = 32767
 _SYNC_CHECK = 1024  # steps per block; the response checks exact sync between blocks
-_SYNC_PROBE_MAX = 1 << 16  # largest window of one exact-sync vector pass
+_SYNC_PROBE_MAX = 1 << 16  # widest exact-sync block of the response
 
-# An exact-sync window may run past the sync into huge or infinite line
+# An exact-sync block may run past the sync into huge or infinite line
 # samples, and a control column may hold huge or infinite states: numpy
 # warns on their overflow and inf - inf, the loops' Python floats do not.
+# Used only as a decorator, which may nest (response_track calls
+# control_column): a `with quiet:` inside another raises TypeError, as
+# np.errstate cannot be entered twice (numpy 2.4.6).
 quiet = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -145,41 +130,6 @@ def control_column(mu, k, rho, y, z, rows):
 
 
 @quiet
-def _follow_line(mu, k, rho, z, n, guard, ys):
-    """Fill ys from step n on, given that the response state equals z[n]
-    with the same sign bit.
-
-    While y == z[m] the loop's error y - z[m] is z[m] - z[m] (+0.0, never
-    -0.0) and its update is the map on z[m] plus that control, so each
-    step is a vector operation on the line; the run ends at the first
-    image that differs from the next line sample in value or sign bit.
-    Windows double up to _SYNC_PROBE_MAX, so the pass reads O(run length)
-    samples.  Returns (n, diverge_index): n is the step at which the loop
-    resumes from ys[n] (z.size if the line ends in sync), diverge_index
-    as in response_track, -1 if no image crossed the guard.
-    """
-    n_steps = z.size
-    width = _SYNC_CHECK
-    while n < n_steps:
-        hi = min(n + width, n_steps)
-        d = z[n:hi]
-        nxt = mu * d * (1.0 - d / k) + control_effort(mu, k, rho, d - d, d)
-        stops = ~(np.abs(nxt) <= guard)
-        follow = z[n + 1:hi + 1]
-        m = follow.size
-        stops[:m] |= (nxt[:m] != follow) | (np.signbit(nxt[:m]) != np.signbit(follow))
-        hits = np.flatnonzero(stops)
-        last = int(hits[0]) if hits.size else hi - n - 1
-        ys[n + 1:n + last + 2] = nxt[:last + 1]
-        if not abs(nxt[last]) <= guard:
-            return n + last + 1, n + last + 1
-        if hits.size:
-            return n + last + 1, -1
-        n = hi
-        width = min(2 * width, _SYNC_PROBE_MAX)
-    return n, -1
-
-
 def response_track(mu, k, rho, y0, z, guard):
     """Response map driven by the float64 line z under the feedback law.
 
@@ -189,15 +139,16 @@ def response_track(mu, k, rho, y0, z, guard):
     on the n -> n+1 transition, and diverge_index is the first index with
     |y| > guard or y NaN (samples past it are left at 0), or -1 if none.
 
-    Each block of _SYNC_CHECK steps is one _response_block call, handed to
-    ys through np.fromiter and checked against the guard in one vector
-    test; y goes on from the block's last state; us is control_column
-    over the stepped rows once the loop is done.  Before each whole block
-    the loop checks whether y equals z[n] with the same sign bit.
-    Once it does, the error is exactly +0.0 and the update is the line's
-    own map, so _follow_line writes the line's controlled continuation
-    into ys in vector form, bit for bit what the loop would compute, and
-    the loop resumes where the line stops following its own map.
+    The loop steps one block at a time.  If y equals z[n] with the same
+    sign bit, the error is exactly +0.0 and the update is the line's own
+    map, so the block is one vector pass over the line, bit for bit what
+    the loop would compute, cut at the first image that differs from the
+    next line sample in value or sign bit; its width doubles up to
+    _SYNC_PROBE_MAX while the blocks stay in sync, so a stretch of exact
+    sync costs O(its length).  Otherwise the block is one _response_block
+    call of _SYNC_CHECK steps.  Either block goes into ys, is checked
+    against the guard in one vector test and hands y its last state; us
+    is control_column over the stepped rows once the loop is done.
     """
     mu = float(mu)
     k = float(k)
@@ -209,22 +160,31 @@ def response_track(mu, k, rho, y0, z, guard):
     ys[0] = y
     n = 0
     diverge = -1
-    while n < n_steps and diverge < 0:
-        end = n + _SYNC_CHECK
-        if end > n_steps:  # a vector pass is not worth a partial block
-            end = n_steps
-        elif y == z[n] and math.copysign(1.0, y) == math.copysign(1.0, z[n]):
-            n, diverge = _follow_line(mu, k, rho, z, n, guard, ys)
-            y = float(ys[n])
-            continue
-        vals = _response_block(mu, k, rho, y, z[n:end].tolist())
-        y = vals[-1]
-        block = np.fromiter(vals, np.float64, end - n)
+    width = _SYNC_CHECK
+    while n < n_steps:
+        if y == z[n] and math.copysign(1.0, y) == math.copysign(1.0, z[n]):
+            end = min(n + width, n_steps)
+            d = z[n:end]
+            block = mu * d * (1.0 - d / k) + control_effort(mu, k, rho, d - d, d)
+            follow = z[n + 1:end + 1]
+            head = block[:follow.size]
+            cuts = np.flatnonzero((head != follow) | (np.signbit(head) != np.signbit(follow)))
+            if cuts.size:
+                end = n + 1 + int(cuts[0])
+                block = block[:end - n]
+            width = min(2 * width, _SYNC_PROBE_MAX)
+        else:
+            end = min(n + _SYNC_CHECK, n_steps)
+            block = np.fromiter(_response_block(mu, k, rho, y, z[n:end].tolist()),
+                                np.float64, end - n)
+            width = _SYNC_CHECK
         ys[n + 1:end + 1] = block
+        y = float(block[-1])
         held = np.abs(block) <= guard  # False for NaN
         if not held.all():
             diverge = n + 1 + int(np.flatnonzero(~held)[0])
             ys[diverge + 1:end + 1] = 0.0
+            break
         n = end
     rows = n_steps if diverge < 0 else diverge
     return ys, control_column(mu, k, rho, ys, z, rows), diverge
@@ -248,14 +208,16 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
     step adds to it, an active one only if counted.  An idle phase ends on
     the step that brings the run to window; the row after it is a hop row.
 
-    Yields (xs, ys, hops, fail) every chunk rows: the drive and response
-    rows as float64 arrays and the hop rows among them as a list; the
-    controls are control_column over the rows' line samples.  The run stops
-    at the first step whose new drive sample lies outside (0, k) (fail
-    ESCAPED), else whose response passes the guard or is NaN (DIVERGED),
-    else that ends the cap-th idle step of a phase without a trigger
-    (IDLE_CAPPED), else (fail 0) after the last active phase.  The last
-    chunk ends with the state the run stopped at, the one row if no session.
+    Yields (xs, ys, hops, fail): the drive and response rows as float64
+    arrays and the hop rows among them as a list; the controls are
+    control_column over the rows' line samples.  A chunk is yielded at the
+    end of an active phase once chunk rows have gathered, so it holds at
+    most chunk rows plus one session.  The run stops at the first step
+    whose new drive sample lies outside (0, k) (fail ESCAPED), else whose
+    response passes the guard or is NaN (DIVERGED), else that ends the
+    cap-th idle step of a phase without a trigger (IDLE_CAPPED), else
+    (fail 0) after the last active phase.  The last chunk ends with the
+    state the run stopped at, the one row if no session.
     """
     mu = float(mu)
     k = float(k)
@@ -267,52 +229,48 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
     tol = float(tol)
     guard = float(guard)
     xs, ys, hops = [], [], []
-    run = left = idle = started = first = row = fail = 0
+    run = left = idle = started = yielded = fail = 0
     while sessions:
-        picks = pick[first:first + chunk].tolist()  # from the next active step
-        j = 0
-        for n in range(row, row + chunk):
-            xs.append(x)
-            ys.append(y)
-            d = x
-            if left and picks[j]:  # active: the level of this step's 1 bit
-                d = x * scale + offset
-            e = y - d
-            x = mu * x * (1.0 - x / k)
-            y = mu * y * (1.0 - y / k) + control_effort(mu, k, rho, e, d)
-            # a step that does not continue ends the run
-            if not 0.0 < x < k:
-                fail = ESCAPED
-            elif not -guard <= y <= guard:
-                fail = DIVERGED
-            elif left:
-                if counted:
-                    run = run + 1 if -tol < e < tol else 0
-                left -= 1
-                j += 1
-                if left or started < sessions:
-                    continue
-            else:
-                run = run + 1 if -tol < e < tol else 0
-                if run >= window:
-                    hops.append(n + 1)
-                    started += 1
-                    left = width
-                    idle = 0
-                    continue
-                idle += 1
-                if idle <= cap:
-                    continue
-                fail = IDLE_CAPPED
+        xs.append(x)
+        ys.append(y)
+        d = x
+        if left and bits[width - left]:  # active: the level of this step's 1 bit
+            d = x * scale + offset
+        e = y - d
+        x = mu * x * (1.0 - x / k)
+        y = mu * y * (1.0 - y / k) + control_effort(mu, k, rho, e, d)
+        # a step that does not continue ends the run
+        if not 0.0 < x < k:
+            fail = ESCAPED
             break
-        else:  # a whole chunk, and the run goes on
-            yield (np.fromiter(xs, np.float64, len(xs)), np.fromiter(ys, np.float64, len(ys)),
-                   hops, 0)
-            xs, ys, hops = [], [], []
-            first += j
-            row += chunk
-            continue
-        break
+        if not -guard <= y <= guard:
+            fail = DIVERGED
+            break
+        if left:
+            if counted:
+                run = run + 1 if -tol < e < tol else 0
+            left -= 1
+            if not left:  # the end of an active phase
+                if started == sessions:
+                    break
+                if len(xs) >= chunk:
+                    yield (np.fromiter(xs, np.float64, len(xs)),
+                           np.fromiter(ys, np.float64, len(ys)), hops, 0)
+                    yielded += len(xs)
+                    xs, ys, hops = [], [], []
+        else:
+            run = run + 1 if -tol < e < tol else 0
+            if run >= window:
+                hops.append(yielded + len(xs))
+                bits = pick[started * width:(started + 1) * width].tolist()
+                started += 1
+                left = width
+                idle = 0
+            else:
+                idle += 1
+                if idle > cap:
+                    fail = IDLE_CAPPED
+                    break
     xs.append(x)
     ys.append(y)
     yield np.fromiter(xs, np.float64, len(xs)), np.fromiter(ys, np.float64, len(ys)), hops, fail

@@ -444,7 +444,7 @@ def run_digital_session(cfg: ScenarioConfig):
 
 
 MAX_IDLE_STEPS = 10_000
-_HOP_CHUNK = 4096  # rows per hop_run chunk
+_HOP_CHUNK = 4096  # rows after which hop_run yields at the next session's end
 
 
 def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
@@ -456,12 +456,13 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     their own states, so the selection error measures residual desync.
 
     _accel.hop_run steps the drive and the response together and yields
-    their rows _HOP_CHUNK at a time, so the Python floats in flight stay
-    bounded: the line is the bare drive state on idle steps and one of two
-    masked levels, chosen by the source bit, on active ones; the trigger's
-    window reaches back across phases.  The masked line, the information
-    and its recovery on the active rows, the control column, the trace
-    columns and the hop records are built once, after the loop.
+    their rows between sessions, once _HOP_CHUNK have gathered, so the
+    Python floats in flight stay bounded: the line is the bare drive state
+    on idle steps and one of two masked levels, chosen by the source bit,
+    on active ones; the trigger's window reaches back across phases.  The
+    masked line, the information and its recovery on the active rows, the
+    control column, the trace columns and the hop records are built once,
+    after the loop.
     """
     if cfg.mode != "float":
         raise ConfigError("hop session runs in float mode")

@@ -2,11 +2,12 @@
 
 The package steps the drive and the response of a hop run together in
 one _accel.hop_run generator, which keeps its loop state and yields the
-rows a fixed number at a time, and builds the masked line, its recovery
-and the control column after the loop; this is the per-sample loop the
-tests compare it against.  It steps the drive, the response, the control law, the masking
-operator and the trigger window one sample at a time, and draws each
-session's source bits as its active phase starts.
+rows in chunks cut between sessions, and builds the masked line, its
+recovery and the control column after the loop; this is the per-sample
+loop the tests compare it against.  It steps the drive, the response,
+the control law, the masking operator and the trigger window one sample
+at a time, and draws each session's source bits as its active phase
+starts.
 """
 
 from collections import deque

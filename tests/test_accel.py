@@ -445,8 +445,17 @@ def test_response_track_line_ends_in_sync(steps, y0):
     (np.inf, [np.inf] * 3), (0.2, [0.2, np.inf, 0.3]),
 ])
 def test_response_track_signed_zero_and_special_lines(y0, line):
+    # Each line is shorter than one block.  A line that the response
+    # follows bit for bit from step 0, up to its end or the divergence, is
+    # one vector pass with no _response_block call; any other takes one.
+    z = np.array(line)
     for rho in (-0.5, 0.0, 0.5):
-        check_response_track(3.7, 1.0, rho, y0, np.array(line), 3.0)
+        with mock.patch.object(_accel, "_response_block",
+                               wraps=_accel._response_block) as stepper:
+            ys, diverge = check_response_track(3.7, 1.0, rho, y0, z, 3.0)
+        stop = z.size if diverge < 0 else diverge
+        followed = ys[:stop].tobytes() == z[:stop].tobytes()
+        assert stepper.call_count == (0 if followed else 1)
 
 
 @given(

@@ -435,16 +435,18 @@ class TestHopSession:
                                 sync_window=1))
     # the drive escapes at step 1, where the response also passes the guard
     @example(cfg=ScenarioConfig(mu=4.0, x0=0.5, y0=999.0, rho=3.0))
-    # about 6 500 rows: the first 4096-row hop_run chunk ends inside a session
+    # about 6 500 rows: hop_run yields its first chunk between two sessions,
+    # once 4096 rows have gathered
     @example(cfg=ScenarioConfig(source="bernoulli", seed=3, sessions=80, active_steps=60))
-    # e' = 0.998 e: the first idle phase takes about 6 960 steps, so it
-    # spans two hop_run chunks
+    # e' = 0.998 e: the first idle phase takes about 6 960 steps, longer
+    # than a 4096-row hop_run chunk
     @example(cfg=ScenarioConfig(rho=0.998, source="pattern", pattern="01", sessions=2,
                                 active_steps=5))
-    # this mu = 4 drive reaches x = 1.0 at step 4440, in the second chunk
+    # this mu = 4 drive reaches x = 1.0 at step 4440, after the first chunk
     @example(cfg=ScenarioConfig(mu=4.0, x0=0.044666150338579715, rho=0.0,
                                 source="bernoulli", seed=1, sessions=200))
-    # rho = 1 never triggers: the cap comes in the third chunk
+    # rho = 1 never triggers: the cap comes after 10 000 idle rows, in the
+    # one chunk
     @example(cfg=ScenarioConfig(rho=1.0, sessions=2))
     def test_matches_stepwise_oracle(self, cfg):
         assert _hop_outcome(run_hop_session, cfg) == _hop_outcome(hop_session_oracle, cfg)
@@ -478,8 +480,10 @@ class TestHopSession:
             run_hop_session(replace(HOP_CFG, rho=1.0))
 
     def test_kernel_calls_per_run(self):
-        # one hop_run generator per run, one chunk per 4096 rows; it steps
-        # the drive itself, and no phase calls response_track
+        # one hop_run generator per run; each chunk but the last holds at
+        # least 4096 rows and ends with an active phase, so the next one
+        # starts width rows after a hop row; hop_run steps the drive
+        # itself, and no phase calls response_track
         cfg = replace(HOP_CFG, sessions=300)
         chunks, hop_run = [], _accel.hop_run
 
@@ -491,11 +495,13 @@ class TestHopSession:
         with (mock.patch.object(_accel, "logistic_orbit", wraps=_accel.logistic_orbit) as orbit,
               mock.patch.object(_accel, "hop_run", side_effect=counted) as kernel,
               mock.patch.object(_accel, "response_track", wraps=_accel.response_track) as track):
-            trace, metrics = run_hop_session(cfg)
+            _, metrics = run_hop_session(cfg)
         assert len(metrics.hops) == 300
         assert kernel.call_count == 1
-        assert len(chunks) == math.ceil((len(trace) - 1) / 4096)
-        assert [xs.size for xs, *_ in chunks[:-1]] == [4096] * (len(chunks) - 1)
+        sizes = [xs.size for xs, *_ in chunks[:-1]]
+        assert sizes and min(sizes) >= 4096
+        hop_rows = {record.step for record in metrics.hops}
+        assert all(cut - cfg.active_steps in hop_rows for cut in np.cumsum(sizes).tolist())
         assert (orbit.call_count, track.call_count) == (0, 0)
 
     @settings(max_examples=60, deadline=None)
