@@ -10,8 +10,9 @@
 # of a kernel chunk, which the hop kernel cuts only between sessions, so
 # the phase stays in one chunk) and as a 300-session bernoulli hop of
 # about 18 400 rows (the benchmark's hop size, which the kernel yields in
-# five chunks); fails unless both runs wrote byte-identical trace and hop
-# CSVs and stdout.
+# five chunks), and diagnose with the Lyapunov exponent, the spectrum
+# and the bifurcation scan; fails unless both runs wrote byte-identical
+# trace, hop, spectrum and bifurcation CSVs and stdout.
 # Four failing sessions also run twice each: a transmit whose response
 # passes its guard at step 18, inside the kernel's first block, a sync
 # whose drive escapes at step 2 (x: 0.146... -> 0.5 -> 1.0), a hop at
@@ -25,11 +26,17 @@
 # whose guard * k overflows; each must exit 1 with byte-identical stderr.
 # PYTHONWARNINGS=error turns any warning into a traceback, so a run that
 # warns fails too.
+# Run 2 of every config, failing ones included, uses the package in the
+# directory given as the first argument, by default this checkout's src,
+# so passing another tree's src checks this one's outputs byte for byte
+# against that tree's.
 #
-# usage, from the repository root: sh .github/determinism-smoke.sh
+# usage, from the repository root: sh .github/determinism-smoke.sh [reference-src]
 set -eu
 export PYTHONWARNINGS=error
 src="$(pwd)/src"
+ref="$(cd "${1:-src}" && pwd)"
+tree() { if [ "$1" = 1 ]; then echo "$src"; else echo "$ref"; fi; }
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
 cd "$dir"
@@ -53,7 +60,7 @@ for name in sync sync-long transmit transmit-mul transmit-long transmit-mul-long
     traces="$traces $name-$run.csv"
     set -- "$command" --config "$name.cfg" --out "$name-$run.csv"
     if [ "$command" = hop ]; then set -- "$@" --hops-out "$name-hops-$run.csv"; fi
-    PYTHONPATH="$src" python -m chaoslink.cli "$@" > "$name-$run.out"
+    PYTHONPATH="$(tree "$run")" python -m chaoslink.cli "$@" > "$name-$run.out"
   done
   cmp "$name-1.csv" "$name-2.csv"
   cmp "$name-1.out" "$name-2.out"
@@ -66,6 +73,13 @@ for path in sys.argv[1:]:
     export_csv(load_trace_csv(path), path + ".again")
 ' $traces
 for trace in $traces; do cmp "$trace" "$trace.again"; done
+for run in 1 2; do
+  PYTHONPATH="$(tree "$run")" python -m chaoslink.cli diagnose --mu 3.7 --lyapunov \
+    --spectrum-out "spectrum-$run.csv" --bifurcation-out "bifurcation-$run.csv" > "diagnose-$run.out"
+done
+cmp spectrum-1.csv spectrum-2.csv
+cmp bifurcation-1.csv bifurcation-2.csv
+cmp diagnose-1.out diagnose-2.out
 printf 'source = bernoulli\nseed = 1\nsteps = 2000\namplitude = 1e100\nthreshold = 5e99\nguard = 1e300\n' > transmit-guard.cfg
 printf 'mu = 4.0\nx0 = 0.1464466094067262\n' > sync-escape.cfg
 printf 'rho = 1.0\nsessions = 2\n' > hop-idle.cfg
@@ -78,7 +92,7 @@ for case in transmit-guard:2 sync-escape:2 hop-idle:2 hop-escape:2 sync-law-k:1 
   command="${name%%-*}"
   for run in 1 2; do
     status=0
-    PYTHONPATH="$src" python -m chaoslink.cli "$command" --config "$name.cfg" \
+    PYTHONPATH="$(tree "$run")" python -m chaoslink.cli "$command" --config "$name.cfg" \
       --out "$name-$run.csv" 2> "$name-$run.err" || status=$?
     if [ "$status" -ne "$expected" ]; then
       echo "$name run $run: exit $status, expected $expected" >&2

@@ -7,10 +7,14 @@ the 16-bit quantized drive/response pair; control_column is the law over
 a whole session's rows.  Sessions and chaos diagnostics alike are built on
 these; no session steps a sample in Python outside them.
 
-The float law is one text, _LAW.  At import it is compiled into
-control_effort and into _response_block, the response's block stepper,
-which has the law inline with y - d for the error, so a response step
-pays no Python call for its control.
+The float map and the float law are one text each, _MAP and _LAW.  At
+import they are compiled into the four float steps: _orbit_block, a block
+of the map; control_effort, the law; _response_step, one response step,
+the map plus the law, with the error passed in; and _response_block, the
+response's block stepper, the same step with y - d for the error.  So a
+response step pays no Python call for its control.  hop_run's drive line
+is the one other copy of the map, written out because a call per row of
+the drive costs the hop kernel more than the copy (a test pins it to _MAP).
 
 fx_sync_run steps the pair only until it synchronizes.  From then on the
 response is the drive, and the drive is a map on at most k states, so a
@@ -20,20 +24,20 @@ alongside.  A run of any length therefore costs O(sync + k) steps.
 
 The float kernels keep only the state on each step.  logistic_orbit and
 response_track step each block in one list comprehension whose assignment
-expression carries the state (response_track's is _response_block, for a
-block not in exact sync), hand the block's Python floats to numpy with
-np.fromiter, copy it into the preallocated float64 output, and test it
-once in numpy: the orbit must lie in (0, k), the response within the
-guard, which a NaN fails.  On a failure the first bad index is the
-kernel's result and the samples after it are zeroed, so a failing run
-does at most one block of work past the failure; Python floats overflow
-to inf and NaN without a warning, so that work is quiet.  hop_run, which
-branches on the phase at every step, appends each row to lists that
-np.fromiter makes float64 arrays as each chunk is yielded.
+expression carries the state (_orbit_block, and _response_block for a
+response block not in exact sync), hand the block's Python floats to
+numpy with np.fromiter, copy it into the preallocated float64 output,
+and test it once in numpy: the orbit must lie in (0, k), the response
+within the guard, which a NaN fails.  On a failure the first bad index is
+the kernel's result and the samples after it are zeroed, so a failing
+run does at most one block of work past the failure; Python floats
+overflow to inf and NaN without a warning, so that work is quiet.
+hop_run, which branches on the phase at every step, appends each row to
+lists that np.fromiter makes float64 arrays as each chunk is yielded.
 A control column is not stored per step: control_column rebuilds it from
 the stepped states in one vector call of control_effort, the same float64
-operations in the same order as the loop's scalar call, so bit for bit
-the loop's control.
+operations in the same order as the law in the loop's step, so bit for
+bit the loop's control.
 """
 
 import math
@@ -73,9 +77,9 @@ def logistic_orbit(mu, k, x0, n_steps):
     n = 1
     while n <= n_steps:
         end = min(n + _SYNC_CHECK, n_steps + 1)
-        block = np.fromiter([x := mu * x * (1.0 - x / k) for _ in range(end - n)],
-                            np.float64, end - n)
+        block = np.fromiter(_orbit_block(mu, k, x, end - n), np.float64, end - n)
         orbit[n:end] = block
+        x = float(block[-1])
         inside = (block > 0.0) & (block < k)
         if not inside.all():
             escape = n + int(np.flatnonzero(~inside)[0])
@@ -85,11 +89,14 @@ def logistic_orbit(mu, k, x0, n_steps):
     return orbit, -1
 
 
-# The float feedback law, the one place it is written, with {e} for the
-# error.  The stepper computes y - d at both places of {e}, the same bits
-# as the once-computed error control_effort is passed.  Each function built
-# from the law is one line numbered as the line below, so a traceback
-# through it shows the law.
+# The float map of a state {x} and the float feedback law with {e} for the
+# error, the one place each is written.  _orbit_block steps the map;
+# control_effort is the law; _response_step and _response_block step the
+# response, the map at y plus the law.  _response_block computes y - d at
+# both places of {e}, the same bits as the once-computed error the others
+# are passed.  Each function built from the texts is one line numbered as
+# the law's line below, so a traceback through it shows the law.
+_MAP = "mu * {x} * (1.0 - {x} / k)"
 _LAW = "(mu * ({e} + 2.0 * d - k) + rho * k) * {e} / k"
 _LAW_LINE = sys._getframe().f_lineno - 1
 
@@ -110,12 +117,23 @@ control_effort = _from_law(
     """The feedback law u = [mu(e + 2d - k) + rho*k] * e / k for error e
     against the drive-side sample d; see chaoslink.control.""")
 
+_orbit_block = _from_law(
+    "_orbit_block", "mu, k, x, n", f"[x := {_MAP.format(x='x')} for _ in range(n)]",
+    "The n states of the map x = mu*x*(1 - x/k) after x, as Python floats.")
+
+_RESPONSE = f"{_MAP.format(x='y')} + {_LAW}"  # {e} left open
+
+_response_step = _from_law(
+    "_response_step", "mu, k, rho, y, e, d", _RESPONSE.format(e="e"),
+    """The response state after y on line sample d with error e, on scalars
+    or float64 arrays: mu*y*(1 - y/k) + control_effort(mu, k, rho, e, d).""")
+
 _response_block = _from_law(
     "_response_block", "mu, k, rho, y, ds",
-    f"[y := mu * y * (1.0 - y / k) + {_LAW.format(e='(y - d)')} for d in ds]",
+    f"[y := {_RESPONSE.format(e='(y - d)')} for d in ds]",
     """The response states after each line sample d of ds, from state y,
-    as Python floats: y = mu*y*(1 - y/k) + control_effort(mu, k, rho,
-    y - d, d), step by step.""")
+    as Python floats: y = _response_step(mu, k, rho, y, y - d, d), step
+    by step.""")
 
 
 @quiet
@@ -133,16 +151,17 @@ def control_column(mu, k, rho, y, z, rows):
 def response_track(mu, k, rho, y0, z, guard):
     """Response map driven by the float64 line z under the feedback law.
 
-    Step n is y = mu*y*(1 - y/k) + control_effort(y - z[n], z[n]), with
-    the law compiled inline in _response_block.  Returns (ys, us,
-    diverge_index): ys has one sample more than z, us[n] is the control
-    on the n -> n+1 transition, and diverge_index is the first index with
-    |y| > guard or y NaN (samples past it are left at 0), or -1 if none.
+    Step n is y = _response_step(mu, k, rho, y, y - z[n], z[n]), stepped
+    in blocks by _response_block.  Returns (ys, us, diverge_index): ys
+    has one sample more than z, us[n] is the control on the n -> n+1
+    transition, and diverge_index is the first index with |y| > guard or
+    y NaN (samples past it are left at 0), or -1 if none.
 
     The loop steps one block at a time.  If y equals z[n] with the same
-    sign bit, the error is exactly +0.0 and the update is the line's own
-    map, so the block is one vector pass over the line, bit for bit what
-    the loop would compute, cut at the first image that differs from the
+    sign bit, the error is exactly +0.0, or NaN on an infinite sample,
+    where the law times 0.0 is NaN too.  So the block is one vector pass of
+    _response_step over the line with error 0.0, bit for bit what the
+    loop would compute, cut at the first image that differs from the
     next line sample in value or sign bit; its width doubles up to
     _SYNC_PROBE_MAX while the blocks stay in sync, so a stretch of exact
     sync costs O(its length).  Otherwise the block is one _response_block
@@ -165,7 +184,7 @@ def response_track(mu, k, rho, y0, z, guard):
         if y == z[n] and math.copysign(1.0, y) == math.copysign(1.0, z[n]):
             end = min(n + width, n_steps)
             d = z[n:end]
-            block = mu * d * (1.0 - d / k) + control_effort(mu, k, rho, d - d, d)
+            block = _response_step(mu, k, rho, d, 0.0, d)  # d - d's bits, no temporary
             follow = z[n + 1:end + 1]
             head = block[:follow.size]
             cuts = np.flatnonzero((head != follow) | (np.signbit(head) != np.signbit(follow)))
@@ -203,10 +222,11 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
     advances the drive as logistic_orbit does, takes its line sample d,
     the drive x on an idle step and on an active one x or x * scale +
     offset, the line level of a 0 or 1 source bit as pick says (width
-    entries per session), and applies control_effort(y - d, d).  The
-    trigger's run counts the trailing steps with |y - d| < tol: every idle
-    step adds to it, an active one only if counted.  An idle phase ends on
-    the step that brings the run to window; the row after it is a hop row.
+    entries per session), and steps the response with _response_step on
+    the error e = y - d.  The trigger's run counts the trailing steps
+    with |e| < tol: every idle step adds to it, an active one only if
+    counted.  An idle phase ends on the step that brings the run to
+    window; the row after it is a hop row.
 
     Yields (xs, ys, hops, fail): the drive and response rows as float64
     arrays and the hop rows among them as a list; the controls are
@@ -237,8 +257,8 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
         if left and bits[width - left]:  # active: the level of this step's 1 bit
             d = x * scale + offset
         e = y - d
-        x = mu * x * (1.0 - x / k)
-        y = mu * y * (1.0 - y / k) + control_effort(mu, k, rho, e, d)
+        x = mu * x * (1.0 - x / k)  # _MAP, inline: a call per row costs more
+        y = _response_step(mu, k, rho, y, e, d)
         # a step that does not continue ends the run
         if not 0.0 < x < k:
             fail = ESCAPED

@@ -318,6 +318,17 @@ def float_bytes_or_error(step):
         return type(error)
 
 
+def one_nan(values):
+    """values as float64 with every NaN the same NaN.  Where two NaNs of
+    opposite sign meet, the sign bit that wins depends on the operand order
+    of the compiled operation (CPython's generic or float-specialized add,
+    numpy's vector loop or its scalar tail), not on the formula; a trace
+    writes either as nan."""
+    values = np.array(values, dtype=np.float64)
+    values[np.isnan(values)] = np.nan
+    return values
+
+
 @given(mu=any_float, k=any_float, rho=any_float, y=any_float,
        ds=st.lists(any_float, max_size=40))
 def test_response_block_is_the_scalar_law_loop(mu, k, rho, y, ds):
@@ -331,6 +342,18 @@ def test_response_block_is_the_scalar_law_loop(mu, k, rho, y, ds):
 
     assert (float_bytes_or_error(lambda: _accel._response_block(mu, k, rho, y, ds))
             == float_bytes_or_error(scalar_loop))
+    # one step on Python floats, and on a float64 line in exact sync, whose
+    # error 0.0 gives the bits of the error d - d
+    assert (float_bytes_or_error(lambda: one_nan(
+                [_accel._response_step(mu, k, rho, y, y - d, d) for d in ds]))
+            == float_bytes_or_error(lambda: one_nan(
+                [mu * y * (1.0 - y / k) + _accel.control_effort(mu, k, rho, y - d, d)
+                 for d in ds])))
+    line = np.array(ds + [y])
+    with np.errstate(all="ignore"):  # _accel.quiet's, and numpy's division by k = 0
+        assert (one_nan(_accel._response_step(mu, k, rho, line, 0.0, line)).tobytes()
+                == one_nan(mu * line * (1.0 - line / k)
+                           + _accel.control_effort(mu, k, rho, line - line, line)).tobytes())
 
 
 def products(tree, left, right):
@@ -340,22 +363,56 @@ def products(tree, left, right):
             and ast.unparse(node.left) == left and ast.unparse(node.right) == right]
 
 
-def test_float_law_is_written_once():
-    # _accel's code and every string in it that parses as an expression,
-    # with the law text's {e} placeholder read as a name: the law's products
-    # rho * k and 2.0 * d appear once, in _LAW
+def as_code(text):
+    """The expression text, with the {x} and {e} placeholders of the float
+    texts read as names."""
+    return ast.parse(text.replace("{x}", "x").replace("{e}", "e"), mode="eval")
+
+
+def accel_code_and_texts():
+    """_accel's code, and every string in it that parses as an expression."""
     tree = ast.parse(Path(_accel.__file__).read_text())
-    codes = [tree]
+    texts = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
-                codes.append(ast.parse(node.value.replace("{e}", "e"), mode="eval"))
+                texts.append(as_code(node.value))
             except SyntaxError:
                 pass
-    law = ast.parse(_accel._LAW.replace("{e}", "e"), mode="eval")
+    return tree, texts
+
+
+def test_float_law_is_written_once():
+    # the law's products rho * k and 2.0 * d appear once, in _LAW
+    tree, texts = accel_code_and_texts()
+    law = as_code(_accel._LAW)
     for left, right in [("rho", "k"), ("2.0", "d")]:
         assert len(products(law, left, right)) == 1
-        assert sum(len(products(code, left, right)) for code in codes) == 1
+        assert sum(len(products(code, left, right)) for code in [tree] + texts) == 1
+
+
+def map_factors(tree):
+    """The expressions 1.0 - <name> / k written in tree's code."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and ast.unparse(node.left) == "1.0"
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Div)
+            and isinstance(node.right.left, ast.Name) and ast.unparse(node.right.right) == "k"]
+
+
+def test_float_map_is_written_once():
+    # the map's factor 1.0 - x / k appears once among the texts, in _MAP,
+    # and once in the code, in hop_run's drive line, which must be _MAP at x
+    tree, texts = accel_code_and_texts()
+    assert sum(len(map_factors(text)) for text in texts) == 1
+    assert len(map_factors(tree)) == 1
+    assert len(map_factors(as_code(_accel._MAP))) == 1
+    hop_run = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "hop_run")
+    drive = [node.value for node in ast.walk(hop_run)
+             if isinstance(node, ast.Assign) and map_factors(node.value)]
+    assert len(drive) == 1
+    assert ast.dump(drive[0]) == ast.dump(as_code(_accel._MAP.format(x="x")).body)
 
 
 @pytest.mark.parametrize("y0, line", [

@@ -286,6 +286,24 @@ class TestDiagnoseAndLut:
         assert len(lines) == 1 + 5 * 200
         assert lines[1].startswith("2.5,") and lines[-1].startswith("4,")
 
+    # SHA-256 of diagnose's stdout and CSVs: the Lyapunov exponent, the
+    # spectrum and the bifurcation scan all run on the orbit kernel.
+    PINNED_DIAGNOSE_SHA256 = {
+        "stdout": "97331f1243afc4c6e24d22ecc60a58a8dd0646c1c2c8077a04ffb14b8af079c0",
+        "S": "3c4f2ac8ac5591b1de6dfbfadffebc5bece28a1026f0c4651bfc3b1e2d0d7552",
+        "B": "ad76a449c9964d1fe9c6198d5fe27572654aad327135a1175545b5a090f72b3a",
+    }
+
+    def test_diagnose_bytes_pinned(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(["diagnose", "--mu", "3.7", "--lyapunov",
+                            "--spectrum-out", "S", "--bifurcation-out", "B"], capsys)
+        assert code == 0
+        digests = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+        for name in ("S", "B"):
+            digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digests == self.PINNED_DIAGNOSE_SHA256
+
     @pytest.mark.parametrize("args,message", [
         (["--mu", "4", "--x0", "0.5", "--lyapunov"], "at step 1: x = 1.0"),
         (["--mu", "3.7", "--x0", "1.5", "--bifurcation-out", "bif.csv"],
