@@ -8,13 +8,16 @@ a whole session's rows.  Sessions and chaos diagnostics alike are built on
 these; no session steps a sample in Python outside them.
 
 The float map and the float law are one text each, _MAP and _LAW.  At
-import they are compiled into the four float steps: _orbit_block, a block
-of the map; control_effort, the law; _response_step, one response step,
-the map plus the law, with the error passed in; and _response_block, the
-response's block stepper, the same step with y - d for the error.  So a
-response step pays no Python call for its control.  hop_run's drive line
-is the one other copy of the map, written out because a call per row of
-the drive costs the hop kernel more than the copy (a test pins it to _MAP).
+import they are compiled into the five float steps: _orbit_block, a block
+of the map; _map_step, one step of the map; control_effort, the law;
+_response_step, one response step, the map plus the law, with the error
+passed in; and _response_block, the response's block stepper, the same
+step with y - d for the error.  So a response step pays no Python call
+for its control.  hop_run is written with calls of _map_step and
+_response_step, and at import _inlined compiles it again from its own
+lines of this file with each call replaced by the step's text, so a hop
+row pays no Python call for either step and the texts stay the only
+place the map and the law are written.
 
 fx_sync_run steps the pair only until it synchronizes.  From then on the
 response is the drive, and the drive is a map on at most k states, so a
@@ -32,14 +35,17 @@ within the guard, which a NaN fails.  On a failure the first bad index is
 the kernel's result and the samples after it are zeroed, so a failing
 run does at most one block of work past the failure; Python floats
 overflow to inf and NaN without a warning, so that work is quiet.
-hop_run, which branches on the phase at every step, appends each row to
-lists that np.fromiter makes float64 arrays as each chunk is yielded.
+hop_run steps each session in two loops, an idle loop up to the trigger
+or the idle cap and an active loop over the session's source bits, so no
+row branches on the phase; it appends each row to lists that np.fromiter
+makes float64 arrays as each chunk is yielded.
 A control column is not stored per step: control_column rebuilds it from
 the stepped states in one vector call of control_effort, the same float64
 operations in the same order as the law in the loop's step, so bit for
 bit the loop's control.
 """
 
+import ast
 import math
 import sys
 
@@ -90,15 +96,18 @@ def logistic_orbit(mu, k, x0, n_steps):
 
 
 # The float map of a state {x} and the float feedback law with {e} for the
-# error, the one place each is written.  _orbit_block steps the map;
-# control_effort is the law; _response_step and _response_block step the
-# response, the map at y plus the law.  _response_block computes y - d at
-# both places of {e}, the same bits as the once-computed error the others
-# are passed.  Each function built from the texts is one line numbered as
-# the law's line below, so a traceback through it shows the law.
+# error, the one place each is written.  _orbit_block and _map_step step
+# the map; control_effort is the law; _response_step and _response_block
+# step the response, the map at y plus the law.  _response_block computes
+# y - d at both places of {e}, the same bits as the once-computed error the
+# others are passed.  Each function built from the texts is one line
+# numbered as the law's line below, so a traceback through it shows the law.
 _MAP = "mu * {x} * (1.0 - {x} / k)"
 _LAW = "(mu * ({e} + 2.0 * d - k) + rho * k) * {e} / k"
 _LAW_LINE = sys._getframe().f_lineno - 1
+
+
+_TEXTS = {}  # name: (parameters, body) of each function _from_law builds
 
 
 def _from_law(name, params, body, doc):
@@ -109,6 +118,7 @@ def _from_law(name, params, body, doc):
     exec(compile(source, __file__, "exec"), globals(), namespace)
     fn = namespace[name]
     fn.__doc__ = doc
+    _TEXTS[name] = params.split(", "), body
     return fn
 
 
@@ -120,6 +130,10 @@ control_effort = _from_law(
 _orbit_block = _from_law(
     "_orbit_block", "mu, k, x, n", f"[x := {_MAP.format(x='x')} for _ in range(n)]",
     "The n states of the map x = mu*x*(1 - x/k) after x, as Python floats.")
+
+_map_step = _from_law(
+    "_map_step", "mu, k, x", _MAP.format(x="x"),
+    "The state of the map x = mu*x*(1 - x/k) after x.")
 
 _RESPONSE = f"{_MAP.format(x='y')} + {_LAW}"  # {e} left open
 
@@ -160,14 +174,17 @@ def response_track(mu, k, rho, y0, z, guard):
     The loop steps one block at a time.  If y equals z[n] with the same
     sign bit, the error is exactly +0.0, or NaN on an infinite sample,
     where the law times 0.0 is NaN too.  So the block is one vector pass of
-    _response_step over the line with error 0.0, bit for bit what the
-    loop would compute, cut at the first image that differs from the
-    next line sample in value or sign bit; its width doubles up to
-    _SYNC_PROBE_MAX while the blocks stay in sync, so a stretch of exact
-    sync costs O(its length).  Otherwise the block is one _response_block
-    call of _SYNC_CHECK steps.  Either block goes into ys, is checked
-    against the guard in one vector test and hands y its last state; us
-    is control_column over the stepped rows once the loop is done.
+    _response_step over the line with error 0.0, cut at the first image
+    that differs from the next line sample in value or sign bit.  The pass
+    is bit for bit what the loop would compute, except for the sign of a
+    NaN when mu, k or rho is not finite: there numpy's vector loop and the
+    Python loop may pick different signs, and ScenarioConfig rejects such
+    a config.  The pass's width doubles up to _SYNC_PROBE_MAX while the
+    blocks stay in sync, so a stretch of exact sync costs O(its length).
+    Otherwise the block is one _response_block call of _SYNC_CHECK steps.
+    Either block goes into ys, is checked against the guard in one vector
+    test and hands y its last state; us is control_column over the
+    stepped rows once the loop is done.
     """
     mu = float(mu)
     k = float(k)
@@ -238,6 +255,13 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
     cap-th idle step of a phase without a trigger (IDLE_CAPPED), else
     (fail 0) after the last active phase.  The last chunk ends with the
     state the run stopped at, the one row if no session.
+
+    A session is two loops, so no row tests the phase: the idle loop steps
+    with d = x until the trigger or the idle cap, the active loop steps
+    over the session's width entries of pick.  The steps are written as
+    calls of _map_step and _response_step; the hop_run this module exports
+    is this function compiled again at import by _inlined, with the steps'
+    bodies in place of the calls.
     """
     mu = float(mu)
     k = float(k)
@@ -249,51 +273,94 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
     tol = float(tol)
     guard = float(guard)
     xs, ys, hops = [], [], []
-    run = left = idle = started = yielded = fail = 0
-    while sessions:
-        xs.append(x)
-        ys.append(y)
-        d = x
-        if left and bits[width - left]:  # active: the level of this step's 1 bit
-            d = x * scale + offset
-        e = y - d
-        x = mu * x * (1.0 - x / k)  # _MAP, inline: a call per row costs more
-        y = _response_step(mu, k, rho, y, e, d)
-        # a step that does not continue ends the run
-        if not 0.0 < x < k:
-            fail = ESCAPED
-            break
-        if not -guard <= y <= guard:
-            fail = DIVERGED
-            break
-        if left:
-            if counted:
-                run = run + 1 if -tol < e < tol else 0
-            left -= 1
-            if not left:  # the end of an active phase
-                if started == sessions:
-                    break
-                if len(xs) >= chunk:
-                    yield (np.fromiter(xs, np.float64, len(xs)),
-                           np.fromiter(ys, np.float64, len(ys)), hops, 0)
-                    yielded += len(xs)
-                    xs, ys, hops = [], [], []
-        else:
+    run = yielded = fail = 0
+    for session in range(sessions):
+        for _ in range(cap + 1):  # the idle phase: the line sample is the drive
+            xs.append(x)
+            ys.append(y)
+            e = y - x
+            y = _response_step(mu, k, rho, y, e, x)
+            x = _map_step(mu, k, x)
+            # a step that does not continue ends the run
+            if not 0.0 < x < k:
+                fail = ESCAPED
+                break
+            if not -guard <= y <= guard:
+                fail = DIVERGED
+                break
             run = run + 1 if -tol < e < tol else 0
             if run >= window:
-                hops.append(yielded + len(xs))
-                bits = pick[started * width:(started + 1) * width].tolist()
-                started += 1
-                left = width
-                idle = 0
-            else:
-                idle += 1
-                if idle > cap:
-                    fail = IDLE_CAPPED
-                    break
+                break
+        else:
+            fail = IDLE_CAPPED
+        if fail:
+            break
+        hops.append(yielded + len(xs))
+        for bit in pick[session * width:(session + 1) * width].tolist():  # the active phase
+            xs.append(x)
+            ys.append(y)
+            d = x * scale + offset if bit else x
+            e = y - d
+            y = _response_step(mu, k, rho, y, e, d)
+            x = _map_step(mu, k, x)
+            if not 0.0 < x < k:
+                fail = ESCAPED
+                break
+            if not -guard <= y <= guard:
+                fail = DIVERGED
+                break
+            if counted:
+                run = run + 1 if -tol < e < tol else 0
+        if fail:
+            break
+        if len(xs) >= chunk and session + 1 < sessions:
+            yield (np.fromiter(xs, np.float64, len(xs)),
+                   np.fromiter(ys, np.float64, len(ys)), hops, 0)
+            yielded += len(xs)
+            xs, ys, hops = [], [], []
     xs.append(x)
     ys.append(y)
     yield np.fromiter(xs, np.float64, len(xs)), np.fromiter(ys, np.float64, len(ys)), hops, fail
+
+
+class _Inline(ast.NodeTransformer):
+    """Replaces each call of a function that _from_law built with that
+    function's body, the call's arguments put in for its parameters."""
+
+    def __init__(self, args):
+        self.args = args  # parameter: argument, in a body being put in
+
+    def visit_Name(self, node):
+        return self.args.get(node.id, node)
+
+    def visit_Call(self, call):
+        if not (isinstance(call.func, ast.Name) and call.func.id in _TEXTS):
+            return self.generic_visit(call)
+        params, body = _TEXTS[call.func.id]
+        expr = _Inline(dict(zip(params, call.args))).visit(ast.parse(body, mode="eval").body)
+        for node in ast.walk(expr):
+            ast.copy_location(node, call)
+        return expr
+
+
+def _inlined(fn):
+    """fn compiled again from its own lines of this file, with the body of
+    each function _from_law builds put in place of a call to it, so a step
+    pays no Python call.  The code keeps this file's name and line numbers;
+    an inlined body takes its call's."""
+    first = fn.__code__.co_firstlineno
+    with open(__file__, encoding="utf-8") as f:
+        lines = f.read().splitlines()[first - 1:]
+    end = 1  # the def runs to the next line that starts at column 0
+    while end < len(lines) and lines[end][:1] in ("", " "):
+        end += 1
+    tree = ast.parse("\n" * (first - 1) + "\n".join(lines[:end]))
+    namespace = {}
+    exec(compile(_Inline({}).visit(tree), __file__, "exec"), globals(), namespace)
+    return namespace[fn.__name__]
+
+
+hop_run = _inlined(hop_run)
 
 
 def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):

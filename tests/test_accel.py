@@ -401,18 +401,27 @@ def map_factors(tree):
 
 
 def test_float_map_is_written_once():
-    # the map's factor 1.0 - x / k appears once among the texts, in _MAP,
-    # and once in the code, in hop_run's drive line, which must be _MAP at x
+    # the map's factor 1.0 - x / k appears once in _accel.py: in the _MAP text
     tree, texts = accel_code_and_texts()
     assert sum(len(map_factors(text)) for text in texts) == 1
-    assert len(map_factors(tree)) == 1
     assert len(map_factors(as_code(_accel._MAP))) == 1
-    hop_run = next(node for node in ast.walk(tree)
+    assert map_factors(tree) == []
+
+
+def test_hop_run_is_built_with_its_steps_inlined():
+    # hop_run's source steps the drive and the response by calls of
+    # _map_step and _response_step; the hop_run built at import has their
+    # bodies in place of the calls, and keeps this file and its def line
+    source = Path(_accel.__file__).read_text()
+    written = next(node for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.FunctionDef) and node.name == "hop_run")
-    drive = [node.value for node in ast.walk(hop_run)
-             if isinstance(node, ast.Assign) and map_factors(node.value)]
-    assert len(drive) == 1
-    assert ast.dump(drive[0]) == ast.dump(as_code(_accel._MAP.format(x="x")).body)
+    called = {node.func.id for node in ast.walk(written)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"_map_step", "_response_step"} <= called
+    code = _accel.hop_run.__code__
+    assert not set(_accel._TEXTS) & set(code.co_names)
+    assert Path(code.co_filename).name == "_accel.py"
+    assert code.co_firstlineno == written.lineno
 
 
 @pytest.mark.parametrize("y0, line", [

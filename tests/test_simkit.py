@@ -448,6 +448,22 @@ class TestHopSession:
     # rho = 1 never triggers: the cap comes after 10 000 idle rows, in the
     # one chunk
     @example(cfg=ScenarioConfig(rho=1.0, sessions=2))
+    # the drive escapes at step 9, from row 8, the first active row of the
+    # second session (hops at rows 2 and 8)
+    @example(cfg=ScenarioConfig(mu=4.0, x0=0.19480859686184532, rho=0.0, sync_window=1,
+                                source="bernoulli", seed=1, active_steps=5))
+    # the response passes the guard at step 28, from row 27, the first 1 bit
+    # of the first active phase (hop at row 26)
+    @example(cfg=ScenarioConfig(source="pattern", pattern="01", hold=1, amplitude=100.0,
+                                sessions=5, active_steps=10))
+    # y0 = x0 syncs exactly; with rho = 2 the error of the one active row
+    # doubles on each idle row after it, until the response passes the guard
+    # at step 18, from idle row 17 of the second session (hop at row 5)
+    @example(cfg=ScenarioConfig(x0=0.3, y0=0.3, rho=2.0, source="pattern", pattern="1",
+                                hold=1, amplitude=0.05, sessions=3, active_steps=1))
+    # an active phase ends on row 4095, so the first chunk holds exactly
+    # 4096 rows
+    @example(cfg=ScenarioConfig(source="bernoulli", seed=111, sessions=80, active_steps=60))
     def test_matches_stepwise_oracle(self, cfg):
         assert _hop_outcome(run_hop_session, cfg) == _hop_outcome(hop_session_oracle, cfg)
 
