@@ -4,7 +4,10 @@
 # exact-sync block of the response kernel), transmit also on a
 # multiplicative line with a drawn disturbance and, for each operator, over
 # 20 000 steps (the benchmark's analog size; the additive one at the
-# paper's rho = 0.5, y0 = -1), and hop also as a multiplicative pattern hop
+# paper's rho = 0.5, y0 = -1), digital also at rho = 2 (the README config
+# never syncs and saturates 15 996 response states) and at mu = 4, k =
+# 32 768, x0 = y0 = 16 384 (synced from step 0, one drive clip after the
+# sync, a carrier of period 20), and hop also as a multiplicative pattern hop
 # (both line levels), as a bare source = off hop, as a hop whose first idle
 # phase takes about 6 960 steps at rho = 0.998 (more than the 4 096 rows
 # of a kernel chunk, which the hop kernel cuts only between sessions, so
@@ -47,6 +50,8 @@ printf 'operator = multiplicative\namplitude = 0.2\nsource = bernoulli\nseed = 7
 printf 'rho = 0.5\ny0 = -1\nsource = bernoulli\nseed = 2\nsteps = 20000\nthreshold = 5.0\n' > transmit-long.cfg
 printf 'operator = multiplicative\namplitude = 0.2\nsource = bernoulli\nseed = 4\nsteps = 20000\n' > transmit-mul-long.cfg
 printf 'mode = fixed\nk = 1024\nx0 = 122\ny0 = -1024\nsteps = 16000\nsource = bernoulli\nseed = 3\n' > digital.cfg
+printf 'mode = fixed\nk = 1024\nx0 = 122\ny0 = -1024\nsteps = 16000\nsource = bernoulli\nseed = 3\nrho = 2.0\n' > digital-unsynced.cfg
+printf 'mode = fixed\nmu = 4.0\nk = 32768\nx0 = 16384\ny0 = 16384\nsteps = 16000\nsource = bernoulli\nseed = 3\n' > digital-clip.cfg
 printf 'source = bernoulli\nseed = 5\nsessions = 20\nactive_steps = 40\n' > hop.cfg
 printf 'operator = multiplicative\namplitude = 0.2\nsource = pattern\npattern = 0110\nhold = 4\nsessions = 120\nactive_steps = 40\n' > hop-mul.cfg
 printf 'source = off\nsessions = 120\n' > hop-off.cfg
@@ -54,7 +59,7 @@ printf 'rho = 0.998\nsource = pattern\npattern = 01\nsessions = 2\nactive_steps 
 printf 'source = bernoulli\nseed = 1\nsessions = 300\nactive_steps = 40\n' > hop-long.cfg
 traces=""
 for name in sync sync-long transmit transmit-mul transmit-long transmit-mul-long digital \
-    hop hop-mul hop-off hop-slow hop-long; do
+    digital-unsynced digital-clip hop hop-mul hop-off hop-slow hop-long; do
   command="${name%%-*}"
   for run in 1 2; do
     traces="$traces $name-$run.csv"

@@ -7,17 +7,23 @@ the 16-bit quantized drive/response pair; control_column is the law over
 a whole session's rows.  Sessions and chaos diagnostics alike are built on
 these; no session steps a sample in Python outside them.
 
-The float map and the float law are one text each, _MAP and _LAW.  At
-import they are compiled into the five float steps: _orbit_block, a block
-of the map; _map_step, one step of the map; control_effort, the law;
-_response_step, one response step, the map plus the law, with the error
-passed in; and _response_block, the response's block stepper, the same
-step with y - d for the error.  So a response step pays no Python call
-for its control.  hop_run is written with calls of _map_step and
-_response_step, and at import _inlined compiles it again from its own
-lines of this file with each call replaced by the step's text, so a hop
-row pays no Python call for either step and the texts stay the only
-place the map and the law are written.
+The float map, the integer map and the feedback law's numerator are one
+text each, _MAP, _FX_MAP and _LAW, and the 16-bit clamp is one more; the
+law is written once for both arithmetics.  At import they are compiled
+into the five float steps: _orbit_block, a block of the map; _map_step,
+one step of the map; control_effort, the law, _LAW / k; _response_step,
+one response step, the map plus the law, with the error passed in; and
+_response_block, the response's block stepper, the same step with y - d
+for the error.  So a response step pays no Python call for its control.
+They are also compiled into the three integer steps: _fx_map_step, the
+integer map over denom; _fx_response_step, the integer map's and the
+law's numerators summed and floor-divided by denom once; and _saturated,
+the clamp.  hop_run is written with calls of _map_step and
+_response_step, and fx_sync_run with calls of the integer steps; at
+import _inlined compiles each again from its own lines of this file with
+each call replaced by the step's text, so a row pays no Python call for
+a step and the texts stay the only place the maps, the law and the clamp
+are written.
 
 fx_sync_run steps the pair only until it synchronizes.  From then on the
 response is the drive, and the drive is a map on at most k states, so a
@@ -95,15 +101,20 @@ def logistic_orbit(mu, k, x0, n_steps):
     return orbit, -1
 
 
-# The float map of a state {x} and the float feedback law with {e} for the
-# error, the one place each is written.  _orbit_block and _map_step step
-# the map; control_effort is the law; _response_step and _response_block
-# step the response, the map at y plus the law.  _response_block computes
-# y - d at both places of {e}, the same bits as the once-computed error the
-# others are passed.  Each function built from the texts is one line
-# numbered as the law's line below, so a traceback through it shows the law.
+# The float map of a state {x}, the integer map of a 16-bit state {x} and
+# the feedback law's numerator with {e} for the error, the one place each
+# is written.  The float law is the numerator / k; the integer response
+# sums it with the integer map before its one division.  2d is written
+# d + d, exact in both arithmetics and on floats the bits of 2.0 * d;
+# 2 * d would multiply an int by a float, which CPython does not
+# specialize, and cost the float response loop about 10%.  _response_block
+# computes y - d at both places of {e}, the same bits as the once-computed
+# error the others are passed.  Each function built from the texts is one
+# line numbered as the law's line below, so a traceback through it shows
+# the law.
 _MAP = "mu * {x} * (1.0 - {x} / k)"
-_LAW = "(mu * ({e} + 2.0 * d - k) + rho * k) * {e} / k"
+_FX_MAP = "mu * {x} * (k - {x})"
+_LAW = "(mu * ({e} + (d + d) - k) + rho * k) * {e}"
 _LAW_LINE = sys._getframe().f_lineno - 1
 
 
@@ -123,7 +134,7 @@ def _from_law(name, params, body, doc):
 
 
 control_effort = _from_law(
-    "control_effort", "mu, k, rho, e, d", _LAW.format(e="e"),
+    "control_effort", "mu, k, rho, e, d", f"{_LAW.format(e='e')} / k",
     """The feedback law u = [mu(e + 2d - k) + rho*k] * e / k for error e
     against the drive-side sample d; see chaoslink.control.""")
 
@@ -135,7 +146,7 @@ _map_step = _from_law(
     "_map_step", "mu, k, x", _MAP.format(x="x"),
     "The state of the map x = mu*x*(1 - x/k) after x.")
 
-_RESPONSE = f"{_MAP.format(x='y')} + {_LAW}"  # {e} left open
+_RESPONSE = f"{_MAP.format(x='y')} + {_LAW} / k"  # {e} left open
 
 _response_step = _from_law(
     "_response_step", "mu, k, rho, y, e, d", _RESPONSE.format(e="e"),
@@ -148,6 +159,21 @@ _response_block = _from_law(
     """The response states after each line sample d of ds, from state y,
     as Python floats: y = _response_step(mu, k, rho, y, y - d, d), step
     by step.""")
+
+_fx_map_step = _from_law(
+    "_fx_map_step", "mu, k, x, denom", f"{_FX_MAP.format(x='x')} // denom",
+    "The integer map mu*x*(k - x) // denom of a 16-bit state x, before saturation.")
+
+_fx_response_step = _from_law(
+    "_fx_response_step", "mu, k, rho, y, e, d, denom",
+    f"({_FX_MAP.format(x='y')} + {_LAW.format(e='e')}) // denom",
+    """The integer response after y on the drive-side value d with error e,
+    before saturation: the map's and the law's numerators in one wide
+    integer, floor-divided by denom once.""")
+
+_saturated = _from_law(
+    "_saturated", "v", "I16_MAX if v > I16_MAX else I16_MIN if v < I16_MIN else v",
+    "The integer v clamped to the signed 16-bit range.")
 
 
 @quiet
@@ -325,7 +351,9 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
 
 class _Inline(ast.NodeTransformer):
     """Replaces each call of a function that _from_law built with that
-    function's body, the call's arguments put in for its parameters."""
+    function's body, the call's arguments put in for its parameters.  An
+    argument is put in at each place of its parameter, so a call passes a
+    name for a parameter that its body uses more than once."""
 
     def __init__(self, args):
         self.args = args  # parameter: argument, in a body being put in
@@ -366,10 +394,13 @@ hop_run = _inlined(hop_run)
 def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     """Quantized drive/response pair with quantized control.
 
-    The response update keeps mu_q*y*(k-y) + u's numerator in one wide
-    integer and applies the shift/divide and 16-bit saturation once, so
-    the float-domain cancellation survives quantization.  Once x == y the
-    error is 0 and both sides apply the same update, so equality holds.
+    The response update is _fx_response_step: it keeps the map's
+    numerator mu_q*y*(k-y) and the law's numerator in one wide integer and
+    applies the floor division by denom = frac * k once, so the
+    float-domain cancellation survives quantization; _saturated then clamps
+    it to 16 bits, once.  The drive update is _fx_map_step, clamped the
+    same way.  Once x == y the error is 0 and both sides apply the same
+    update, so equality holds.
 
     From that step on only the drive is stepped, and each state's first
     index goes into a visited table of size k: the drive is a map on the
@@ -387,6 +418,11 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     is the first index from which the drive repeats with period `period`,
     both -1 unless the synchronized drive revisits a state within n_steps.
     The arguments are plain ints, which keeps the arithmetic fast.
+
+    The steps are written as calls of _fx_response_step, _fx_map_step and
+    _saturated; the fx_sync_run this module exports is this function
+    compiled again at import by _inlined, with the steps' bodies in place
+    of the calls.
     """
     xs = np.zeros(n_steps + 1, dtype=np.int64)
     ys = np.zeros(n_steps + 1, dtype=np.int64)
@@ -402,16 +438,12 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     n = 0
     while first < 0 and n < n_steps:
         e = y - x
-        y = (mu_q * y * (k - y) + (mu_q * (e + 2 * x - k) + rho_q * k) * e) // denom
-        if y > I16_MAX:
-            y = I16_MAX
+        wide = _fx_response_step(mu_q, k, rho_q, y, e, x, denom)
+        y = _saturated(wide)
+        if y != wide:
             saturations += 1
-        elif y < I16_MIN:
-            y = I16_MIN
-            saturations += 1
-        x = (mu_q * x * (k - x)) // denom
-        if x > I16_MAX:  # x lies in (0, k), so its image is never negative
-            x = I16_MAX
+        x = _fx_map_step(mu_q, k, x, denom)
+        x = _saturated(x)
         n += 1
         xs[n] = x
         ys[n] = y
@@ -430,9 +462,9 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     clips[x] = saturations
     escape = transient = period = -1
     while n < n_steps:
-        x = (mu_q * x * (k - x)) // denom
-        if x > I16_MAX:
-            x = I16_MAX
+        wide = _fx_map_step(mu_q, k, x, denom)
+        x = _saturated(wide)
+        if x != wide:
             saturations += 1
         n += 1
         xs[n] = x
@@ -461,3 +493,6 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
         clips[x] = saturations
     ys[first:] = xs[first:]
     return xs, ys, first, escape, saturations, transient, period
+
+
+fx_sync_run = _inlined(fx_sync_run)

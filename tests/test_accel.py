@@ -3,6 +3,7 @@ digital codec against its per-frame calls."""
 
 import ast
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -340,8 +341,8 @@ def test_response_block_is_the_scalar_law_loop(mu, k, rho, y, ds):
             states.append(state)
         return states
 
-    assert (float_bytes_or_error(lambda: _accel._response_block(mu, k, rho, y, ds))
-            == float_bytes_or_error(scalar_loop))
+    assert (float_bytes_or_error(lambda: one_nan(_accel._response_block(mu, k, rho, y, ds)))
+            == float_bytes_or_error(lambda: one_nan(scalar_loop())))
     # one step on Python floats, and on a float64 line in exact sync, whose
     # error 0.0 gives the bits of the error d - d
     assert (float_bytes_or_error(lambda: one_nan(
@@ -356,16 +357,16 @@ def test_response_block_is_the_scalar_law_loop(mu, k, rho, y, ds):
                            + _accel.control_effort(mu, k, rho, line - line, line)).tobytes())
 
 
-def products(tree, left, right):
-    """The products left * right written in tree's code."""
+def operations(tree, op, left, right):
+    """The operations left op right written in tree's code."""
     return [node for node in ast.walk(tree)
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, op)
             and ast.unparse(node.left) == left and ast.unparse(node.right) == right]
 
 
 def as_code(text):
-    """The expression text, with the {x} and {e} placeholders of the float
-    texts read as names."""
+    """The expression text, with the {x} and {e} placeholders of the texts
+    read as names."""
     return ast.parse(text.replace("{x}", "x").replace("{e}", "e"), mode="eval")
 
 
@@ -382,13 +383,23 @@ def accel_code_and_texts():
     return tree, texts
 
 
+def written(name):
+    """The def of the function name as written in _accel.py."""
+    return next(node for node in ast.walk(ast.parse(Path(_accel.__file__).read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def test_float_law_is_written_once():
-    # the law's products rho * k and 2.0 * d appear once, in _LAW
+    # the law's terms rho * k and d + d appear once in _accel.py, in _LAW,
+    # which both arithmetics use: fx_sync_run writes no rho... * k, 2 * ...
+    # or doubling of its own
     tree, texts = accel_code_and_texts()
     law = as_code(_accel._LAW)
-    for left, right in [("rho", "k"), ("2.0", "d")]:
-        assert len(products(law, left, right)) == 1
-        assert sum(len(products(code, left, right)) for code in [tree] + texts) == 1
+    for op, left, right in [(ast.Mult, "rho", "k"), (ast.Add, "d", "d")]:
+        assert len(operations(law, op, left, right)) == 1
+        assert sum(len(operations(code, op, left, right)) for code in [tree] + texts) == 1
+    assert not [node for node in ast.walk(written("fx_sync_run")) if isinstance(node, ast.BinOp)
+                and re.fullmatch(r"rho\w* \* k|2 \* \w+|(\w+) \+ \1", ast.unparse(node))]
 
 
 def map_factors(tree):
@@ -400,28 +411,39 @@ def map_factors(tree):
             and isinstance(node.right.left, ast.Name) and ast.unparse(node.right.right) == "k"]
 
 
+def fx_map_factors(tree):
+    """The expressions k - <name> written in tree's code."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and ast.unparse(node.left) == "k" and isinstance(node.right, ast.Name)]
+
+
 def test_float_map_is_written_once():
-    # the map's factor 1.0 - x / k appears once in _accel.py: in the _MAP text
+    # the map's factor 1.0 - x / k appears once in _accel.py: in the _MAP
+    # text; the integer map's factor k - x once too, in the _FX_MAP text
     tree, texts = accel_code_and_texts()
-    assert sum(len(map_factors(text)) for text in texts) == 1
-    assert len(map_factors(as_code(_accel._MAP))) == 1
-    assert map_factors(tree) == []
+    for factors, text in [(map_factors, _accel._MAP), (fx_map_factors, _accel._FX_MAP)]:
+        assert sum(len(factors(code)) for code in texts) == 1
+        assert len(factors(as_code(text))) == 1
+        assert factors(tree) == []
 
 
-def test_hop_run_is_built_with_its_steps_inlined():
-    # hop_run's source steps the drive and the response by calls of
-    # _map_step and _response_step; the hop_run built at import has their
-    # bodies in place of the calls, and keeps this file and its def line
-    source = Path(_accel.__file__).read_text()
-    written = next(node for node in ast.walk(ast.parse(source))
-                   if isinstance(node, ast.FunctionDef) and node.name == "hop_run")
-    called = {node.func.id for node in ast.walk(written)
+@pytest.mark.parametrize("name, steps", [
+    ("hop_run", {"_map_step", "_response_step"}),
+    ("fx_sync_run", {"_fx_map_step", "_fx_response_step", "_saturated"}),
+])
+def test_hop_run_is_built_with_its_steps_inlined(name, steps):
+    # the kernel's source steps by calls of the steps _from_law builds; the
+    # kernel built at import has their bodies in place of the calls, and
+    # keeps this file and its def line
+    source = written(name)
+    called = {node.func.id for node in ast.walk(source)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert {"_map_step", "_response_step"} <= called
-    code = _accel.hop_run.__code__
+    assert steps <= called
+    code = getattr(_accel, name).__code__
     assert not set(_accel._TEXTS) & set(code.co_names)
     assert Path(code.co_filename).name == "_accel.py"
-    assert code.co_firstlineno == written.lineno
+    assert code.co_firstlineno == source.lineno
 
 
 @pytest.mark.parametrize("y0, line", [

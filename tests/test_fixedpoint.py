@@ -1,3 +1,4 @@
+import ast
 import math
 from fractions import Fraction
 
@@ -7,11 +8,32 @@ from fx_oracle import fx_control, fx_step, saturate16
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chaoslink import _accel
 from chaoslink.control import ControllerGains, control
 from chaoslink.core import LogisticParams, step
 from chaoslink.fixedpoint import FixedParams, fx_run_sync
 
 PARAMS = FixedParams.from_real(3.7, 0.5)  # mu_q=15155, rho_q=2048, k=1024
+
+
+def worst_numerator(step, bounds):
+    """A bound on |numerator| of the _accel step `step`, whose body is
+    numerator // denom: the numerator's text with every name bound to its
+    worst magnitude in bounds and each - read as +."""
+    def worst(node):
+        if isinstance(node, ast.Name):
+            return bounds[node.id]
+        if isinstance(node, ast.Constant):
+            return abs(node.value)
+        left, right = worst(node.left), worst(node.right)
+        if isinstance(node.op, ast.Mult):
+            return left * right
+        assert isinstance(node.op, (ast.Add, ast.Sub))
+        return left + right
+
+    quotient = ast.parse(_accel._TEXTS[step][1], mode="eval").body
+    assert isinstance(quotient.op, ast.FloorDiv) and ast.unparse(quotient.right) == "denom"
+    return worst(quotient.left)
 
 
 def oracle_step(mu_q, k, frac, x):
@@ -150,21 +172,26 @@ class TestSyncRun:
             fx_run_sync(PARAMS, 0, 5, 10)
 
     def test_saturation_audit(self):
-        # no wide intermediate overflows int64 for any 16-bit input pair
-        worst_state = 15155 * 32768 * (1024 + 32768)
-        worst_ctrl = abs(15155 * (65536 + 2 * 1023 - 1024) + 2048 * 1024) * 65536
-        assert worst_state + worst_ctrl < 2**62
-        # nor at the widest parameters FixedParams accepts: |x|, |y| <= 2**15,
-        # |y - x| <= 2**16, k <= 2**15, mu_q <= 4*frac, |rho_q| <= 8*frac
+        # no wide numerator of fx_sync_run overflows int64 for any 16-bit
+        # input pair, at the README parameters or at the widest FixedParams
+        # accepts: |x|, |y|, |d| <= 2**15, |e| <= 2**16, k <= 2**15,
+        # mu_q <= 4*frac, |rho_q| <= 8*frac.  The numerators are those of
+        # the steps _accel builds from its _FX_MAP and _LAW texts.
         frac_bits, k = 15, 2**15
         frac = 1 << frac_bits
         widest = FixedParams(mu_q=4 * frac, rho_q=-8 * frac, k=k, frac_bits=frac_bits)
-        mu_q, rho_q = widest.mu_q, abs(widest.rho_q)
         state, error = 2**15, 2**16
-        worst_drive = mu_q * k * k
+        for params in (PARAMS, widest):
+            bounds = dict(mu=params.mu_q, rho=abs(params.rho_q), k=params.k,
+                          x=state, y=state, d=state, e=error)
+            drive = worst_numerator("_fx_map_step", bounds)
+            response = worst_numerator("_fx_response_step", bounds)
+            assert max(drive, response) < 2**62
+        # the texts' bounds at the widest parameters are the hand-written ones
+        mu_q, rho_q = widest.mu_q, abs(widest.rho_q)
         worst_state = mu_q * state * (k + state)
         worst_ctrl = (mu_q * (error + 2 * state + k) + rho_q * k) * error
-        assert max(worst_drive, worst_state + worst_ctrl) < 2**62
+        assert (drive, response) == (worst_state, worst_state + worst_ctrl)
         for bad in (dict(rho_q=8 * frac), dict(rho_q=-8 * frac - 1),
                     dict(mu_q=4 * frac + 1), dict(k=k + 1), dict(k=0),
                     dict(k=1024.0), dict(frac_bits=16), dict(frac_bits=0)):
