@@ -1,59 +1,22 @@
 """Hot inner loops, as pure Python/numpy.
 
-Five kernels: logistic_orbit iterates the float map, control_effort is
-the feedback law, response_track runs the controlled response on line
-samples, hop_run steps hop sessions, drive included, and fx_sync_run is
-the 16-bit quantized drive/response pair; control_column is the law over
-a whole session's rows.  Sessions and chaos diagnostics alike are built on
-these; no session steps a sample in Python outside them.
+No session steps a sample in Python outside these kernels.  Each formula
+is written once, as a step, a function whose body is one return: the
+float map, the integer map's numerator, the feedback law's numerator,
+shared by both arithmetics, and the 16-bit clamp.  The other steps and
+the hop and 16-bit kernels are written as calls of these, and @_inlined
+compiles each again at import with the steps' expressions in place of
+the calls, so no sample pays a Python call for a step.
 
-The float map, the integer map and the feedback law's numerator are one
-text each, _MAP, _FX_MAP and _LAW, and the 16-bit clamp is one more; the
-law is written once for both arithmetics.  At import they are compiled
-into the five float steps: _orbit_block, a block of the map; _map_step,
-one step of the map; control_effort, the law, _LAW / k; _response_step,
-one response step, the map plus the law, with the error passed in; and
-_response_block, the response's block stepper, the same step with y - d
-for the error.  So a response step pays no Python call for its control.
-They are also compiled into the three integer steps: _fx_map_step, the
-integer map over denom; _fx_response_step, the integer map's and the
-law's numerators summed and floor-divided by denom once; and _saturated,
-the clamp.  hop_run is written with calls of _map_step and
-_response_step, and fx_sync_run with calls of the integer steps; at
-import _inlined compiles each again from its own lines of this file with
-each call replaced by the step's text, so a row pays no Python call for
-a step and the texts stay the only place the maps, the law and the clamp
-are written.
-
-fx_sync_run steps the pair only until it synchronizes.  From then on the
-response is the drive, and the drive is a map on at most k states, so a
-visited table of size k finds its cycle within k steps; the rest of the
-run is that cycle tiled by slice copies, with the saturation count tiled
-alongside.  A run of any length therefore costs O(sync + k) steps.
-
-The float kernels keep only the state on each step.  logistic_orbit and
-response_track step each block in one list comprehension whose assignment
-expression carries the state (_orbit_block, and _response_block for a
-response block not in exact sync), hand the block's Python floats to
-numpy with np.fromiter, copy it into the preallocated float64 output,
-and test it once in numpy: the orbit must lie in (0, k), the response
-within the guard, which a NaN fails.  On a failure the first bad index is
-the kernel's result and the samples after it are zeroed, so a failing
-run does at most one block of work past the failure; Python floats
-overflow to inf and NaN without a warning, so that work is quiet.
-hop_run steps each session in two loops, an idle loop up to the trigger
-or the idle cap and an active loop over the session's source bits, so no
-row branches on the phase; it appends each row to lists that np.fromiter
-makes float64 arrays as each chunk is yielded.
-A control column is not stored per step: control_column rebuilds it from
-the stepped states in one vector call of control_effort, the same float64
-operations in the same order as the law in the loop's step, so bit for
-bit the loop's control.
+The float kernels step a block at a time in one list comprehension and
+test the block once in numpy, so a failing run does at most one block of
+work past the failure; Python floats overflow to inf and NaN without a
+warning, so that work is quiet.
 """
 
 import ast
+import linecache
 import math
-import sys
 
 import numpy as np
 
@@ -101,86 +64,133 @@ def logistic_orbit(mu, k, x0, n_steps):
     return orbit, -1
 
 
-# The float map of a state {x}, the integer map of a 16-bit state {x} and
-# the feedback law's numerator with {e} for the error, the one place each
-# is written.  The float law is the numerator / k; the integer response
-# sums it with the integer map before its one division.  2d is written
-# d + d, exact in both arithmetics and on floats the bits of 2.0 * d;
-# 2 * d would multiply an int by a float, which CPython does not
-# specialize, and cost the float response loop about 10%.  _response_block
-# computes y - d at both places of {e}, the same bits as the once-computed
-# error the others are passed.  Each function built from the texts is one
-# line numbered as the law's line below, so a traceback through it shows
-# the law.
-_MAP = "mu * {x} * (1.0 - {x} / k)"
-_FX_MAP = "mu * {x} * (k - {x})"
-_LAW = "(mu * ({e} + (d + d) - k) + rho * k) * {e}"
-_LAW_LINE = sys._getframe().f_lineno - 1
+_STEPS = {}  # name: (parameters, return expression) of each step, its calls inlined
 
 
-_TEXTS = {}  # name: (parameters, body) of each function _from_law builds
+class _Inline(ast.NodeTransformer):
+    """Replaces each call of a step with the step's return expression, the
+    call's arguments put in for its parameters.  An argument is put in at
+    each place of its parameter, so a call passes a name for a parameter
+    that the step uses more than once."""
+
+    def __init__(self, args):
+        self.args = args  # parameter: argument, in a step being put in
+
+    def visit_Name(self, node):
+        return self.args.get(node.id, node)
+
+    def visit_Call(self, call):
+        self.generic_visit(call)
+        if not (isinstance(call.func, ast.Name) and call.func.id in _STEPS):
+            return call
+        params, body = _STEPS[call.func.id]
+        expr = _Inline(dict(zip(params, call.args))).visit(ast.parse(body, mode="eval").body)
+        for node in ast.walk(expr):
+            ast.copy_location(node, call)
+        return expr
 
 
-def _from_law(name, params, body, doc):
-    """The function `def name(params): return body`, compiled into this
-    module from constant text."""
-    source = "\n" * (_LAW_LINE - 1) + f"def {name}({params}): return {body}"
+def _inlined(fn):
+    """fn compiled again from its own def in this file, with each call of a
+    step replaced by the step's return expression, so a step pays no
+    Python call; the code keeps this file's name and line numbers, and an
+    inlined expression takes its call's.  A function whose body is a
+    docstring and one return becomes a step itself."""
+    first = fn.__code__.co_firstlineno  # the line of @_inlined, the def's is next
+    lines = linecache.getlines(__file__)
+    end = first + 1  # the def runs to the next line that starts at column 0
+    while end < len(lines) and lines[end][:1] in (" ", "\n"):
+        end += 1
+    tree = ast.parse("\n" * (first - 1) + "".join(lines[first - 1:end]))
+    node = tree.body[0]
+    node.decorator_list = []
+    _Inline({}).visit(node)
+    match node.body:
+        case [ast.Expr(ast.Constant(str())), ast.Return(expr)]:
+            _STEPS[fn.__name__] = [arg.arg for arg in node.args.args], ast.unparse(expr)
     namespace = {}
-    exec(compile(source, __file__, "exec"), globals(), namespace)
-    fn = namespace[name]
-    fn.__doc__ = doc
-    _TEXTS[name] = params.split(", "), body
-    return fn
+    exec(compile(tree, __file__, "exec"), globals(), namespace)
+    return namespace[fn.__name__]
 
 
-control_effort = _from_law(
-    "control_effort", "mu, k, rho, e, d", f"{_LAW.format(e='e')} / k",
+@_inlined
+def _map_step(mu, k, x):
+    """The state of the map x = mu*x*(1 - x/k) after x."""
+    return mu * x * (1.0 - x / k)
+
+
+@_inlined
+def _fx_map(mu, k, x):
+    """The integer map's numerator mu*x*(k - x) of a 16-bit state x."""
+    return mu * x * (k - x)
+
+
+# 2d is written d + d, exact in both arithmetics and on floats the bits of
+# 2.0 * d; 2 * d would multiply an int by a float, which CPython does not
+# specialize, and cost the float response loop about 10%.
+@_inlined
+def _law(mu, k, rho, e, d):
+    """The feedback law's numerator [mu(e + 2d - k) + rho*k] * e: the float
+    law divides it by k, the integer response sums it with the integer map
+    before its one division."""
+    return (mu * (e + (d + d) - k) + rho * k) * e
+
+
+@_inlined
+def _saturated(v):
+    """The integer v clamped to the signed 16-bit range."""
+    return I16_MAX if v > I16_MAX else I16_MIN if v < I16_MIN else v
+
+
+@_inlined
+def control_effort(mu, k, rho, e, d):
     """The feedback law u = [mu(e + 2d - k) + rho*k] * e / k for error e
-    against the drive-side sample d; see chaoslink.control.""")
+    against the drive-side sample d; see chaoslink.control."""
+    return _law(mu, k, rho, e, d) / k
 
-_orbit_block = _from_law(
-    "_orbit_block", "mu, k, x, n", f"[x := {_MAP.format(x='x')} for _ in range(n)]",
-    "The n states of the map x = mu*x*(1 - x/k) after x, as Python floats.")
 
-_map_step = _from_law(
-    "_map_step", "mu, k, x", _MAP.format(x="x"),
-    "The state of the map x = mu*x*(1 - x/k) after x.")
+@_inlined
+def _orbit_block(mu, k, x, n):
+    """The n states of the map after x, as Python floats."""
+    return [x := _map_step(mu, k, x) for _ in range(n)]
 
-_RESPONSE = f"{_MAP.format(x='y')} + {_LAW} / k"  # {e} left open
 
-_response_step = _from_law(
-    "_response_step", "mu, k, rho, y, e, d", _RESPONSE.format(e="e"),
+@_inlined
+def _response_step(mu, k, rho, y, e, d):
     """The response state after y on line sample d with error e, on scalars
-    or float64 arrays: mu*y*(1 - y/k) + control_effort(mu, k, rho, e, d).""")
+    or float64 arrays."""
+    return _map_step(mu, k, y) + control_effort(mu, k, rho, e, d)
 
-_response_block = _from_law(
-    "_response_block", "mu, k, rho, y, ds",
-    f"[y := {_RESPONSE.format(e='(y - d)')} for d in ds]",
+
+@_inlined
+def _response_block(mu, k, rho, y, ds):
     """The response states after each line sample d of ds, from state y,
-    as Python floats: y = _response_step(mu, k, rho, y, y - d, d), step
-    by step.""")
+    as Python floats.  y - d is computed at both places of the error, the
+    same bits as a once-computed error."""
+    return [y := _response_step(mu, k, rho, y, y - d, d) for d in ds]
 
-_fx_map_step = _from_law(
-    "_fx_map_step", "mu, k, x, denom", f"{_FX_MAP.format(x='x')} // denom",
-    "The integer map mu*x*(k - x) // denom of a 16-bit state x, before saturation.")
 
-_fx_response_step = _from_law(
-    "_fx_response_step", "mu, k, rho, y, e, d, denom",
-    f"({_FX_MAP.format(x='y')} + {_LAW.format(e='e')}) // denom",
+@_inlined
+def _fx_map_step(mu, k, x, denom):
+    """The integer map of a 16-bit state x over denom, before saturation."""
+    return _fx_map(mu, k, x) // denom
+
+
+@_inlined
+def _fx_response_step(mu, k, rho, y, e, d, denom):
     """The integer response after y on the drive-side value d with error e,
     before saturation: the map's and the law's numerators in one wide
-    integer, floor-divided by denom once.""")
-
-_saturated = _from_law(
-    "_saturated", "v", "I16_MAX if v > I16_MAX else I16_MIN if v < I16_MIN else v",
-    "The integer v clamped to the signed 16-bit range.")
+    integer, floor-divided by denom once."""
+    return (_fx_map(mu, k, y) + _law(mu, k, rho, e, d)) // denom
 
 
 @quiet
 def control_column(mu, k, rho, y, z, rows):
     """The control a loop applied on its first `rows` transitions, response
     samples y against line samples z, as one vector call of control_effort;
-    the rest of the column is left at 0."""
+    the rest of the column is left at 0.  The call does the loop step's
+    float64 operations in the same order, so the column is bit for bit the
+    loop's control."""
     u = np.zeros(z.size)
     d = z[:rows]
     u[:rows] = control_effort(float(mu), float(k), float(rho), y[:rows] - d, d)
@@ -257,6 +267,7 @@ DIVERGED = 2  # the response passed the guard,
 IDLE_CAPPED = 3  # or an idle phase outlasted its cap
 
 
+@_inlined
 def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
             guard, counted, cap, chunk):
     """A hop run from drive x and response y, as a generator of row chunks.
@@ -284,10 +295,7 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
 
     A session is two loops, so no row tests the phase: the idle loop steps
     with d = x until the trigger or the idle cap, the active loop steps
-    over the session's width entries of pick.  The steps are written as
-    calls of _map_step and _response_step; the hop_run this module exports
-    is this function compiled again at import by _inlined, with the steps'
-    bodies in place of the calls.
+    over the session's width entries of pick.
     """
     mu = float(mu)
     k = float(k)
@@ -349,48 +357,7 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
     yield np.fromiter(xs, np.float64, len(xs)), np.fromiter(ys, np.float64, len(ys)), hops, fail
 
 
-class _Inline(ast.NodeTransformer):
-    """Replaces each call of a function that _from_law built with that
-    function's body, the call's arguments put in for its parameters.  An
-    argument is put in at each place of its parameter, so a call passes a
-    name for a parameter that its body uses more than once."""
-
-    def __init__(self, args):
-        self.args = args  # parameter: argument, in a body being put in
-
-    def visit_Name(self, node):
-        return self.args.get(node.id, node)
-
-    def visit_Call(self, call):
-        if not (isinstance(call.func, ast.Name) and call.func.id in _TEXTS):
-            return self.generic_visit(call)
-        params, body = _TEXTS[call.func.id]
-        expr = _Inline(dict(zip(params, call.args))).visit(ast.parse(body, mode="eval").body)
-        for node in ast.walk(expr):
-            ast.copy_location(node, call)
-        return expr
-
-
-def _inlined(fn):
-    """fn compiled again from its own lines of this file, with the body of
-    each function _from_law builds put in place of a call to it, so a step
-    pays no Python call.  The code keeps this file's name and line numbers;
-    an inlined body takes its call's."""
-    first = fn.__code__.co_firstlineno
-    with open(__file__, encoding="utf-8") as f:
-        lines = f.read().splitlines()[first - 1:]
-    end = 1  # the def runs to the next line that starts at column 0
-    while end < len(lines) and lines[end][:1] in ("", " "):
-        end += 1
-    tree = ast.parse("\n" * (first - 1) + "\n".join(lines[:end]))
-    namespace = {}
-    exec(compile(_Inline({}).visit(tree), __file__, "exec"), globals(), namespace)
-    return namespace[fn.__name__]
-
-
-hop_run = _inlined(hop_run)
-
-
+@_inlined
 def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     """Quantized drive/response pair with quantized control.
 
@@ -408,7 +375,7 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     run has found its cycle.  The rest of the drive is that cycle copied
     forward with doubling slice copies, its response saturations are the
     per-pass count times the full passes plus the partial pass, and the
-    response is the drive.
+    response is the drive.  A run of any length costs O(sync + k) steps.
 
     Returns (x, y, first_equal, escape_index, saturations, transient,
     period): first_equal is the first index with x == y (or -1);
@@ -418,11 +385,6 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     is the first index from which the drive repeats with period `period`,
     both -1 unless the synchronized drive revisits a state within n_steps.
     The arguments are plain ints, which keeps the arithmetic fast.
-
-    The steps are written as calls of _fx_response_step, _fx_map_step and
-    _saturated; the fx_sync_run this module exports is this function
-    compiled again at import by _inlined, with the steps' bodies in place
-    of the calls.
     """
     xs = np.zeros(n_steps + 1, dtype=np.int64)
     ys = np.zeros(n_steps + 1, dtype=np.int64)
@@ -494,5 +456,3 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     ys[first:] = xs[first:]
     return xs, ys, first, escape, saturations, transient, period
 
-
-fx_sync_run = _inlined(fx_sync_run)

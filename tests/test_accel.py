@@ -5,9 +5,10 @@ import ast
 import math
 import re
 import tracemalloc
+import traceback
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
+from types import CodeType, SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -364,40 +365,22 @@ def operations(tree, op, left, right):
             and ast.unparse(node.left) == left and ast.unparse(node.right) == right]
 
 
-def as_code(text):
-    """The expression text, with the {x} and {e} placeholders of the texts
-    read as names."""
-    return ast.parse(text.replace("{x}", "x").replace("{e}", "e"), mode="eval")
-
-
-def accel_code_and_texts():
-    """_accel's code, and every string in it that parses as an expression."""
-    tree = ast.parse(Path(_accel.__file__).read_text())
-    texts = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                texts.append(as_code(node.value))
-            except SyntaxError:
-                pass
-    return tree, texts
+ACCEL = ast.parse(Path(_accel.__file__).read_text())
 
 
 def written(name):
     """The def of the function name as written in _accel.py."""
-    return next(node for node in ast.walk(ast.parse(Path(_accel.__file__).read_text()))
+    return next(node for node in ast.walk(ACCEL)
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
 def test_float_law_is_written_once():
-    # the law's terms rho * k and d + d appear once in _accel.py, in _LAW,
+    # the law's terms rho * k and d + d appear once in _accel.py, in _law,
     # which both arithmetics use: fx_sync_run writes no rho... * k, 2 * ...
     # or doubling of its own
-    tree, texts = accel_code_and_texts()
-    law = as_code(_accel._LAW)
     for op, left, right in [(ast.Mult, "rho", "k"), (ast.Add, "d", "d")]:
-        assert len(operations(law, op, left, right)) == 1
-        assert sum(len(operations(code, op, left, right)) for code in [tree] + texts) == 1
+        assert len(operations(ACCEL, op, left, right)) == 1
+        assert len(operations(written("_law"), op, left, right)) == 1
     assert not [node for node in ast.walk(written("fx_sync_run")) if isinstance(node, ast.BinOp)
                 and re.fullmatch(r"rho\w* \* k|2 \* \w+|(\w+) \+ \1", ast.unparse(node))]
 
@@ -419,31 +402,66 @@ def fx_map_factors(tree):
 
 
 def test_float_map_is_written_once():
-    # the map's factor 1.0 - x / k appears once in _accel.py: in the _MAP
-    # text; the integer map's factor k - x once too, in the _FX_MAP text
-    tree, texts = accel_code_and_texts()
-    for factors, text in [(map_factors, _accel._MAP), (fx_map_factors, _accel._FX_MAP)]:
-        assert sum(len(factors(code)) for code in texts) == 1
-        assert len(factors(as_code(text))) == 1
-        assert factors(tree) == []
+    # the map's factor 1.0 - x / k appears once in _accel.py, in _map_step;
+    # the integer map's factor k - x once too, in _fx_map
+    for factors, step in [(map_factors, "_map_step"), (fx_map_factors, "_fx_map")]:
+        assert len(factors(ACCEL)) == 1
+        assert len(factors(written(step))) == 1
 
 
-@pytest.mark.parametrize("name, steps", [
-    ("hop_run", {"_map_step", "_response_step"}),
-    ("fx_sync_run", {"_fx_map_step", "_fx_response_step", "_saturated"}),
-])
-def test_hop_run_is_built_with_its_steps_inlined(name, steps):
-    # the kernel's source steps by calls of the steps _from_law builds; the
-    # kernel built at import has their bodies in place of the calls, and
-    # keeps this file and its def line
+def test_steps_are_the_one_return_functions():
+    # every def in _accel.py whose body is a docstring and one return is a
+    # step, recorded with its parameters; both kernels are written with
+    # calls of steps
+    steps = {node.name: [arg.arg for arg in node.args.args] for node in ast.walk(ACCEL)
+             if isinstance(node, ast.FunctionDef) and len(node.body) == 2
+             and ast.get_docstring(node) is not None and isinstance(node.body[1], ast.Return)}
+    assert {name: params for name, (params, _) in _accel._STEPS.items()} == steps
+    assert {"hop_run", "fx_sync_run"} <= set(STEPPERS)
+
+
+def names(code):
+    """The names code and the code nested in it use."""
+    return set(code.co_names).union(*(names(const) for const in code.co_consts
+                                      if isinstance(const, CodeType)))
+
+
+def calls(node):
+    """The names of the functions node's code calls by name."""
+    return {call.func.id for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+
+
+STEPPERS = [node.name for node in ACCEL.body if isinstance(node, ast.FunctionDef)
+            and "_inlined" in map(ast.unparse, node.decorator_list)
+            and calls(node) & set(_accel._STEPS)]
+
+
+@pytest.mark.parametrize("name", STEPPERS)
+def test_hop_run_is_built_with_its_steps_inlined(name):
+    # a function written with calls of steps is built at import with their
+    # bodies in place of the calls, nested code included, and keeps this
+    # file and its def line
     source = written(name)
-    called = {node.func.id for node in ast.walk(source)
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert steps <= called
     code = getattr(_accel, name).__code__
-    assert not set(_accel._TEXTS) & set(code.co_names)
+    assert not set(_accel._STEPS) & names(code)
     assert Path(code.co_filename).name == "_accel.py"
     assert code.co_firstlineno == source.lineno
+
+
+@pytest.mark.parametrize("name, args", [
+    ("control_effort", (3.7, 0.0, 0.5, 0.1, 0.2)),
+    ("_fx_map_step", (15155, 1024, 122, 0)),
+    ("_response_block", (3.7, 0.0, 0.5, 0.3, [0.2])),
+])
+def test_a_failing_step_reports_its_own_return_line(name, args):
+    # the last frame of the traceback is the step's return line in
+    # _accel.py, where the inlined steps it calls now stand
+    with pytest.raises(ZeroDivisionError) as info:
+        getattr(_accel, name)(*args)
+    frame = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert Path(frame.filename).name == "_accel.py"
+    assert frame.lineno == written(name).body[-1].lineno
 
 
 @pytest.mark.parametrize("y0, line", [

@@ -18,7 +18,7 @@ PARAMS = FixedParams.from_real(3.7, 0.5)  # mu_q=15155, rho_q=2048, k=1024
 
 def worst_numerator(step, bounds):
     """A bound on |numerator| of the _accel step `step`, whose body is
-    numerator // denom: the numerator's text with every name bound to its
+    numerator // denom: the numerator, with every name bound to its
     worst magnitude in bounds and each - read as +."""
     def worst(node):
         if isinstance(node, ast.Name):
@@ -31,7 +31,7 @@ def worst_numerator(step, bounds):
         assert isinstance(node.op, (ast.Add, ast.Sub))
         return left + right
 
-    quotient = ast.parse(_accel._TEXTS[step][1], mode="eval").body
+    quotient = ast.parse(_accel._STEPS[step][1], mode="eval").body
     assert isinstance(quotient.op, ast.FloorDiv) and ast.unparse(quotient.right) == "denom"
     return worst(quotient.left)
 
@@ -176,7 +176,7 @@ class TestSyncRun:
         # input pair, at the README parameters or at the widest FixedParams
         # accepts: |x|, |y|, |d| <= 2**15, |e| <= 2**16, k <= 2**15,
         # mu_q <= 4*frac, |rho_q| <= 8*frac.  The numerators are those of
-        # the steps _accel builds from its _FX_MAP and _LAW texts.
+        # the steps _accel writes as calls of _fx_map and _law.
         frac_bits, k = 15, 2**15
         frac = 1 << frac_bits
         widest = FixedParams(mu_q=4 * frac, rho_q=-8 * frac, k=k, frac_bits=frac_bits)
@@ -187,7 +187,7 @@ class TestSyncRun:
             drive = worst_numerator("_fx_map_step", bounds)
             response = worst_numerator("_fx_response_step", bounds)
             assert max(drive, response) < 2**62
-        # the texts' bounds at the widest parameters are the hand-written ones
+        # the derived bounds at the widest parameters are the hand-written ones
         mu_q, rho_q = widest.mu_q, abs(widest.rho_q)
         worst_state = mu_q * state * (k + state)
         worst_ctrl = (mu_q * (error + 2 * state + k) + rho_q * k) * error
