@@ -94,8 +94,10 @@ def _inlined(fn):
     """fn compiled again from its own def in this file, with each call of a
     step replaced by the step's return expression, so a step pays no
     Python call; the code keeps this file's name and line numbers, and an
-    inlined expression takes its call's.  A function whose body is a
-    docstring and one return becomes a step itself."""
+    inlined expression takes its call's.  A function whose body is one
+    return, after its docstring if any, becomes a step itself, unless the
+    return holds a walrus or a comprehension: put in a caller, a walrus
+    would bind the caller's names."""
     first = fn.__code__.co_firstlineno  # the line of @_inlined, the def's is next
     lines = linecache.getlines(__file__)
     end = first + 1  # the def runs to the next line that starts at column 0
@@ -106,7 +108,8 @@ def _inlined(fn):
     node.decorator_list = []
     _Inline({}).visit(node)
     match node.body:
-        case [ast.Expr(ast.Constant(str())), ast.Return(expr)]:
+        case [ast.Expr(ast.Constant(str())), ast.Return(expr)] | [ast.Return(expr)] if not any(
+                isinstance(n, (ast.NamedExpr, ast.comprehension)) for n in ast.walk(expr)):
             _STEPS[fn.__name__] = [arg.arg for arg in node.args.args], ast.unparse(expr)
     namespace = {}
     exec(compile(tree, __file__, "exec"), globals(), namespace)

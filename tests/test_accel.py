@@ -409,13 +409,28 @@ def test_float_map_is_written_once():
         assert len(factors(written(step))) == 1
 
 
+def bounds_read(tree):
+    """The reads of I16_MAX and I16_MIN in tree's code."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load) and node.id in ("I16_MAX", "I16_MIN")]
+
+
+def test_clamp_is_written_once():
+    # the 16-bit bounds are read in _accel.py only by _saturated, so
+    # fx_sync_run clamps its drive and its response with it alone
+    assert len(bounds_read(ACCEL)) == len(bounds_read(written("_saturated"))) == 4
+
+
 def test_steps_are_the_one_return_functions():
-    # every def in _accel.py whose body is a docstring and one return is a
-    # step, recorded with its parameters; both kernels are written with
-    # calls of steps
-    steps = {node.name: [arg.arg for arg in node.args.args] for node in ast.walk(ACCEL)
-             if isinstance(node, ast.FunctionDef) and len(node.body) == 2
-             and ast.get_docstring(node) is not None and isinstance(node.body[1], ast.Return)}
+    # every function of _accel.py whose body is one return, after its
+    # docstring if any, is a step, recorded with its parameters, but the
+    # block steppers, whose walrus would bind a caller's names; both
+    # kernels are written with calls of steps
+    steps = {node.name: [arg.arg for arg in node.args.args] for node in ACCEL.body
+             if isinstance(node, ast.FunctionDef) and isinstance(node.body[-1], ast.Return)
+             and len(node.body) == 1 + (ast.get_docstring(node) is not None)}
+    assert {"_orbit_block", "_response_block"} <= set(steps)
+    del steps["_orbit_block"], steps["_response_block"]
     assert {name: params for name, (params, _) in _accel._STEPS.items()} == steps
     assert {"hop_run", "fx_sync_run"} <= set(STEPPERS)
 
@@ -437,12 +452,18 @@ STEPPERS = [node.name for node in ACCEL.body if isinstance(node, ast.FunctionDef
             and calls(node) & set(_accel._STEPS)]
 
 
+# the steps each kernel is written with, so neither writes a formula of its own
+KERNEL_STEPS = {"hop_run": {"_map_step", "_response_step"},
+                "fx_sync_run": {"_fx_map_step", "_fx_response_step", "_saturated"}}
+
+
 @pytest.mark.parametrize("name", STEPPERS)
 def test_hop_run_is_built_with_its_steps_inlined(name):
     # a function written with calls of steps is built at import with their
     # bodies in place of the calls, nested code included, and keeps this
     # file and its def line
     source = written(name)
+    assert KERNEL_STEPS.get(name, set()) <= calls(source)
     code = getattr(_accel, name).__code__
     assert not set(_accel._STEPS) & names(code)
     assert Path(code.co_filename).name == "_accel.py"
