@@ -298,7 +298,9 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
 
     A session is two loops, so no row tests the phase: the idle loop steps
     with d = x until the trigger or the idle cap, the active loop steps
-    over the session's width entries of pick.
+    over the session's width entries of pick.  pick is made a list, and
+    guard and tol are negated, once before the loops, so no row converts
+    or negates them.
     """
     mu = float(mu)
     k = float(k)
@@ -309,6 +311,9 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
     offset = float(offset)
     tol = float(tol)
     guard = float(guard)
+    neg_guard = -guard
+    neg_tol = -tol
+    pick = pick.tolist()
     xs, ys, hops = [], [], []
     run = yielded = fail = 0
     for session in range(sessions):
@@ -322,10 +327,10 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
             if not 0.0 < x < k:
                 fail = ESCAPED
                 break
-            if not -guard <= y <= guard:
+            if not neg_guard <= y <= guard:
                 fail = DIVERGED
                 break
-            run = run + 1 if -tol < e < tol else 0
+            run = run + 1 if neg_tol < e < tol else 0
             if run >= window:
                 break
         else:
@@ -333,7 +338,7 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
         if fail:
             break
         hops.append(yielded + len(xs))
-        for bit in pick[session * width:(session + 1) * width].tolist():  # the active phase
+        for bit in pick[session * width:(session + 1) * width]:  # the active phase
             xs.append(x)
             ys.append(y)
             d = x * scale + offset if bit else x
@@ -343,11 +348,11 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
             if not 0.0 < x < k:
                 fail = ESCAPED
                 break
-            if not -guard <= y <= guard:
+            if not neg_guard <= y <= guard:
                 fail = DIVERGED
                 break
             if counted:
-                run = run + 1 if -tol < e < tol else 0
+                run = run + 1 if neg_tol < e < tol else 0
         if fail:
             break
         if len(xs) >= chunk and session + 1 < sessions:

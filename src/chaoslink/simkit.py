@@ -10,7 +10,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from itertools import chain, islice
-from typing import get_args
+from typing import NamedTuple, get_args
 
 import numpy as np
 
@@ -219,8 +219,12 @@ class SessionTrace:
         return self.data[name]
 
 
-@dataclass(frozen=True)
-class HopRecord:
+class HopRecord(NamedTuple):
+    """One hop: its session, its row (step), the channels the transmitter
+    (j_tx) and the receiver (j_rx) selected, and their selection error.
+    A tuple, so it is immutable and compares equal to a plain tuple of the
+    same five values."""
+
     session: int
     step: int
     j_tx: int
@@ -370,10 +374,8 @@ def run_transmit_session(cfg: ScenarioConfig):
     n_blocks = cfg.steps // cfg.hold
     bits = _symbol_stream(cfg, n_blocks, rng)
     info = np.repeat(bits.astype(float) * cfg.amplitude, cfg.hold)
-    if cfg.disturbance > 0:
-        dist = rng.uniform(-cfg.disturbance, cfg.disturbance, cfg.steps)
-    else:
-        dist = np.zeros(cfg.steps)
+    dist = (rng.uniform(-cfg.disturbance, cfg.disturbance, cfg.steps)
+            if cfg.disturbance > 0 else 0.0)
 
     x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
     y, z, u, ihat = _track(cfg, cfg.operator, x, escape, cfg.y0, info, dist)
@@ -462,7 +464,8 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     on active ones; the trigger's window reaches back across phases.  The
     masked line, the information and its recovery on the active rows, the
     control column, the trace columns and the hop records are built once,
-    after the loop.
+    after the loop.  Every column is built at the trace's length, NaN on
+    the last row, so SessionTrace keeps each as passed and pads none.
     """
     if cfg.mode != "float":
         raise ConfigError("hop session runs in float mode")
@@ -495,13 +498,16 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     hop_steps = np.fromiter(chain.from_iterable(hop_parts), dtype=np.int64)
     active = (hop_steps[:, None] + np.arange(width)).ravel()
     active = active[active < n]
-    z, i, i_hat = x[:-1].copy(), np.zeros(n), np.full(n, np.nan)
+    # the last row is the state the run stopped at: no line sample
+    z, i, i_hat = x.copy(), np.zeros(n + 1), np.full(n + 1, np.nan)
+    z[n] = i[n] = np.nan
     if transmit:
         # recovery near y = 0 fails before any later step does
         i[active] = bits[:active.size] * cfg.amplitude
         z[active] = forward(cfg.operator, x[active], i[active]) + 0.0
         i_hat[active] = recover(cfg.operator, z[active], y[active])
     u = _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z, n)
+    u[n] = np.nan
     if not transmit:
         z[active] = u[active] = i[active] = np.nan
     _fail_at(n, x, n if fail == _accel.ESCAPED else -1,
@@ -509,12 +515,14 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     if fail == _accel.IDLE_CAPPED:
         raise DivergenceError(f"no sync trigger within {MAX_IDLE_STEPS} idle steps")
     j_tx, j_rx, error = hop_session(x[hop_steps], y[hop_steps], cfg.k, table)
-    hops = [HopRecord(*record) for record in zip(
+    hops = tuple(map(HopRecord._make, zip(
         range(cfg.sessions), hop_steps.tolist(), j_tx.tolist(), j_rx.tolist(),
-        error.tolist())]
+        error.tolist())))
     errors = _difference(y, x)
     # epsilon is y - z on line samples and e on bare hop rows
-    epsilon = np.where(np.isnan(z), errors[:-1], y[:-1] - z)
+    epsilon = y - z
+    if not transmit:
+        epsilon[active] = errors[active]
     channel = np.full(len(x), np.nan)
     channel[hop_steps] = j_tx
     trace = SessionTrace(len(x), x=x, y=y, z=z, e=errors, epsilon=epsilon,
@@ -527,7 +535,7 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
         sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
         max_abs_error=float(np.max(np.abs(errors[controlled]))),
         channel_error_count=int(np.count_nonzero(error)),
-        hops=tuple(hops),
+        hops=hops,
     )
     return trace, metrics
 

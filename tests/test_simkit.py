@@ -20,6 +20,7 @@ from chaoslink.core import BasinEscapeError
 from chaoslink.simkit import (
     ConfigError,
     DivergenceError,
+    HopRecord,
     Metrics,
     ScenarioConfig,
     SessionTrace,
@@ -351,6 +352,29 @@ def _hop_outcome(run, cfg):
     return [trace.column(name).tobytes() for name in simkit.TRACE_COLUMNS], repr(metrics)
 
 
+def _chunk_recorder(chunks):
+    """A stand-in for _accel.hop_run that appends each chunk it yields to
+    chunks."""
+    hop_run = _accel.hop_run
+
+    def recorded(*args):
+        for chunk in hop_run(*args):
+            chunks.append(chunk)
+            yield chunk
+
+    return recorded
+
+
+def _kernel_stop(cfg):
+    """(last row, fail) of the hop_run generator under run_hop_session(cfg),
+    and the session's _hop_outcome."""
+    chunks = []
+    with mock.patch.object(_accel, "hop_run", side_effect=_chunk_recorder(chunks)):
+        outcome = _hop_outcome(run_hop_session, cfg)
+    rows = sum(xs.size for xs, *_ in chunks)
+    return (rows - 1, chunks[-1][3]), outcome
+
+
 class TestHopSession:
     def test_frozen_scenario(self):
         trace, metrics = run_hop_session(HOP_CFG)
@@ -467,6 +491,73 @@ class TestHopSession:
     def test_matches_stepwise_oracle(self, cfg):
         assert _hop_outcome(run_hop_session, cfg) == _hop_outcome(hop_session_oracle, cfg)
 
+    # the row of the largest stepped |y|: each loop steps one, at each sign
+    @pytest.mark.parametrize("changes", [
+        dict(source="off"),  # row 18, idle, y = 0.92
+        dict(source="off", y0=-3.0),  # row 1, idle, y = -1.22
+        dict(amplitude=-0.5),  # row 110, after an active row, y = 1.14
+        dict(),  # row 119, after an active row, y = -12.3
+    ])
+    def test_guard_edge(self, changes):
+        # k = 1, so the response guard is the guard itself. A guard equal to
+        # the largest |y| of a stepped row holds that row; one ulp below, the
+        # run fails there.
+        cfg = replace(HOP_CFG, sessions=3, **changes)
+        trace, _ = run_hop_session(cfg)
+        y = trace.column("y")
+        row = 1 + int(np.argmax(np.abs(y[1:])))  # the kernel does not test y0
+        held = replace(cfg, guard=abs(float(y[row])))
+        stop, outcome = _kernel_stop(held)
+        assert stop == (len(trace) - 1, 0)
+        assert outcome == _hop_outcome(run_hop_session, cfg)
+        assert outcome == _hop_outcome(hop_session_oracle, held)
+        below = replace(cfg, guard=float(np.nextafter(held.guard, 0.0)))
+        stop, outcome = _kernel_stop(below)
+        assert stop == (row, _accel.DIVERGED)
+        assert outcome == (DivergenceError,
+                           f"response exceeded guard {below.guard} at step {row}")
+        assert outcome == _hop_outcome(hop_session_oracle, below)
+
+    def test_tol_edge(self):
+        # Errors halve on idle rows, so the first trigger's run starts at the
+        # first row with |epsilon| < sync_tol. With sync_tol equal to that
+        # row's |epsilon| the row does not extend the run, and the hop comes
+        # one row later; one ulp above, the hop is unchanged.
+        cfg = replace(HOP_CFG, sessions=3)
+        trace, metrics = run_hop_session(cfg)
+        hop = metrics.hops[0].step
+        row = hop - cfg.sync_window
+        tol = abs(float(trace.column("epsilon")[row]))
+        assert abs(trace.column("epsilon")[row - 1]) >= cfg.sync_tol > tol
+        for sync_tol, first in [(tol, hop + 1), (float(np.nextafter(tol, np.inf)), hop)]:
+            edge = replace(cfg, sync_tol=sync_tol)
+            _, metrics = run_hop_session(edge)
+            assert metrics.hops[0].step == first
+            assert _hop_outcome(run_hop_session, edge) == _hop_outcome(hop_session_oracle, edge)
+
+    @pytest.mark.parametrize("source", ["bernoulli", "off"])
+    def test_trace_keeps_every_column_as_passed(self, source):
+        # every column the session builds has the trace's rows, so
+        # SessionTrace keeps each as it is and pads none into a copy
+        cfg = replace(HOP_CFG, source=source)
+        passed = {}
+
+        def recording(rows, **columns):
+            passed.update(columns)
+            return SessionTrace(rows, **columns)
+
+        with mock.patch.object(simkit, "SessionTrace", side_effect=recording):
+            trace, metrics = run_hop_session(cfg)
+        assert set(passed) == set(simkit.TRACE_COLUMNS) - {"n", "bit"}
+        for name, values in passed.items():
+            assert values.shape == (len(trace),)
+            assert trace.column(name) is values
+        # a hop record is an immutable named tuple of five fields
+        assert HopRecord._fields == ("session", "step", "j_tx", "j_rx", "error")
+        with pytest.raises(AttributeError):
+            metrics.hops[0].error = 1
+        assert metrics.hops == hop_session_oracle(cfg)[1].hops
+
     def test_trigger_window_reaches_back_across_phases(self):
         # An all-zero pattern keeps every active innovation below sync_tol, so
         # the window carried over from the active phase is already full and
@@ -501,15 +592,9 @@ class TestHopSession:
         # starts width rows after a hop row; hop_run steps the drive
         # itself, and no phase calls response_track
         cfg = replace(HOP_CFG, sessions=300)
-        chunks, hop_run = [], _accel.hop_run
-
-        def counted(*args):
-            for chunk in hop_run(*args):
-                chunks.append(chunk)
-                yield chunk
-
+        chunks = []
         with (mock.patch.object(_accel, "logistic_orbit", wraps=_accel.logistic_orbit) as orbit,
-              mock.patch.object(_accel, "hop_run", side_effect=counted) as kernel,
+              mock.patch.object(_accel, "hop_run", side_effect=_chunk_recorder(chunks)) as kernel,
               mock.patch.object(_accel, "response_track", wraps=_accel.response_track) as track):
             _, metrics = run_hop_session(cfg)
         assert len(metrics.hops) == 300
