@@ -3,10 +3,12 @@
 No session steps a sample in Python outside these kernels.  Each formula
 is written once, as a step, a function whose body is one return: the
 float map, the integer map's numerator, the feedback law's numerator,
-shared by both arithmetics, and the 16-bit clamp.  The other steps and
-the hop and 16-bit kernels are written as calls of these, and @_inlined
-compiles each again at import with the steps' expressions in place of
-the calls, so no sample pays a Python call for a step.
+shared by both arithmetics, the 16-bit clamp and the masked line
+x * scale + offset, which chaoslink.masking.forward calls too.  The
+other steps and the hop and 16-bit kernels are written as calls of
+these, and @_inlined compiles each again at import with the steps'
+expressions in place of the calls, so no sample pays a Python call for a
+step.
 
 The float kernels step a block at a time in one list comprehension and
 test the block once in numpy, so a failing run does at most one block of
@@ -25,6 +27,8 @@ I16_MIN = -32768
 I16_MAX = 32767
 _SYNC_CHECK = 1024  # steps per block; the response checks exact sync between blocks
 _SYNC_PROBE_MAX = 1 << 16  # widest exact-sync block of the response
+_HOP_CHUNK = 4096  # rows after which hop_run yields at the next session's end
+MAX_IDLE_STEPS = 10_000  # idle steps past which a hop phase without a trigger stops the run
 
 # An exact-sync block may run past the sync into huge or infinite line
 # samples, and a control column may hold huge or infinite states: numpy
@@ -143,6 +147,13 @@ def _law(mu, k, rho, e, d):
 def _saturated(v):
     """The integer v clamped to the signed 16-bit range."""
     return I16_MAX if v > I16_MAX else I16_MIN if v < I16_MIN else v
+
+
+@_inlined
+def _line(x, scale, offset):
+    """The line sample x * scale + offset of drive state x: every masking
+    operator is affine in x, with its own scale and offset."""
+    return x * scale + offset
 
 
 @_inlined
@@ -271,30 +282,30 @@ IDLE_CAPPED = 3  # or an idle phase outlasted its cap
 
 
 @_inlined
-def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
-            guard, counted, cap, chunk):
+def hop_run(mu, k, rho, x, y, scale, offset, pick, width, window, tol, guard, counted):
     """A hop run from drive x and response y, as a generator of row chunks.
 
-    Each session is an idle phase then width active steps.  Every step
-    advances the drive as logistic_orbit does, takes its line sample d,
-    the drive x on an idle step and on an active one x or x * scale +
-    offset, the line level of a 0 or 1 source bit as pick says (width
-    entries per session), and steps the response with _response_step on
-    the error e = y - d.  The trigger's run counts the trailing steps
-    with |e| < tol: every idle step adds to it, an active one only if
-    counted.  An idle phase ends on the step that brings the run to
-    window; the row after it is a hop row.
+    Each session is an idle phase then width active steps; pick holds
+    width entries per session.  Every step advances the drive as
+    logistic_orbit does, takes its line sample d, the drive x on an idle
+    step and on an active one x or _line(x, scale, offset), the line
+    level of a 0 or 1 source bit as pick says, and steps the response
+    with _response_step on the error e = y - d.  The trigger's run counts
+    the trailing steps with |e| < tol: every idle step adds to it, an
+    active one only if counted.  An idle phase ends on the step that
+    brings the run to window; the row after it is a hop row.
 
     Yields (xs, ys, hops, fail): the drive and response rows as float64
     arrays and the hop rows among them as a list; the controls are
     control_column over the rows' line samples.  A chunk is yielded at the
-    end of an active phase once chunk rows have gathered, so it holds at
-    most chunk rows plus one session.  The run stops at the first step
-    whose new drive sample lies outside (0, k) (fail ESCAPED), else whose
-    response passes the guard or is NaN (DIVERGED), else that ends the
-    cap-th idle step of a phase without a trigger (IDLE_CAPPED), else
-    (fail 0) after the last active phase.  The last chunk ends with the
-    state the run stopped at, the one row if no session.
+    end of an active phase once _HOP_CHUNK rows have gathered, so it holds
+    at most _HOP_CHUNK rows plus one session.  The run stops at the first
+    step whose new drive sample lies outside (0, k) (fail ESCAPED), else
+    whose response passes the guard or is NaN (DIVERGED), else that ends
+    idle step MAX_IDLE_STEPS + 1 of a phase without a trigger
+    (IDLE_CAPPED), else (fail 0) after the last active phase.  The last
+    chunk ends with the state the run stopped at, the one row if no
+    session.
 
     A session is two loops, so no row tests the phase: the idle loop steps
     with d = x until the trigger or the idle cap, the active loop steps
@@ -314,10 +325,11 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
     neg_guard = -guard
     neg_tol = -tol
     pick = pick.tolist()
+    sessions = len(pick) // width
     xs, ys, hops = [], [], []
     run = yielded = fail = 0
     for session in range(sessions):
-        for _ in range(cap + 1):  # the idle phase: the line sample is the drive
+        for _ in range(MAX_IDLE_STEPS + 1):  # the idle phase: the line sample is the drive
             xs.append(x)
             ys.append(y)
             e = y - x
@@ -341,7 +353,7 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
         for bit in pick[session * width:(session + 1) * width]:  # the active phase
             xs.append(x)
             ys.append(y)
-            d = x * scale + offset if bit else x
+            d = _line(x, scale, offset) if bit else x
             e = y - d
             y = _response_step(mu, k, rho, y, e, d)
             x = _map_step(mu, k, x)
@@ -355,7 +367,7 @@ def hop_run(mu, k, rho, x, y, sessions, scale, offset, pick, width, window, tol,
                 run = run + 1 if neg_tol < e < tol else 0
         if fail:
             break
-        if len(xs) >= chunk and session + 1 < sessions:
+        if len(xs) >= _HOP_CHUNK and session + 1 < sessions:
             yield (np.fromiter(xs, np.float64, len(xs)),
                    np.fromiter(ys, np.float64, len(ys)), hops, 0)
             yielded += len(xs)

@@ -8,7 +8,7 @@ take numpy arrays and then work elementwise.
 
 import numpy as np
 
-from ._accel import quiet
+from ._accel import _line, quiet
 from .bitcodec import decide
 
 OPERATORS = ("additive", "multiplicative")
@@ -20,7 +20,7 @@ _MULTIPLICATIVE_GUARD = 1e-12
 
 
 def coefficients(operator: str, i):
-    """(scale, offset) of the line sample x * scale + offset for drive
+    """(scale, offset) of the line sample _line(x, scale, offset) for drive
     state x carrying information i: both operators are affine in x."""
     if operator == "additive":
         return 1.0, i
@@ -33,9 +33,11 @@ def coefficients(operator: str, i):
 # inf, as the kernels' states do, and just as quietly.
 @quiet
 def forward(operator: str, x, i):
-    """Line sample for drive state x carrying information i."""
-    scale, offset = coefficients(operator, i)
-    return x * scale + offset
+    """Line sample for drive state x carrying information i: the _accel
+    step _line with the operator's coefficients, so the hop kernel's
+    masked samples are the same expression.  A NaN i gives a NaN sample,
+    which marks a row that carries no line sample."""
+    return _line(x, *coefficients(operator, i))
 
 
 @quiet

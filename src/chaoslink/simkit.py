@@ -323,19 +323,20 @@ def _difference(a, b):
 
 def _track(cfg: ScenarioConfig, operator: str, x, escape: int, y0, info,
            dist=0.0):
-    """Line z = forward(operator, x, info) + dist on the drive samples x
+    """Line z = forward(operator, x, info) + dist on every drive sample x
     (escape: index of the first one outside the basin, or -1), response
-    from y0 driven by z.  Returns (y, z, u, i_hat), y one sample longer
-    than the line, like x.
+    from y0 driven by all of z but its last sample, which no step reads.
+    Returns (y, z, u, i_hat): y and z have x's length, u and i_hat one
+    row less, i_hat less still if the run stops early.
 
     Failures are raised as a step-by-step loop meets them: the earliest step
     wins, a drive escape beats a divergence at the same step, and recovery
     near y = 0 fails before its own step's update.
     """
-    z = forward(operator, x[:-1], info) + dist
+    z = forward(operator, x, info) + dist
     guard = cfg.response_guard
-    y, u, diverge = _accel.response_track(cfg.mu, cfg.k, cfg.rho, y0, z, guard)
-    stop = min((i for i in (escape, diverge) if i >= 0), default=len(info))
+    y, u, diverge = _accel.response_track(cfg.mu, cfg.k, cfg.rho, y0, z[:-1], guard)
+    stop = min((i for i in (escape, diverge) if i >= 0), default=len(u))
     i_hat = recover(operator, z[:stop], y[:stop])
     _fail_at(stop, x, escape, diverge, guard)
     return y, z, u, i_hat
@@ -349,7 +350,7 @@ def run_sync_session(cfg: ScenarioConfig):
         raise ConfigError("sync session runs in float mode")
     # the bare drive state is the additive line with no information on it
     x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
-    y, _, u, _ = _track(cfg, "additive", x, escape, cfg.y0, np.zeros(cfg.steps))
+    y, _, u, _ = _track(cfg, "additive", x, escape, cfg.y0, 0.0)
     errors = y - x
     trace = SessionTrace(cfg.steps + 1, x=x, y=y, e=errors, u=u)
     metrics = Metrics(
@@ -373,8 +374,9 @@ def run_transmit_session(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
     n_blocks = cfg.steps // cfg.hold
     bits = _symbol_stream(cfg, n_blocks, rng)
-    info = np.repeat(bits.astype(float) * cfg.amplitude, cfg.hold)
-    dist = (rng.uniform(-cfg.disturbance, cfg.disturbance, cfg.steps)
+    # the last row, the state the run ends at, carries no line sample
+    info = np.append(np.repeat(bits.astype(float) * cfg.amplitude, cfg.hold), np.nan)
+    dist = (rng.uniform(-cfg.disturbance, cfg.disturbance, cfg.steps + 1)
             if cfg.disturbance > 0 else 0.0)
 
     x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
@@ -383,7 +385,7 @@ def run_transmit_session(cfg: ScenarioConfig):
 
     errors = y - x
     trace = SessionTrace(
-        cfg.steps + 1, x=x, y=y, e=errors, z=z, epsilon=y[:-1] - z, u=u,
+        cfg.steps + 1, x=x, y=y, e=errors, z=z, epsilon=y - z, u=u,
         i=info, i_hat=ihat, bit=_block_ends(decisions, cfg.hold, cfg.steps + 1),
     )
 
@@ -445,10 +447,6 @@ def run_digital_session(cfg: ScenarioConfig):
     return trace, metrics
 
 
-MAX_IDLE_STEPS = 10_000
-_HOP_CHUNK = 4096  # rows after which hop_run yields at the next session's end
-
-
 def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     """Alternating idle/transmit sessions with sync-gated channel hops.
 
@@ -458,14 +456,16 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     their own states, so the selection error measures residual desync.
 
     _accel.hop_run steps the drive and the response together and yields
-    their rows between sessions, once _HOP_CHUNK have gathered, so the
-    Python floats in flight stay bounded: the line is the bare drive state
-    on idle steps and one of two masked levels, chosen by the source bit,
-    on active ones; the trigger's window reaches back across phases.  The
-    masked line, the information and its recovery on the active rows, the
-    control column, the trace columns and the hop records are built once,
-    after the loop.  Every column is built at the trace's length, NaN on
-    the last row, so SessionTrace keeps each as passed and pads none.
+    their rows between sessions, once _accel._HOP_CHUNK have gathered, so
+    the Python floats in flight stay bounded: the line is the bare drive
+    state on idle steps and one of two masked levels, chosen by the source
+    bit, on active ones; the trigger's window reaches back across phases.
+    The columns and the hop records are built once, after the loop, each
+    at the trace's length, so SessionTrace keeps each as passed and pads
+    none.  As in every float session, the information i is NaN on each
+    row that carries no line sample (the last row, and a bare hop row when
+    the source is off); the line z = forward(operator, x, i) and the
+    control column are built over all rows, so both are NaN there too.
     """
     if cfg.mode != "float":
         raise ConfigError("hop session runs in float mode")
@@ -489,8 +489,8 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     # the line level of a 1 bit; a 0 bit's is the drive state itself
     scale, offset = coefficients(cfg.operator, cfg.amplitude)
     x_parts, y_parts, hop_parts, fails = zip(*_accel.hop_run(
-        cfg.mu, cfg.k, cfg.rho, cfg.x0, cfg.y0, cfg.sessions, scale, offset, bits, width,
-        cfg.sync_window, cfg.sync_tol, guard, transmit, MAX_IDLE_STEPS, _HOP_CHUNK))
+        cfg.mu, cfg.k, cfg.rho, cfg.x0, cfg.y0, scale, offset, bits, width,
+        cfg.sync_window, cfg.sync_tol, guard, transmit))
     # The last row is the state the run stopped at; on a failure n is the
     # failing step, and the rows before it are the run.
     x, y, fail = np.concatenate(x_parts), np.concatenate(y_parts), fails[-1]
@@ -498,22 +498,20 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     hop_steps = np.fromiter(chain.from_iterable(hop_parts), dtype=np.int64)
     active = (hop_steps[:, None] + np.arange(width)).ravel()
     active = active[active < n]
-    # the last row is the state the run stopped at: no line sample
-    z, i, i_hat = x.copy(), np.zeros(n + 1), np.full(n + 1, np.nan)
-    z[n] = i[n] = np.nan
+    # no line sample on a bare hop row, nor on the last row
+    i = np.zeros(n + 1)
+    i[active] = bits[:active.size] * cfg.amplitude if transmit else np.nan
+    i[n] = np.nan
+    z = forward(cfg.operator, x, i) + 0.0
+    i_hat = np.full(n + 1, np.nan)
     if transmit:
         # recovery near y = 0 fails before any later step does
-        i[active] = bits[:active.size] * cfg.amplitude
-        z[active] = forward(cfg.operator, x[active], i[active]) + 0.0
         i_hat[active] = recover(cfg.operator, z[active], y[active])
-    u = _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z, n)
-    u[n] = np.nan
-    if not transmit:
-        z[active] = u[active] = i[active] = np.nan
+    u = _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z, n + 1)
     _fail_at(n, x, n if fail == _accel.ESCAPED else -1,
              n if fail == _accel.DIVERGED else -1, guard)
     if fail == _accel.IDLE_CAPPED:
-        raise DivergenceError(f"no sync trigger within {MAX_IDLE_STEPS} idle steps")
+        raise DivergenceError(f"no sync trigger within {_accel.MAX_IDLE_STEPS} idle steps")
     j_tx, j_rx, error = hop_session(x[hop_steps], y[hop_steps], cfg.k, table)
     hops = tuple(map(HopRecord._make, zip(
         range(cfg.sessions), hop_steps.tolist(), j_tx.tolist(), j_rx.tolist(),
@@ -598,6 +596,5 @@ def load_trace_csv(path) -> SessionTrace:
 def export_hops_csv(hops, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["session", "step", "j_tx", "j_rx", "error"])
-        for h in hops:
-            writer.writerow([h.session, h.step, h.j_tx, h.j_rx, h.error])
+        writer.writerow(HopRecord._fields)
+        writer.writerows(hops)

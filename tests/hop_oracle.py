@@ -15,11 +15,10 @@ from collections import deque
 import numpy as np
 
 from chaoslink import masking
-from chaoslink._accel import control_effort
+from chaoslink._accel import MAX_IDLE_STEPS, control_effort
 from chaoslink.core import BasinEscapeError, LogisticParams, step
 from chaoslink.hopper import build_default_table, hop_session
 from chaoslink.simkit import (
-    MAX_IDLE_STEPS,
     SOURCE_BERNOULLI,
     SOURCE_OFF,
     SOURCE_PATTERN,

@@ -368,9 +368,9 @@ def operations(tree, op, left, right):
 ACCEL = ast.parse(Path(_accel.__file__).read_text())
 
 
-def written(name):
-    """The def of the function name as written in _accel.py."""
-    return next(node for node in ast.walk(ACCEL)
+def written(name, tree=ACCEL):
+    """The def of the function name as written in tree, by default _accel.py."""
+    return next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
@@ -421,6 +421,25 @@ def test_clamp_is_written_once():
     assert len(bounds_read(ACCEL)) == len(bounds_read(written("_saturated"))) == 4
 
 
+def masked_lines(tree):
+    """The expressions <expr> * scale + offset written in tree's code."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and ast.unparse(node.right) == "offset" and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Mult) and ast.unparse(node.left.right) == "scale"]
+
+
+def test_line_is_written_once():
+    # the masked line x * scale + offset appears once in the package, in
+    # _line, which masking.forward and hop_run both call
+    found = {path.name: len(masked_lines(ast.parse(path.read_text())))
+             for path in Path(_accel.__file__).parent.glob("*.py")}
+    assert {name: count for name, count in found.items() if count} == {"_accel.py": 1}
+    assert len(masked_lines(written("_line"))) == 1
+    forward = written("forward", ast.parse(Path(masking.__file__).read_text()))
+    assert "_line" in calls(forward) and "_line" in calls(written("hop_run"))
+
+
 def test_steps_are_the_one_return_functions():
     # every function of _accel.py whose body is one return, after its
     # docstring if any, is a step, recorded with its parameters, but the
@@ -453,7 +472,7 @@ STEPPERS = [node.name for node in ACCEL.body if isinstance(node, ast.FunctionDef
 
 
 # the steps each kernel is written with, so neither writes a formula of its own
-KERNEL_STEPS = {"hop_run": {"_map_step", "_response_step"},
+KERNEL_STEPS = {"hop_run": {"_map_step", "_response_step", "_line"},
                 "fx_sync_run": {"_fx_map_step", "_fx_response_step", "_saturated"}}
 
 
@@ -707,8 +726,7 @@ def check_fx_sync_run(params, x0, y0, steps):
 ])
 def test_hop_run_escape_beats_a_trigger_or_guard(x0, y0, rho, escape):
     [(xs, ys, hops, fail)] = _accel.hop_run(
-        4.0, 1.0, rho, x0, y0, 1, 1.0, 0.0, np.zeros(3, dtype=np.uint8), 3, 1, 1e-6,
-        1e3, True, 10_000, 8)
+        4.0, 1.0, rho, x0, y0, 1.0, 0.0, np.zeros(3, dtype=np.uint8), 3, 1, 1e-6, 1e3, True)
     # the one chunk ends with the escaped drive sample
     assert (ys.size, hops, fail, xs[-1]) == (escape + 1, [], _accel.ESCAPED, 1.0)
     assert xs.tolist() == _accel.logistic_orbit(4.0, 1.0, x0, escape)[0].tolist()
@@ -720,9 +738,8 @@ def test_hop_run_escape_beats_a_trigger_or_guard(x0, y0, rho, escape):
 
 
 def test_hop_run_of_no_sessions_is_its_start():
-    chunks = list(_accel.hop_run(3.7, 1.0, 0.5, 0.1, -1.0, 0, 1.0, 0.0,
-                                 np.zeros(0, dtype=np.uint8), 40, 5, 1e-6, 1e3, True,
-                                 10_000, 4096))
+    chunks = list(_accel.hop_run(3.7, 1.0, 0.5, 0.1, -1.0, 1.0, 0.0,
+                                 np.zeros(0, dtype=np.uint8), 40, 5, 1e-6, 1e3, True))
     assert len(chunks) == 1
     xs, ys, hops, fail = chunks[0]
     assert (xs.tolist(), ys.tolist(), hops, fail) == ([0.1], [-1.0], [], 0)
@@ -734,8 +751,8 @@ def test_hop_run_holds_one_chunk_of_rows():
     # rows in flight peak at about 0.4 MiB, against 1.7 MiB for the same
     # run in one chunk
     pick = np.random.default_rng(5).integers(0, 2, 300 * 40).astype(np.uint8)
-    chunks = _accel.hop_run(3.7, 1.0, 0.5, 0.1, -1.0, 300, 1.0, 1.0, pick, 40, 5, 1e-6,
-                            1e3, True, 10_000, 4096)
+    chunks = _accel.hop_run(3.7, 1.0, 0.5, 0.1, -1.0, 1.0, 1.0, pick, 40, 5, 1e-6, 1e3,
+                            True)
     rows = 0
     tracemalloc.start()
     try:

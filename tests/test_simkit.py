@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaoslink.simkit as simkit
-from chaoslink import _accel
+from chaoslink import _accel, masking
 from chaoslink.core import BasinEscapeError
 from chaoslink.simkit import (
     ConfigError,
@@ -180,6 +180,20 @@ class TestSyncSession:
         assert not np.isnan(trace.column("u")[0])
 
 
+def _passed_columns(run, cfg):
+    """run(cfg)'s trace and metrics, and the columns it built its
+    SessionTrace from, by name."""
+    passed = {}
+
+    def recording(rows, **columns):
+        passed.update(columns)
+        return SessionTrace(rows, **columns)
+
+    with mock.patch.object(simkit, "SessionTrace", side_effect=recording):
+        trace, metrics = run(cfg)
+    return trace, metrics, passed
+
+
 class TestTransmitSession:
     def test_frozen_scenario_recovers_exactly(self):
         trace, metrics = run_transmit_session(TRANSMIT_CFG)
@@ -269,6 +283,48 @@ class TestTransmitSession:
         noise = (dist.column("z") - ideal.column("z"))[:-1]
         assert np.all(noise != 0) and np.all(np.abs(noise) <= 0.01 + 1e-12)
         assert np.array_equal(dist.column("x"), ideal.column("x"))
+
+    @pytest.mark.parametrize("seed", [1, 7, 123])
+    def test_disturbance_keeps_the_draws_of_steps_samples(self, seed):
+        # one disturbance sample per row, the last row's on no line sample:
+        # the first steps samples are the draws of a steps-sample draw
+        for operator in ("additive", "multiplicative"):
+            cfg = replace(TRANSMIT_CFG, seed=seed, operator=operator, disturbance=0.01)
+            trace, _ = run_transmit_session(cfg)
+            rng = np.random.default_rng(seed)
+            simkit._symbol_stream(cfg, cfg.steps // cfg.hold, rng)
+            dist = rng.uniform(-cfg.disturbance, cfg.disturbance, cfg.steps)
+            x, i = trace.column("x")[:-1], trace.column("i")[:-1]
+            line = masking.forward(operator, x, i) + dist
+            assert trace.column("z")[:-1].tobytes() == line.tobytes()
+            assert np.isnan(trace.column("z")[-1])
+
+    def test_trace_keeps_every_full_column_as_passed(self):
+        # the line, epsilon and the information have the trace's rows, NaN
+        # on the last; only u and i_hat, which end with the stepped rows, are
+        # padded
+        trace, _, passed = _passed_columns(run_transmit_session, TRANSMIT_CFG)
+        padded = {name for name, values in passed.items() if trace.column(name) is not values}
+        assert padded == {"u", "i_hat"}
+        assert np.isnan([trace.column(name)[-1] for name in ("z", "epsilon", "i")]).all()
+
+    @pytest.mark.parametrize("operator", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("disturbance", [0.0, 0.01])
+    def test_peak_memory_above_the_trace(self, operator, disturbance):
+        # Beyond the trace it returns, a 20 000-step transmit peaks at about
+        # 3.2 columns of its rows (0.49 MiB), 4.2 with a drawn disturbance;
+        # a session that pads a short z, epsilon and i into copies peaks
+        # two columns higher.
+        cfg = replace(TRANSMIT_CFG, steps=20_000, operator=operator, disturbance=disturbance)
+        run_transmit_session(cfg)
+        tracemalloc.start()
+        try:
+            trace, _ = run_transmit_session(cfg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        column = trace.column("x").nbytes
+        assert peak - kept < (4 + (disturbance > 0)) * column
 
 
 class TestDigitalSession:
@@ -540,14 +596,7 @@ class TestHopSession:
         # every column the session builds has the trace's rows, so
         # SessionTrace keeps each as it is and pads none into a copy
         cfg = replace(HOP_CFG, source=source)
-        passed = {}
-
-        def recording(rows, **columns):
-            passed.update(columns)
-            return SessionTrace(rows, **columns)
-
-        with mock.patch.object(simkit, "SessionTrace", side_effect=recording):
-            trace, metrics = run_hop_session(cfg)
+        trace, metrics, passed = _passed_columns(run_hop_session, cfg)
         assert set(passed) == set(simkit.TRACE_COLUMNS) - {"n", "bit"}
         for name, values in passed.items():
             assert values.shape == (len(trace),)
@@ -614,7 +663,7 @@ class TestHopSession:
         # hop_run keeps its state across chunks, so the rows per chunk
         # change nothing
         expected = _hop_outcome(run_hop_session, cfg)
-        with mock.patch.object(simkit, "_HOP_CHUNK", chunk):
+        with mock.patch.object(_accel, "_HOP_CHUNK", chunk):
             assert _hop_outcome(run_hop_session, cfg) == expected
 
     @pytest.mark.parametrize("cfg", [
@@ -632,7 +681,7 @@ class TestHopSession:
 
     def test_peak_memory_is_chunk_bounded(self):
         # Beyond the trace it returns, a 300-session run (18 826 rows) peaks
-        # at about 1.4 MiB, in the trace assembly, whether or not the rows
+        # at about 0.72 MiB, in the trace assembly, whether or not the rows
         # come in chunks; test_hop_run_holds_one_chunk_of_rows bounds the
         # kernel's own rows in flight.
         cfg = replace(HOP_CFG, sessions=300)
@@ -644,7 +693,7 @@ class TestHopSession:
         finally:
             tracemalloc.stop()
         assert len(trace) > 18_000
-        assert peak - kept < 2 * 2**20
+        assert peak - kept < 2**20
 
     @settings(max_examples=40, deadline=None)
     @given(
