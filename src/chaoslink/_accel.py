@@ -1,24 +1,28 @@
 """Hot inner loops, as pure Python/numpy.
 
-No session steps a sample in Python outside these kernels.  Each formula
-is written once, as a step, a function whose body is one return: the
-float map, the integer map's numerator, the feedback law's numerator,
-shared by both arithmetics, the 16-bit clamp and the masked line
-x * scale + offset, which chaoslink.masking.forward calls too.  The
-other steps and the hop and 16-bit kernels are written as calls of
-these, and @_inlined compiles each again at import with the steps'
-expressions in place of the calls, so no sample pays a Python call for a
-step.
+No session steps a sample in Python outside these kernels.  Each of the
+six formulas is written once, as a step, a function whose body is one
+return: the float map, the integer map's numerator, the feedback law's
+gain rho*k and its numerator, both shared by both arithmetics, the
+16-bit clamp and the masked line x * scale + offset, which
+chaoslink.masking.forward calls too.  The other steps and the hop and
+16-bit kernels are written as calls of these, and @_inlined compiles
+each again at import with the steps' expressions in place of the calls,
+so no sample pays a Python call for a step.  A kernel computes the gain
+once per run, before its loop.
 
 The float kernels step a block at a time in one list comprehension and
 test the block once in numpy, so a failing run does at most one block of
 work past the failure; Python floats overflow to inf and NaN without a
-warning, so that work is quiet.
+warning, so that work is quiet.  A block of Python floats goes into
+numpy as one packed transfer, _packed, which copies each float's eight
+bytes as they are.
 """
 
 import ast
 import linecache
 import math
+import struct
 
 import numpy as np
 
@@ -33,8 +37,8 @@ MAX_IDLE_STEPS = 10_000  # idle steps past which a hop phase without a trigger s
 # An exact-sync block may run past the sync into huge or infinite line
 # samples, and a control column may hold huge or infinite states: numpy
 # warns on their overflow and inf - inf, the loops' Python floats do not.
-# Used only as a decorator, which may nest (response_track calls
-# control_column): a `with quiet:` inside another raises TypeError, as
+# Used only as a decorator, which may nest (a decorated function may call
+# another): a `with quiet:` inside another raises TypeError, as
 # np.errstate cannot be entered twice (numpy 2.4.6).
 quiet = np.errstate(over="ignore", invalid="ignore")
 
@@ -56,7 +60,7 @@ def logistic_orbit(mu, k, x0, n_steps):
     n = 1
     while n <= n_steps:
         end = min(n + _SYNC_CHECK, n_steps + 1)
-        block = np.fromiter(_orbit_block(mu, k, x, end - n), np.float64, end - n)
+        block = _packed(_orbit_block(mu, k, x, end - n))
         orbit[n:end] = block
         x = float(block[-1])
         inside = (block > 0.0) & (block < k)
@@ -132,15 +136,21 @@ def _fx_map(mu, k, x):
     return mu * x * (k - x)
 
 
+@_inlined
+def _gain(rho, k):
+    """The feedback law's gain rho*k, the same on every step of a run."""
+    return rho * k
+
+
 # 2d is written d + d, exact in both arithmetics and on floats the bits of
 # 2.0 * d; 2 * d would multiply an int by a float, which CPython does not
 # specialize, and cost the float response loop about 10%.
 @_inlined
-def _law(mu, k, rho, e, d):
-    """The feedback law's numerator [mu(e + 2d - k) + rho*k] * e: the float
-    law divides it by k, the integer response sums it with the integer map
-    before its one division."""
-    return (mu * (e + (d + d) - k) + rho * k) * e
+def _law(mu, k, gain, e, d):
+    """The feedback law's numerator [mu(e + 2d - k) + gain] * e, gain the
+    _gain of rho and k: the float law divides it by k, the integer
+    response sums it with the integer map before its one division."""
+    return (mu * (e + (d + d) - k) + gain) * e
 
 
 @_inlined
@@ -157,10 +167,18 @@ def _line(x, scale, offset):
 
 
 @_inlined
+def _packed(values):
+    """The Python floats values as a read-only float64 array, in one
+    struct.pack call: the native format d copies each float's eight bytes
+    as they are, NaN payloads and signed zeros included."""
+    return np.frombuffer(struct.pack(f"{len(values)}d", *values))
+
+
+@_inlined
 def control_effort(mu, k, rho, e, d):
     """The feedback law u = [mu(e + 2d - k) + rho*k] * e / k for error e
     against the drive-side sample d; see chaoslink.control."""
-    return _law(mu, k, rho, e, d) / k
+    return _law(mu, k, _gain(rho, k), e, d) / k
 
 
 @_inlined
@@ -170,18 +188,19 @@ def _orbit_block(mu, k, x, n):
 
 
 @_inlined
-def _response_step(mu, k, rho, y, e, d):
+def _response_step(mu, k, gain, y, e, d):
     """The response state after y on line sample d with error e, on scalars
-    or float64 arrays."""
-    return _map_step(mu, k, y) + control_effort(mu, k, rho, e, d)
+    or float64 arrays, gain the _gain of rho and k: the map plus the
+    control law."""
+    return _map_step(mu, k, y) + _law(mu, k, gain, e, d) / k
 
 
 @_inlined
-def _response_block(mu, k, rho, y, ds):
+def _response_block(mu, k, gain, y, ds):
     """The response states after each line sample d of ds, from state y,
     as Python floats.  y - d is computed at both places of the error, the
     same bits as a once-computed error."""
-    return [y := _response_step(mu, k, rho, y, y - d, d) for d in ds]
+    return [y := _response_step(mu, k, gain, y, y - d, d) for d in ds]
 
 
 @_inlined
@@ -191,11 +210,11 @@ def _fx_map_step(mu, k, x, denom):
 
 
 @_inlined
-def _fx_response_step(mu, k, rho, y, e, d, denom):
+def _fx_response_step(mu, k, gain, y, e, d, denom):
     """The integer response after y on the drive-side value d with error e,
     before saturation: the map's and the law's numerators in one wide
-    integer, floor-divided by denom once."""
-    return (_fx_map(mu, k, y) + _law(mu, k, rho, e, d)) // denom
+    integer, floor-divided by denom once; gain is the _gain of rho and k."""
+    return (_fx_map(mu, k, y) + _law(mu, k, gain, e, d)) // denom
 
 
 @quiet
@@ -211,15 +230,26 @@ def control_column(mu, k, rho, y, z, rows):
     return u
 
 
-@quiet
 def response_track(mu, k, rho, y0, z, guard):
+    """response_states and the control column over its stepped rows.
+
+    Returns (ys, us, diverge_index) with ys and diverge_index those of
+    response_states(mu, k, rho, y0, z, guard); us has z's length, and
+    us[n] is the control on the n -> n+1 transition, 0 past a divergence.
+    """
+    ys, diverge = response_states(mu, k, rho, y0, z, guard)
+    return ys, control_column(mu, k, rho, ys, z, z.size if diverge < 0 else diverge), diverge
+
+
+@quiet
+def response_states(mu, k, rho, y0, z, guard):
     """Response map driven by the float64 line z under the feedback law.
 
-    Step n is y = _response_step(mu, k, rho, y, y - z[n], z[n]), stepped
-    in blocks by _response_block.  Returns (ys, us, diverge_index): ys
-    has one sample more than z, us[n] is the control on the n -> n+1
-    transition, and diverge_index is the first index with |y| > guard or
-    y NaN (samples past it are left at 0), or -1 if none.
+    Step n is y = _response_step(mu, k, gain, y, y - z[n], z[n]), gain
+    the _gain of rho and k, computed once; the loop steps it in blocks of
+    _response_block.  Returns (ys, diverge_index): ys has one sample more
+    than z, and diverge_index is the first index with |y| > guard or y
+    NaN (samples past it are left at 0), or -1 if none.
 
     The loop steps one block at a time.  If y equals z[n] with the same
     sign bit, the error is exactly +0.0, or NaN on an infinite sample,
@@ -233,12 +263,12 @@ def response_track(mu, k, rho, y0, z, guard):
     blocks stay in sync, so a stretch of exact sync costs O(its length).
     Otherwise the block is one _response_block call of _SYNC_CHECK steps.
     Either block goes into ys, is checked against the guard in one vector
-    test and hands y its last state; us is control_column over the
-    stepped rows once the loop is done.
+    test and hands y its last state.  A stepwise block's Python floats go
+    into numpy through _packed.
     """
     mu = float(mu)
     k = float(k)
-    rho = float(rho)
+    gain = _gain(float(rho), k)
     y = float(y0)
     guard = float(guard)
     n_steps = z.size
@@ -251,7 +281,7 @@ def response_track(mu, k, rho, y0, z, guard):
         if y == z[n] and math.copysign(1.0, y) == math.copysign(1.0, z[n]):
             end = min(n + width, n_steps)
             d = z[n:end]
-            block = _response_step(mu, k, rho, d, 0.0, d)  # d - d's bits, no temporary
+            block = _response_step(mu, k, gain, d, 0.0, d)  # d - d's bits, no temporary
             follow = z[n + 1:end + 1]
             head = block[:follow.size]
             cuts = np.flatnonzero((head != follow) | (np.signbit(head) != np.signbit(follow)))
@@ -261,8 +291,7 @@ def response_track(mu, k, rho, y0, z, guard):
             width = min(2 * width, _SYNC_PROBE_MAX)
         else:
             end = min(n + _SYNC_CHECK, n_steps)
-            block = np.fromiter(_response_block(mu, k, rho, y, z[n:end].tolist()),
-                                np.float64, end - n)
+            block = _packed(_response_block(mu, k, gain, y, z[n:end].tolist()))
             width = _SYNC_CHECK
         ys[n + 1:end + 1] = block
         y = float(block[-1])
@@ -272,8 +301,7 @@ def response_track(mu, k, rho, y0, z, guard):
             ys[diverge + 1:end + 1] = 0.0
             break
         n = end
-    rows = n_steps if diverge < 0 else diverge
-    return ys, control_column(mu, k, rho, ys, z, rows), diverge
+    return ys, diverge
 
 
 ESCAPED = 1  # hop_run failures: the drive left the basin,
@@ -295,8 +323,9 @@ def hop_run(mu, k, rho, x, y, scale, offset, pick, width, window, tol, guard, co
     active one only if counted.  An idle phase ends on the step that
     brings the run to window; the row after it is a hop row.
 
-    Yields (xs, ys, hops, fail): the drive and response rows as float64
-    arrays and the hop rows among them as a list; the controls are
+    Yields (xs, ys, hops, fail): the drive and response rows as read-only
+    float64 arrays, each packed from its Python floats by _packed, and
+    the hop rows among them as a list; the controls are
     control_column over the rows' line samples.  A chunk is yielded at the
     end of an active phase once _HOP_CHUNK rows have gathered, so it holds
     at most _HOP_CHUNK rows plus one session.  The run stops at the first
@@ -309,13 +338,13 @@ def hop_run(mu, k, rho, x, y, scale, offset, pick, width, window, tol, guard, co
 
     A session is two loops, so no row tests the phase: the idle loop steps
     with d = x until the trigger or the idle cap, the active loop steps
-    over the session's width entries of pick.  pick is made a list, and
-    guard and tol are negated, once before the loops, so no row converts
-    or negates them.
+    over the session's width entries of pick.  pick is made a list, the
+    gain is computed, and guard and tol are negated, once before the
+    loops, so no row converts, multiplies or negates them.
     """
     mu = float(mu)
     k = float(k)
-    rho = float(rho)
+    gain = _gain(float(rho), k)
     x = float(x)
     y = float(y)
     scale = float(scale)
@@ -333,7 +362,7 @@ def hop_run(mu, k, rho, x, y, scale, offset, pick, width, window, tol, guard, co
             xs.append(x)
             ys.append(y)
             e = y - x
-            y = _response_step(mu, k, rho, y, e, x)
+            y = _response_step(mu, k, gain, y, e, x)
             x = _map_step(mu, k, x)
             # a step that does not continue ends the run
             if not 0.0 < x < k:
@@ -355,7 +384,7 @@ def hop_run(mu, k, rho, x, y, scale, offset, pick, width, window, tol, guard, co
             ys.append(y)
             d = _line(x, scale, offset) if bit else x
             e = y - d
-            y = _response_step(mu, k, rho, y, e, d)
+            y = _response_step(mu, k, gain, y, e, d)
             x = _map_step(mu, k, x)
             if not 0.0 < x < k:
                 fail = ESCAPED
@@ -368,26 +397,25 @@ def hop_run(mu, k, rho, x, y, scale, offset, pick, width, window, tol, guard, co
         if fail:
             break
         if len(xs) >= _HOP_CHUNK and session + 1 < sessions:
-            yield (np.fromiter(xs, np.float64, len(xs)),
-                   np.fromiter(ys, np.float64, len(ys)), hops, 0)
+            yield _packed(xs), _packed(ys), hops, 0
             yielded += len(xs)
             xs, ys, hops = [], [], []
     xs.append(x)
     ys.append(y)
-    yield np.fromiter(xs, np.float64, len(xs)), np.fromiter(ys, np.float64, len(ys)), hops, fail
+    yield _packed(xs), _packed(ys), hops, fail
 
 
 @_inlined
 def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     """Quantized drive/response pair with quantized control.
 
-    The response update is _fx_response_step: it keeps the map's
-    numerator mu_q*y*(k-y) and the law's numerator in one wide integer and
-    applies the floor division by denom = frac * k once, so the
-    float-domain cancellation survives quantization; _saturated then clamps
-    it to 16 bits, once.  The drive update is _fx_map_step, clamped the
-    same way.  Once x == y the error is 0 and both sides apply the same
-    update, so equality holds.
+    The response update is _fx_response_step, its gain computed once
+    before the loop: it keeps the map's numerator mu_q*y*(k-y) and the
+    law's numerator in one wide integer and applies the floor division by
+    denom = frac * k once, so the float-domain cancellation survives
+    quantization; _saturated then clamps it to 16 bits, once.  The drive
+    update is _fx_map_step, clamped the same way.  Once x == y the error
+    is 0 and both sides apply the same update, so equality holds.
 
     From that step on only the drive is stepped, and each state's first
     index goes into a visited table of size k: the drive is a map on the
@@ -417,10 +445,11 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     x = x0
     y = y0
     denom = frac * k
+    gain = _gain(rho_q, k)
     n = 0
     while first < 0 and n < n_steps:
         e = y - x
-        wide = _fx_response_step(mu_q, k, rho_q, y, e, x, denom)
+        wide = _fx_response_step(mu_q, k, gain, y, e, x, denom)
         y = _saturated(wide)
         if y != wide:
             saturations += 1

@@ -42,11 +42,14 @@ def forward(operator: str, x, i):
 
 @quiet
 def recover(operator: str, z, y):
-    """Information estimate from line sample z and receiver state y."""
+    """Information estimate from line sample z and receiver state y.  A
+    NaN z, a row that carries no line sample, gives a NaN estimate, and
+    multiplicative recovery does not guard its y."""
     if operator == "additive":
         return z - y
     if operator == "multiplicative":
-        if np.any(np.abs(y) < _MULTIPLICATIVE_GUARD):
+        near = np.abs(y) < _MULTIPLICATIVE_GUARD
+        if near.any() and np.any(near & ~np.isnan(z)):
             raise ZeroDivisionError(
                 "multiplicative recovery undefined: receiver state too close to 0"
             )

@@ -324,22 +324,25 @@ def _difference(a, b):
 def _track(cfg: ScenarioConfig, operator: str, x, escape: int, y0, info,
            dist=0.0):
     """Line z = forward(operator, x, info) + dist on every drive sample x
-    (escape: index of the first one outside the basin, or -1), response
-    from y0 driven by all of z but its last sample, which no step reads.
-    Returns (y, z, u, i_hat): y and z have x's length, u and i_hat one
-    row less, i_hat less still if the run stops early.
+    (escape: index of the first one outside the basin, or -1) but the
+    last, which carries no line sample and is NaN; response from y0
+    driven by all of z but that last sample, which no step reads.
+    Returns (y, z, u, i_hat), each of x's length: the control u and the
+    estimate i_hat are built over all rows, so both are NaN on the last.
 
     Failures are raised as a step-by-step loop meets them: the earliest step
     wins, a drive escape beats a divergence at the same step, and recovery
-    near y = 0 fails before its own step's update.
+    near y = 0 fails before its own step's update; recovery is not
+    guarded on the last row, as it has no line sample.
     """
     z = forward(operator, x, info) + dist
+    z[-1] = np.nan
     guard = cfg.response_guard
-    y, u, diverge = _accel.response_track(cfg.mu, cfg.k, cfg.rho, y0, z[:-1], guard)
-    stop = min((i for i in (escape, diverge) if i >= 0), default=len(u))
+    y, diverge = _accel.response_states(cfg.mu, cfg.k, cfg.rho, y0, z[:-1], guard)
+    stop = min((i for i in (escape, diverge) if i >= 0), default=len(z))
     i_hat = recover(operator, z[:stop], y[:stop])
     _fail_at(stop, x, escape, diverge, guard)
-    return y, z, u, i_hat
+    return y, z, _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z, len(z)), i_hat
 
 
 def run_sync_session(cfg: ScenarioConfig):
@@ -381,7 +384,7 @@ def run_transmit_session(cfg: ScenarioConfig):
 
     x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
     y, z, u, ihat = _track(cfg, cfg.operator, x, escape, cfg.y0, info, dist)
-    decisions = threshold_detect(ihat, cfg.hold, cfg.detect_threshold)
+    decisions = threshold_detect(ihat[:-1], cfg.hold, cfg.detect_threshold)
 
     errors = y - x
     trace = SessionTrace(

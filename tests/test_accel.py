@@ -301,7 +301,7 @@ def test_response_steps_at_most_one_block_past_a_divergence(
     stepped = []
     monkeypatch.setattr(_accel, "_SYNC_CHECK", block)
     monkeypatch.setattr(_accel, "_response_block", counting(
-        stepped, _accel._response_block, lambda mu, k, rho, y, ds: len(ds)))
+        stepped, _accel._response_block, lambda mu, k, gain, y, ds: len(ds)))
     assert _accel.response_track(3.7, 1.0, rho, y0, z, guard)[2] == diverge
     assert diverge <= sum(stepped) < diverge + block
 
@@ -334,6 +334,10 @@ def one_nan(values):
 @given(mu=any_float, k=any_float, rho=any_float, y=any_float,
        ds=st.lists(any_float, max_size=40))
 def test_response_block_is_the_scalar_law_loop(mu, k, rho, y, ds):
+    # the steps take the law's gain rho * k, computed once by _gain; the
+    # reference control_effort takes rho
+    gain = _accel._gain(rho, k)
+
     def scalar_loop():
         states, state = [], y
         for d in ds:
@@ -342,18 +346,18 @@ def test_response_block_is_the_scalar_law_loop(mu, k, rho, y, ds):
             states.append(state)
         return states
 
-    assert (float_bytes_or_error(lambda: one_nan(_accel._response_block(mu, k, rho, y, ds)))
+    assert (float_bytes_or_error(lambda: one_nan(_accel._response_block(mu, k, gain, y, ds)))
             == float_bytes_or_error(lambda: one_nan(scalar_loop())))
     # one step on Python floats, and on a float64 line in exact sync, whose
     # error 0.0 gives the bits of the error d - d
     assert (float_bytes_or_error(lambda: one_nan(
-                [_accel._response_step(mu, k, rho, y, y - d, d) for d in ds]))
+                [_accel._response_step(mu, k, gain, y, y - d, d) for d in ds]))
             == float_bytes_or_error(lambda: one_nan(
                 [mu * y * (1.0 - y / k) + _accel.control_effort(mu, k, rho, y - d, d)
                  for d in ds])))
     line = np.array(ds + [y])
     with np.errstate(all="ignore"):  # _accel.quiet's, and numpy's division by k = 0
-        assert (one_nan(_accel._response_step(mu, k, rho, line, 0.0, line)).tobytes()
+        assert (one_nan(_accel._response_step(mu, k, gain, line, 0.0, line)).tobytes()
                 == one_nan(mu * line * (1.0 - line / k)
                            + _accel.control_effort(mu, k, rho, line - line, line)).tobytes())
 
@@ -374,15 +378,24 @@ def written(name, tree=ACCEL):
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
 def test_float_law_is_written_once():
-    # the law's terms rho * k and d + d appear once in _accel.py, in _law,
-    # which both arithmetics use: fx_sync_run writes no rho... * k, 2 * ...
-    # or doubling of its own
-    for op, left, right in [(ast.Mult, "rho", "k"), (ast.Add, "d", "d")]:
+    # the law's gain rho * k appears once in _accel.py, in _gain, and its
+    # term d + d once, in _law, which both arithmetics use: fx_sync_run
+    # writes no rho... * k, 2 * ... or doubling of its own
+    for op, left, right, step in [(ast.Mult, "rho", "k", "_gain"), (ast.Add, "d", "d", "_law")]:
         assert len(operations(ACCEL, op, left, right)) == 1
-        assert len(operations(written("_law"), op, left, right)) == 1
+        assert len(operations(written(step), op, left, right)) == 1
     assert not [node for node in ast.walk(written("fx_sync_run")) if isinstance(node, ast.BinOp)
                 and re.fullmatch(r"rho\w* \* k|2 \* \w+|(\w+) \+ \1", ast.unparse(node))]
+    # each kernel computes the gain once per run, before its loops
+    for kernel in ("response_states", "hop_run", "fx_sync_run"):
+        assert "_gain" in calls(written(kernel))
+        for loop in ast.walk(written(kernel)):
+            if isinstance(loop, LOOPS):
+                assert "_gain" not in calls(loop), kernel
 
 
 def map_factors(tree):
@@ -440,6 +453,48 @@ def test_line_is_written_once():
     assert "_line" in calls(forward) and "_line" in calls(written("hop_run"))
 
 
+def test_float_kernels_pack_their_blocks():
+    # no kernel moves Python floats into numpy with np.fromiter; the float
+    # kernels pack each block with _packed
+    assert "fromiter" not in {node.attr for node in ast.walk(ACCEL)
+                              if isinstance(node, ast.Attribute)}
+    for kernel in ("logistic_orbit", "response_states", "hop_run"):
+        assert "_packed" in calls(written(kernel)), kernel
+
+
+SIGN = 1 << 63
+EXPONENT = 0x7FF << 52  # all ones: an infinity or a NaN
+MANTISSA = (1 << 52) - 1
+
+
+@st.composite
+def float_words(draw):
+    """The 64-bit words of up to two blocks of floats and one more: random
+    words, with NaNs of either sign and any payload, quiet or signaling,
+    signed zeros, infinities and subnormals put in."""
+    size = draw(st.integers(0, 2 * _accel._SYNC_CHECK + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = np.frombuffer(rng.bytes(8 * size), dtype=np.uint64).copy()
+    edges = st.tuples(st.integers(0, 2**16), st.booleans(), st.integers(1, MANTISSA),
+                      st.sampled_from(["nan", "zero", "inf", "subnormal"]))
+    for at, negative, payload, kind in draw(st.lists(edges, max_size=16 if size else 0)):
+        word = {"nan": EXPONENT | payload, "zero": 0, "inf": EXPONENT, "subnormal": payload}[kind]
+        words[at % size] = word | (SIGN if negative else 0)
+    return words
+
+
+@given(words=float_words())
+def test_packed_keeps_the_bytes_of_every_float(words):
+    # one struct.pack call gives the bytes numpy gives the same Python
+    # floats, NaN payloads and signs, signed zeros and subnormals included,
+    # as a read-only array
+    values = words.view(np.float64).tolist()
+    packed = _accel._packed(values)
+    assert packed.dtype == np.float64 and packed.shape == (len(values),)
+    assert not packed.flags.writeable
+    assert packed.tobytes() == np.array(values, dtype=np.float64).tobytes() == words.tobytes()
+
+
 def test_steps_are_the_one_return_functions():
     # every function of _accel.py whose body is one return, after its
     # docstring if any, is a step, recorded with its parameters, but the
@@ -472,8 +527,8 @@ STEPPERS = [node.name for node in ACCEL.body if isinstance(node, ast.FunctionDef
 
 
 # the steps each kernel is written with, so neither writes a formula of its own
-KERNEL_STEPS = {"hop_run": {"_map_step", "_response_step", "_line"},
-                "fx_sync_run": {"_fx_map_step", "_fx_response_step", "_saturated"}}
+KERNEL_STEPS = {"hop_run": {"_gain", "_map_step", "_response_step", "_line"},
+                "fx_sync_run": {"_gain", "_fx_map_step", "_fx_response_step", "_saturated"}}
 
 
 @pytest.mark.parametrize("name", STEPPERS)

@@ -175,14 +175,15 @@ class TestSyncRun:
         # no wide numerator of fx_sync_run overflows int64 for any 16-bit
         # input pair, at the README parameters or at the widest FixedParams
         # accepts: |x|, |y|, |d| <= 2**15, |e| <= 2**16, k <= 2**15,
-        # mu_q <= 4*frac, |rho_q| <= 8*frac.  The numerators are those of
-        # the steps _accel writes as calls of _fx_map and _law.
+        # mu_q <= 4*frac, |rho_q| <= 8*frac, so |gain| = |rho_q| * k.  The
+        # numerators are those of the steps _accel writes as calls of
+        # _fx_map and _law, which takes the gain.
         frac_bits, k = 15, 2**15
         frac = 1 << frac_bits
         widest = FixedParams(mu_q=4 * frac, rho_q=-8 * frac, k=k, frac_bits=frac_bits)
         state, error = 2**15, 2**16
         for params in (PARAMS, widest):
-            bounds = dict(mu=params.mu_q, rho=abs(params.rho_q), k=params.k,
+            bounds = dict(mu=params.mu_q, gain=abs(params.rho_q) * params.k, k=params.k,
                           x=state, y=state, d=state, e=error)
             drive = worst_numerator("_fx_map_step", bounds)
             response = worst_numerator("_fx_response_step", bounds)

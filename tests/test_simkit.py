@@ -161,6 +161,17 @@ class TestSyncSession:
         assert np.all(np.diff(errs) > 0)
         assert metrics.sync_step is None
 
+    def test_trace_keeps_every_column_as_passed(self):
+        # every column has the trace's rows; the control is NaN on the last
+        # row, which carries no line sample
+        trace, _, passed = _passed_columns(run_sync_session, SYNC_CFG)
+        assert set(passed) == {"x", "y", "e", "u"}
+        for name, values in passed.items():
+            assert values.shape == (len(trace),)
+            assert trace.column(name) is values
+        assert np.isnan(trace.column("u")[-1])
+        assert not np.isnan(trace.column("u")[:-1]).any()
+
     def test_absent_error_breaks_the_run(self):
         errors = np.array([0.0, 0.0, np.nan, 0.0, 0.0, 0.0])
         assert simkit._sync_step(errors, 1e-6, 3) == 5
@@ -299,14 +310,39 @@ class TestTransmitSession:
             assert trace.column("z")[:-1].tobytes() == line.tobytes()
             assert np.isnan(trace.column("z")[-1])
 
-    def test_trace_keeps_every_full_column_as_passed(self):
-        # the line, epsilon and the information have the trace's rows, NaN
-        # on the last; only u and i_hat, which end with the stepped rows, are
-        # padded
-        trace, _, passed = _passed_columns(run_transmit_session, TRANSMIT_CFG)
-        padded = {name for name, values in passed.items() if trace.column(name) is not values}
-        assert padded == {"u", "i_hat"}
-        assert np.isnan([trace.column(name)[-1] for name in ("z", "epsilon", "i")]).all()
+    @pytest.mark.parametrize("operator", ["additive", "multiplicative"])
+    def test_trace_keeps_every_full_column_as_passed(self, operator):
+        # every column has the trace's rows, so none is padded; the line,
+        # epsilon, the information, the control and the estimate are NaN on
+        # the last row, which carries no line sample
+        cfg = replace(TRANSMIT_CFG, operator=operator, amplitude=0.2)
+        trace, _, passed = _passed_columns(run_transmit_session, cfg)
+        assert set(passed) == set(simkit.TRACE_COLUMNS) - {"n", "channel"}
+        for name, values in passed.items():
+            assert values.shape == (len(trace),)
+            assert trace.column(name) is values
+        assert np.isnan([trace.column(name)[-1]
+                         for name in ("z", "epsilon", "u", "i", "i_hat")]).all()
+        assert not np.isnan(trace.column("u")[:-1]).any()
+        assert not np.isnan(trace.column("i_hat")[:-1]).any()
+
+    @pytest.mark.parametrize("last", [True, False])
+    def test_recovery_is_not_guarded_on_the_last_row(self, last):
+        # z = x * (1 - 1) = 0 on the one 1 bit, so with rho = 0 the next
+        # response state is within 1e-12 of 0: on the last row, which
+        # carries no line sample, the run holds; one row earlier, recovery
+        # on that row fails
+        bits = "0" * 49 + "1" if last else "0" * 48 + "10"
+        cfg = ScenarioConfig(rho=0.0, operator="multiplicative", amplitude=-1.0,
+                             source="pattern", pattern=bits, hold=1, steps=50, settle=0)
+        if not last:
+            with pytest.raises(ZeroDivisionError, match="multiplicative recovery"):
+                run_transmit_session(cfg)
+            return
+        trace, _ = run_transmit_session(cfg)
+        assert abs(trace.column("y")[-1]) < 1e-12
+        assert np.isnan(trace.column("i_hat")[-1])
+        assert not np.isnan(trace.column("i_hat")[:-1]).any()
 
     @pytest.mark.parametrize("operator", ["additive", "multiplicative"])
     @pytest.mark.parametrize("disturbance", [0.0, 0.01])
