@@ -6,11 +6,9 @@ correlation-summation receiver, and chaos-driven channel hopping.
 """
 
 from .bitcodec import FrameSpec, correlate, decide, lsb_bits, mask_bits, spread
-from .control import ControllerGains, control, lyapunov_delta, step_response
 from .core import (
     BasinEscapeError,
     LogisticParams,
-    Orbit,
     SpectrumReport,
     amplitude_spectrum,
     bifurcation_scan,

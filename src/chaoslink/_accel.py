@@ -177,7 +177,9 @@ def _packed(values):
 @_inlined
 def control_effort(mu, k, rho, e, d):
     """The feedback law u = [mu(e + 2d - k) + rho*k] * e / k for error e
-    against the drive-side sample d; see chaoslink.control."""
+    against the drive-side sample d, which makes the error e' = rho*e;
+    tests/law_oracle.py holds its scalar reference and the paper's
+    stability argument."""
     return _law(mu, k, _gain(rho, k), e, d) / k
 
 
@@ -228,17 +230,6 @@ def control_column(mu, k, rho, y, z, rows):
     d = z[:rows]
     u[:rows] = control_effort(float(mu), float(k), float(rho), y[:rows] - d, d)
     return u
-
-
-def response_track(mu, k, rho, y0, z, guard):
-    """response_states and the control column over its stepped rows.
-
-    Returns (ys, us, diverge_index) with ys and diverge_index those of
-    response_states(mu, k, rho, y0, z, guard); us has z's length, and
-    us[n] is the control on the n -> n+1 transition, 0 past a divergence.
-    """
-    ys, diverge = response_states(mu, k, rho, y0, z, guard)
-    return ys, control_column(mu, k, rho, ys, z, z.size if diverge < 0 else diverge), diverge
 
 
 @quiet

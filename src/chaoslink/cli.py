@@ -127,7 +127,7 @@ def _run_diagnose(args) -> int:
         print(f"chaotic: {value > 0}")
     if args.spectrum_out:
         orbit = iterate(params, args.x0, max(args.steps, 4096))
-        report = amplitude_spectrum(orbit.samples[-4096:])
+        report = amplitude_spectrum(orbit[-4096:])
         with open(args.spectrum_out, "w", newline="") as fh:
             fh.write("bin,magnitude\n")
             for b, m in enumerate(report.magnitudes):

@@ -42,14 +42,6 @@ class LogisticParams:
 
 
 @dataclass(frozen=True)
-class Orbit:
-    """A finite orbit of the map; every sample lies in (0, k)."""
-
-    samples: np.ndarray
-    params: LogisticParams
-
-
-@dataclass(frozen=True)
 class SpectrumReport:
     """Amplitude spectrum plus spectral flatness of a sequence."""
 
@@ -71,9 +63,10 @@ def _orbit(mu: float, k: float, x0: float, n_steps: int, start: int = 0) -> np.n
     return samples
 
 
-def iterate(params: LogisticParams, x0: float, n_steps: int) -> Orbit:
-    """Orbit of length n_steps+1 starting at x0; raises on basin escape."""
-    return Orbit(samples=_orbit(params.mu, params.k, x0, n_steps), params=params)
+def iterate(params: LogisticParams, x0: float, n_steps: int) -> np.ndarray:
+    """The n_steps+1 orbit samples from x0, each in (0, k); raises on basin
+    escape."""
+    return _orbit(params.mu, params.k, x0, n_steps)
 
 
 def lyapunov_exponent(

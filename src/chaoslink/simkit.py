@@ -321,28 +321,29 @@ def _difference(a, b):
     return a - b
 
 
-def _track(cfg: ScenarioConfig, operator: str, x, escape: int, y0, info,
-           dist=0.0):
-    """Line z = forward(operator, x, info) + dist on every drive sample x
-    (escape: index of the first one outside the basin, or -1) but the
-    last, which carries no line sample and is NaN; response from y0
-    driven by all of z but that last sample, which no step reads.
-    Returns (y, z, u, i_hat), each of x's length: the control u and the
-    estimate i_hat are built over all rows, so both are NaN on the last.
+def _track(cfg: ScenarioConfig, operator: str, info, dist=0.0):
+    """Drive orbit x of cfg.steps steps from cfg.x0; line z =
+    forward(operator, x, info) + dist on every drive sample but the last,
+    which carries no line sample and is NaN; response from cfg.y0 driven
+    by all of z but that last sample, which no step reads.  Returns
+    (x, y, z, u, i_hat), each of cfg.steps + 1 rows: the control u and
+    the estimate i_hat are built over all rows, so both are NaN on the
+    last.
 
     Failures are raised as a step-by-step loop meets them: the earliest step
     wins, a drive escape beats a divergence at the same step, and recovery
     near y = 0 fails before its own step's update; recovery is not
     guarded on the last row, as it has no line sample.
     """
+    x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
     z = forward(operator, x, info) + dist
     z[-1] = np.nan
     guard = cfg.response_guard
-    y, diverge = _accel.response_states(cfg.mu, cfg.k, cfg.rho, y0, z[:-1], guard)
+    y, diverge = _accel.response_states(cfg.mu, cfg.k, cfg.rho, cfg.y0, z[:-1], guard)
     stop = min((i for i in (escape, diverge) if i >= 0), default=len(z))
     i_hat = recover(operator, z[:stop], y[:stop])
     _fail_at(stop, x, escape, diverge, guard)
-    return y, z, _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z, len(z)), i_hat
+    return x, y, z, _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z, len(z)), i_hat
 
 
 def run_sync_session(cfg: ScenarioConfig):
@@ -352,8 +353,7 @@ def run_sync_session(cfg: ScenarioConfig):
     if cfg.mode != "float":
         raise ConfigError("sync session runs in float mode")
     # the bare drive state is the additive line with no information on it
-    x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
-    y, _, u, _ = _track(cfg, "additive", x, escape, cfg.y0, 0.0)
+    x, y, _, u, _ = _track(cfg, "additive", 0.0)
     errors = y - x
     trace = SessionTrace(cfg.steps + 1, x=x, y=y, e=errors, u=u)
     metrics = Metrics(
@@ -382,8 +382,7 @@ def run_transmit_session(cfg: ScenarioConfig):
     dist = (rng.uniform(-cfg.disturbance, cfg.disturbance, cfg.steps + 1)
             if cfg.disturbance > 0 else 0.0)
 
-    x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
-    y, z, u, ihat = _track(cfg, cfg.operator, x, escape, cfg.y0, info, dist)
+    x, y, z, u, ihat = _track(cfg, cfg.operator, info, dist)
     decisions = threshold_detect(ihat[:-1], cfg.hold, cfg.detect_threshold)
 
     errors = y - x

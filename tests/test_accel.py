@@ -16,10 +16,10 @@ import pytest
 from fx_oracle import PairRun, fx_sync_oracle
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from law_oracle import ControllerGains, control, step_response
 
 from chaoslink import _accel, masking
 from chaoslink.bitcodec import FrameSpec, correlate, decide, lsb_bits, mask_bits, spread
-from chaoslink.control import ControllerGains, control, step_response
 from chaoslink.core import LogisticParams, step
 from chaoslink.fixedpoint import FixedParams
 
@@ -28,6 +28,15 @@ STEPS = 200
 
 def open_interval(lo, hi):
     return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+def response_track(mu, k, rho, y0, z, guard):
+    """The response's states and its control column over the stepped rows,
+    the two kernel calls simkit._track makes: (ys, us, diverge_index), with
+    ys and diverge_index those of response_states, and us of z's length,
+    us[n] the control on the n -> n+1 transition, 0 past a divergence."""
+    ys, diverge = _accel.response_states(mu, k, rho, y0, z, guard)
+    return ys, _accel.control_column(mu, k, rho, ys, z, z.size if diverge < 0 else diverge), diverge
 
 
 @given(
@@ -52,7 +61,7 @@ def test_response_track_matches_scalar_reference(
 
     x, escape = _accel.logistic_orbit(mu, 1.0, x0, STEPS)
     z = masking.forward(operator, x[:-1], info)
-    ys, us, diverge = _accel.response_track(mu, 1.0, rho, y0, z, guard)
+    ys, us, diverge = response_track(mu, 1.0, rho, y0, z, guard)
 
     ref_x, ref_z, ref_y, ref_u = [x0], [], [y0], []
     for i in info.tolist():
@@ -89,7 +98,7 @@ def response_track_oracle(mu, k, rho, y0, z, guard):
 
 def check_response_track(mu, k, rho, y0, z, guard):
     """The kernel against the oracle by bytes, so the sign of a zero counts."""
-    ys, us, diverge = _accel.response_track(mu, k, rho, y0, z, guard)
+    ys, us, diverge = response_track(mu, k, rho, y0, z, guard)
     ref_ys, ref_us, ref_diverge = response_track_oracle(mu, k, rho, y0, z, guard)
     assert diverge == ref_diverge
     assert ys.tobytes() == ref_ys.tobytes()
@@ -249,7 +258,7 @@ def test_kernels_do_not_depend_on_block_size(
     for block in BLOCKS:
         with mock.patch.object(_accel, "_SYNC_CHECK", block):
             orbit, escape = _accel.logistic_orbit(mu, k, x0, steps)
-            ys, us, diverge = _accel.response_track(mu, k, rho, y0, line, guard)
+            ys, us, diverge = response_track(mu, k, rho, y0, line, guard)
         assert (escape, diverge) == (ref_escape, ref_diverge), block
         assert orbit.tobytes() == ref_orbit.tobytes(), block
         assert ys.tobytes() == ref_ys.tobytes(), block
@@ -302,7 +311,7 @@ def test_response_steps_at_most_one_block_past_a_divergence(
     monkeypatch.setattr(_accel, "_SYNC_CHECK", block)
     monkeypatch.setattr(_accel, "_response_block", counting(
         stepped, _accel._response_block, lambda mu, k, gain, y, ds: len(ds)))
-    assert _accel.response_track(3.7, 1.0, rho, y0, z, guard)[2] == diverge
+    assert response_track(3.7, 1.0, rho, y0, z, guard)[2] == diverge
     assert diverge <= sum(stepped) < diverge + block
 
 
@@ -526,6 +535,30 @@ STEPPERS = [node.name for node in ACCEL.body if isinstance(node, ast.FunctionDef
             and calls(node) & set(_accel._STEPS)]
 
 
+def test_every_public_kernel_has_a_caller_in_the_package():
+    # each public function of _accel.py is called by name from another
+    # function of _accel.py, or from another module of the package, so the
+    # package holds no kernel that only the tests run
+    public = {node.name for node in ACCEL.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for node in ACCEL.body:
+        if isinstance(node, ast.FunctionDef):
+            called |= calls(node) - {node.name}
+    for path in Path(_accel.__file__).parent.glob("*.py"):
+        if path.name == "_accel.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "_accel"
+                    for alias in node.names}
+        called |= calls(tree) & imported
+        called |= {call.func.attr for call in ast.walk(tree) if isinstance(call, ast.Call)
+                   and isinstance(call.func, ast.Attribute)
+                   and ast.unparse(call.func.value) == "_accel"}
+    assert public and sorted(public - called) == []
+
+
 # the steps each kernel is written with, so neither writes a formula of its own
 KERNEL_STEPS = {"hop_run": {"_gain", "_map_step", "_response_step", "_line"},
                 "fx_sync_run": {"_gain", "_fx_map_step", "_fx_response_step", "_saturated"}}
@@ -704,8 +737,8 @@ def test_response_track_scalar_argument_types(mu, k, rho, y0):
     x, _ = _accel.logistic_orbit(float(mu), float(k), 0.3 * k, 2000)
     z = x[:-1].copy()
     z[1000] += 1e-3 * k  # knock the response off the line after sync
-    ys, us, diverge = _accel.response_track(mu, k, rho, y0, z, 3.0 * k)
-    ref_ys, ref_us, ref_diverge = _accel.response_track(
+    ys, us, diverge = response_track(mu, k, rho, y0, z, 3.0 * k)
+    ref_ys, ref_us, ref_diverge = response_track(
         *as_float(mu, k, rho, y0), z, 3.0 * k)
     assert diverge == ref_diverge
     assert ys.tobytes() == ref_ys.tobytes()
@@ -742,7 +775,7 @@ def test_logistic_orbit_returns_arrays(mu, k, x0, steps, escape):
     (-1, np.zeros(0), False),  # an int start is still a float sample
 ])
 def test_response_track_returns_arrays(y0, line, diverges):
-    ys, us, diverge = _accel.response_track(3.7, 1.0, 0.5, y0, line, 3.0)
+    ys, us, diverge = response_track(3.7, 1.0, 0.5, y0, line, 3.0)
     assert (diverge >= 0) == diverges
     assert_samples(ys, line.size + 1)
     assert_samples(us, line.size)

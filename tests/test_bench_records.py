@@ -4,8 +4,12 @@ Each holds one unchanged `perfbench/run.py --workload W ... --trace 0` run
 per workload of BENCHMARK.json, under "workloads", and the name of the
 checkout directory it ran in, under "checkout": the heap layout, and so
 the digital timings and every peak_rss_mb, shift with that name's length.
+Also the package's side of the benchmark: every module and name that the
+frozen perfbench/ reads from chaoslink still exists.
 """
 
+import ast
+import importlib
 import json
 import math
 from pathlib import Path
@@ -39,3 +43,21 @@ def test_record_holds_a_correct_run_of_every_workload(path):
         for metric in units:
             value = metrics[metric]["value"]
             assert isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+
+
+def test_the_benchmark_finds_every_module_and_name_it_reads():
+    # perfbench/spans.py imports each module of its LAYERS on every traced
+    # run, and perfbench/worker.py reads USING_NUMBA and __version__: the
+    # benchmark is frozen, so a module or name it reads must not go before
+    # it stops reading it.  LAYERS is read with ast, not by importing
+    # perfbench.
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    [layers] = [node.value for node in spans.body if isinstance(node, ast.Assign)
+                and [ast.unparse(target) for target in node.targets] == ["LAYERS"]]
+    modules = ast.literal_eval(layers)
+    assert modules
+    for name in modules.values():
+        importlib.import_module(name)
+    package = importlib.import_module("chaoslink")
+    assert isinstance(package.USING_NUMBA, bool)
+    assert isinstance(package.__version__, str)

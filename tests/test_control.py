@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-
-from chaoslink.control import (
+from law_oracle import (
     STABLE_ASYMPTOTIC,
     STABLE_MARGINAL,
     UNSTABLE,
@@ -12,6 +11,7 @@ from chaoslink.control import (
     lyapunov_delta,
     step_response,
 )
+
 from chaoslink.core import LogisticParams, step
 
 

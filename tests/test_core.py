@@ -83,16 +83,16 @@ class TestStep:
 class TestIterate:
     def test_two_hand_steps(self):
         orbit = iterate(LogisticParams(3.7), 0.1, 2)
-        assert orbit.samples == pytest.approx([0.1, 0.333, 0.8218107], abs=1e-7)
+        assert orbit == pytest.approx([0.1, 0.333, 0.8218107], abs=1e-7)
 
     def test_fixed_point_orbit(self):
         orbit = iterate(LogisticParams(2.0), 0.5, 5)
-        assert np.all(orbit.samples == 0.5)
+        assert np.all(orbit == 0.5)
 
     def test_long_orbit_stays_in_basin(self):
         orbit = iterate(LogisticParams(3.7), 0.1, 10_000)
-        assert np.all(orbit.samples > 0.0)
-        assert np.all(orbit.samples < 1.0)
+        assert np.all(orbit > 0.0)
+        assert np.all(orbit < 1.0)
 
     def test_escape_raises(self):
         # mu = 4 maps x = 1/2 to exactly k, which leaves the open basin
@@ -294,7 +294,7 @@ class TestSpectrum:
 
     def test_chaotic_orbit_is_noise_like(self):
         orbit = iterate(LogisticParams(3.7), 0.1, 5095)
-        report = amplitude_spectrum(orbit.samples[1000:])
+        report = amplitude_spectrum(orbit[1000:])
         assert report.flatness > 0.5
         bins = report.magnitudes[1:]
         # peak-to-median bound frozen from validation runs (measured ~11-12x)
@@ -314,8 +314,8 @@ def test_sensitive_dependence_regression():
     # frozen from a validation run: separation from x0 = 0.1 with a 1e-9
     # perturbation first exceeds 0.1 at step 61
     p = LogisticParams(3.7)
-    a = iterate(p, 0.1, 70).samples
-    b = iterate(p, 0.1 + 1e-9, 70).samples
+    a = iterate(p, 0.1, 70)
+    b = iterate(p, 0.1 + 1e-9, 70)
     sep = np.abs(a - b)
     first = int(np.argmax(sep > 0.1))
     assert first == 61

@@ -7,9 +7,9 @@ import pytest
 from fx_oracle import fx_control, fx_step, saturate16
 from hypothesis import given
 from hypothesis import strategies as st
+from law_oracle import ControllerGains, control
 
 from chaoslink import _accel
-from chaoslink.control import ControllerGains, control
 from chaoslink.core import LogisticParams, step
 from chaoslink.fixedpoint import FixedParams, fx_run_sync
 

@@ -217,5 +217,5 @@ def test_empirical_channel_spread(table):
     # frozen from validation: a 1e4-step chaotic orbit selects 69
     # distinct channels, comfortably above the >= 60 requirement
     orbit = iterate(LogisticParams(3.7), 0.1, 9_999)
-    indices = {select_channel(x, 1.0, table) for x in orbit.samples}
+    indices = {select_channel(x, 1.0, table) for x in orbit}
     assert len(indices) >= 60

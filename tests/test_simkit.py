@@ -675,12 +675,12 @@ class TestHopSession:
         # one hop_run generator per run; each chunk but the last holds at
         # least 4096 rows and ends with an active phase, so the next one
         # starts width rows after a hop row; hop_run steps the drive
-        # itself, and no phase calls response_track
+        # itself, and no phase calls response_states
         cfg = replace(HOP_CFG, sessions=300)
         chunks = []
         with (mock.patch.object(_accel, "logistic_orbit", wraps=_accel.logistic_orbit) as orbit,
               mock.patch.object(_accel, "hop_run", side_effect=_chunk_recorder(chunks)) as kernel,
-              mock.patch.object(_accel, "response_track", wraps=_accel.response_track) as track):
+              mock.patch.object(_accel, "response_states", wraps=_accel.response_states) as track):
             _, metrics = run_hop_session(cfg)
         assert len(metrics.hops) == 300
         assert kernel.call_count == 1
