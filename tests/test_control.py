@@ -1,6 +1,9 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from law_oracle import (
     STABLE_ASYMPTOTIC,
@@ -98,13 +101,23 @@ class TestLyapunovAccounting:
         assert lyapunov_delta(0.9, 0.0) == 0.0
 
     @given(rho=st.floats(-1.0, 1.0), e=st.floats(-100.0, 100.0))
+    @example(rho=0.5, e=-1.1)
+    @example(rho=0.9999999999999999, e=1.13336857356803e-156)
     def test_monotone_for_contractive_gains(self, rho, e):
         dv = lyapunov_delta(rho, e)
         assert dv <= 0.0
-        # e*e can underflow to zero for subnormal-range errors, in which
-        # case the decrement is a clean -0.0 rather than strictly negative
-        if e * e != 0.0 and abs(rho) != 1.0:
+        # The exact decrement e^2 (1 - rho^2) can lie below the smallest
+        # float even when e*e does not (e ~ 1e-156, rho one ulp below 1),
+        # in which case it rounds to a clean -0.0. Once it reaches the
+        # normal range, the rounded factors cannot underflow the product.
+        exact = Fraction(e) ** 2 * (1 - Fraction(rho) ** 2)
+        if exact >= sys.float_info.min:
             assert dv < 0.0
+
+    def test_decrement_below_float_range_is_zero(self):
+        # e*e is a subnormal 1.28e-312; times 1 - rho^2 = 2.2e-16 it is
+        # far below the smallest subnormal, so no negative float is nearer
+        assert lyapunov_delta(0.9999999999999999, 1.13336857356803e-156) == 0.0
 
     @given(e=st.floats(-1e6, 1e6))
     def test_radially_unbounded(self, e):
