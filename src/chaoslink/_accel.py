@@ -178,8 +178,8 @@ def _packed(values):
 def control_effort(mu, k, rho, e, d):
     """The feedback law u = [mu(e + 2d - k) + rho*k] * e / k for error e
     against the drive-side sample d, which makes the error e' = rho*e;
-    tests/law_oracle.py holds its scalar reference and the paper's
-    stability argument."""
+    tests/law_oracle.py writes the law out on its own as the tests'
+    reference, with the paper's stability argument."""
     return _law(mu, k, _gain(rho, k), e, d) / k
 
 

@@ -9,8 +9,10 @@ V = e^2 then changes by -e^2 (1 - rho^2) per step: it falls for |rho| < 1,
 stays for |rho| = 1 and grows otherwise.
 
 The package runs the law only inside its kernels, as _accel.control_effort
-and the response steps; no session calls these functions.  They are the
-one-step controller, closed-loop step and Lyapunov accounting that
+and the response steps; no session calls these functions.  control writes
+the law out here on its own, in the kernels' order of operations, so the
+kernel tests can ask for the same bits of an independent formula.  These
+are the one-step controller, closed-loop step and Lyapunov accounting that
 tests/test_control.py checks against the proof, that acceptance criterion
 3 (Lyapunov classification and gain regimes) steps, and that the kernel
 and fixed-point tests compare the float law against.  Acceptance criterion
@@ -19,7 +21,6 @@ and fixed-point tests compare the float law against.  Acceptance criterion
 
 from dataclasses import dataclass
 
-from chaoslink import _accel
 from chaoslink.core import LogisticParams, step
 
 STABLE_ASYMPTOTIC = "globally_asymptotically_stable"
@@ -49,8 +50,10 @@ class ControllerGains:
 
 
 def control(gains: ControllerGains, e: float, d: float) -> float:
-    """Control effort for error e and drive-side value d."""
-    return _accel.control_effort(gains.params.mu, gains.params.k, gains.rho, e, d)
+    """Control effort u = [mu(e + 2d - k) + rho*k] * e / k for error e and
+    drive-side value d."""
+    mu, k, rho = gains.params.mu, gains.params.k, gains.rho
+    return (mu * (e + (d + d) - k) + rho * k) * e / k
 
 
 def step_response(gains: ControllerGains, y: float, d: float) -> float:

@@ -1,4 +1,4 @@
-import sys
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -103,15 +103,19 @@ class TestLyapunovAccounting:
     @given(rho=st.floats(-1.0, 1.0), e=st.floats(-100.0, 100.0))
     @example(rho=0.5, e=-1.1)
     @example(rho=0.9999999999999999, e=1.13336857356803e-156)
+    @example(rho=0.5, e=1e-160)
     def test_monotone_for_contractive_gains(self, rho, e):
         dv = lyapunov_delta(rho, e)
         assert dv <= 0.0
         # The exact decrement e^2 (1 - rho^2) can lie below the smallest
-        # float even when e*e does not (e ~ 1e-156, rho one ulp below 1),
-        # in which case it rounds to a clean -0.0. Once it reaches the
-        # normal range, the rounded factors cannot underflow the product.
+        # subnormal even when e*e does not (e ~ 1e-156, rho one ulp below
+        # 1), in which case it rounds to a clean -0.0. From the smallest
+        # subnormal up it cannot: a rounded e*e of m subnormal units would
+        # need a rounded 1 - rho^2 of at most 1/(2m), while the exact
+        # factors put it at 1/(m + 1/2) or more, and 1 - rho*rho is
+        # accurate to far better than that 25% gap.
         exact = Fraction(e) ** 2 * (1 - Fraction(rho) ** 2)
-        if exact >= sys.float_info.min:
+        if exact >= math.ulp(0.0):
             assert dv < 0.0
 
     def test_decrement_below_float_range_is_zero(self):
