@@ -16,13 +16,15 @@
 # five chunks), and diagnose with the Lyapunov exponent, the spectrum
 # and the bifurcation scan; fails unless both runs wrote byte-identical
 # trace, hop, spectrum and bifurcation CSVs and stdout.
-# Four failing sessions also run twice each: a transmit whose response
+# Five failing sessions also run twice each: a transmit whose response
 # passes its guard at step 18, inside the kernel's first block, a sync
-# whose drive escapes at step 2 (x: 0.146... -> 0.5 -> 1.0), a hop at
-# rho = 1 whose first idle phase never triggers, and a hop whose drive
-# escapes on that same step 2, where its trigger would hop; the two hops
-# end the hop kernel's last chunk on a failure.  Each must exit 2 with
-# byte-identical stderr.  Every trace CSV is also read back with
+# whose drive escapes at step 2 (x: 0.146... -> 0.5 -> 1.0), and a hop for
+# each of the hop kernel's three failure kinds: one at rho = 1 whose first
+# idle phase never triggers, one whose drive escapes on that same step 2,
+# where its trigger would hop, and a pattern hop of amplitude 1e6 whose
+# response passes the guard at step 27, in its first active phase; the
+# three hops end the hop kernel's last chunk on a failure.  Each must exit
+# 2 with byte-identical stderr.  Every trace CSV is also read back with
 # load_trace_csv and written again, which must give the same bytes.  Two
 # configs whose scale factor k is too large also run twice each: a sync
 # whose 2 * x0 overflows in the control law (mu + |rho| < 2) and a sync
@@ -89,9 +91,11 @@ printf 'source = bernoulli\nseed = 1\nsteps = 2000\namplitude = 1e100\nthreshold
 printf 'mu = 4.0\nx0 = 0.1464466094067262\n' > sync-escape.cfg
 printf 'rho = 1.0\nsessions = 2\n' > hop-idle.cfg
 printf 'mu = 4.0\nx0 = 0.1464466094067262\nrho = 0.0\nsync_window = 1\n' > hop-escape.cfg
+printf 'source = pattern\npattern = 1\namplitude = 1e6\nsessions = 2\n' > hop-guard.cfg
 printf 'mu = 1.0\nrho = 0.5\nk = 1e308\nx0 = 9.5e307\ny0 = 9.5e307\n' > sync-law-k.cfg
 printf 'k = 4.28e307\nx0 = 1e307\ny0 = 3e307\n' > sync-guard-k.cfg
-for case in transmit-guard:2 sync-escape:2 hop-idle:2 hop-escape:2 sync-law-k:1 sync-guard-k:1; do
+for case in transmit-guard:2 sync-escape:2 hop-idle:2 hop-escape:2 hop-guard:2 sync-law-k:1 \
+    sync-guard-k:1; do
   name="${case%:*}"
   expected="${case#*:}"
   command="${name%%-*}"

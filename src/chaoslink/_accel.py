@@ -220,16 +220,13 @@ def _fx_response_step(mu, k, gain, y, e, d, denom):
 
 
 @quiet
-def control_column(mu, k, rho, y, z, rows):
-    """The control a loop applied on its first `rows` transitions, response
-    samples y against line samples z, as one vector call of control_effort;
-    the rest of the column is left at 0.  The call does the loop step's
-    float64 operations in the same order, so the column is bit for bit the
-    loop's control."""
-    u = np.zeros(z.size)
-    d = z[:rows]
-    u[:rows] = control_effort(float(mu), float(k), float(rho), y[:rows] - d, d)
-    return u
+def control_column(mu, k, rho, y, z):
+    """The control a loop applied with response samples y against line
+    samples z of the same length, row by row, as one vector call of
+    control_effort.  The call does the loop step's float64 operations in
+    the same order, so the column is bit for bit the loop's control."""
+    mu, k, rho = float(mu), float(k), float(rho)
+    return control_effort(mu, k, rho, y - z, z)
 
 
 @quiet
@@ -295,9 +292,11 @@ def response_states(mu, k, rho, y0, z, guard):
     return ys, diverge
 
 
-ESCAPED = 1  # hop_run failures: the drive left the basin,
+# A run's failure kinds, 0 for none, ordered as a step meets them: an
+# escape comes before a divergence at the same step.
+ESCAPED = 1  # the drive left the basin,
 DIVERGED = 2  # the response passed the guard,
-IDLE_CAPPED = 3  # or an idle phase outlasted its cap
+IDLE_CAPPED = 3  # or a hop run's idle phase outlasted its cap
 
 
 @_inlined
@@ -316,16 +315,16 @@ def hop_run(mu, k, rho, x, y, scale, offset, pick, width, window, tol, guard, co
 
     Yields (xs, ys, hops, fail): the drive and response rows as read-only
     float64 arrays, each packed from its Python floats by _packed, and
-    the hop rows among them as a list; the controls are
-    control_column over the rows' line samples.  A chunk is yielded at the
-    end of an active phase once _HOP_CHUNK rows have gathered, so it holds
-    at most _HOP_CHUNK rows plus one session.  The run stops at the first
-    step whose new drive sample lies outside (0, k) (fail ESCAPED), else
-    whose response passes the guard or is NaN (DIVERGED), else that ends
-    idle step MAX_IDLE_STEPS + 1 of a phase without a trigger
-    (IDLE_CAPPED), else (fail 0) after the last active phase.  The last
-    chunk ends with the state the run stopped at, the one row if no
-    session.
+    the hop rows among them as a list; the session's control column is
+    control_column of the rows' responses and line samples.  A chunk is
+    yielded at the end of an active phase once _HOP_CHUNK rows have
+    gathered, so it holds at most _HOP_CHUNK rows plus one session.  The
+    run stops at the first step whose new drive sample lies outside
+    (0, k) (fail ESCAPED), else whose response passes the guard or is NaN
+    (DIVERGED), else that ends idle step MAX_IDLE_STEPS + 1 of a phase
+    without a trigger (IDLE_CAPPED), else (fail 0) after the last active
+    phase.  The last chunk ends with the state the run stopped at, the
+    one row if no session.
 
     A session is two loops, so no row tests the phase: the idle loop steps
     with d = x until the trigger or the idle cap, the active loop steps

@@ -8,6 +8,7 @@ session is deterministic in (config, seed).
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, fields
 from itertools import chain, islice
 from typing import NamedTuple, get_args
@@ -85,6 +86,9 @@ class ScenarioConfig:
             value = getattr(self, name)
             if parse is float and value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
+            # numpy takes no larger size, count or index; a seed may be any int
+            if parse is int and name != "seed" and value > sys.maxsize:
+                raise ConfigError(f"{name} must be <= {sys.maxsize}")
         if not self.guard > 0:
             raise ConfigError("guard must be > 0")
         if not self.sync_tol > 0:
@@ -304,14 +308,15 @@ def _block_ends(values: np.ndarray, block: int, rows: int) -> np.ndarray:
     return column
 
 
-def _fail_at(stop: int, x, escape: int, diverge: int, guard: float) -> None:
-    """Raise the failure a step-by-step loop meets at step `stop`, if any: a
-    drive escape beats a divergence.  escape and diverge index the drive x
-    (-1: none)."""
-    if stop == escape:
-        raise BasinEscapeError(escape, x[escape])
-    if stop == diverge:
-        raise DivergenceError(f"response exceeded guard {guard} at step {diverge}")
+def _fail_at(x, stop: int, fail: int, cfg: ScenarioConfig) -> None:
+    """Raise the failure of kind `fail` (an _accel failure kind; 0: none)
+    that a run of cfg meets at step `stop`, x the drive."""
+    if fail == _accel.ESCAPED:
+        raise BasinEscapeError(stop, x[stop])
+    if fail == _accel.DIVERGED:
+        raise DivergenceError(f"response exceeded guard {cfg.response_guard} at step {stop}")
+    if fail == _accel.IDLE_CAPPED:
+        raise DivergenceError(f"no sync trigger within {_accel.MAX_IDLE_STEPS} idle steps")
 
 
 @_accel.quiet
@@ -326,24 +331,22 @@ def _track(cfg: ScenarioConfig, operator: str, info, dist=0.0):
     forward(operator, x, info) + dist on every drive sample but the last,
     which carries no line sample and is NaN; response from cfg.y0 driven
     by all of z but that last sample, which no step reads.  Returns
-    (x, y, z, u, i_hat), each of cfg.steps + 1 rows: the control u and
-    the estimate i_hat are built over all rows, so both are NaN on the
-    last.
+    (x, y, z, u, stop, fail): x, y, z and the control u each of
+    cfg.steps + 1 rows, u built over all rows, so NaN on the last.
 
-    Failures are raised as a step-by-step loop meets them: the earliest step
-    wins, a drive escape beats a divergence at the same step, and recovery
-    near y = 0 fails before its own step's update; recovery is not
-    guarded on the last row, as it has no line sample.
+    (stop, fail) is the run's first failure, as a step-by-step loop meets
+    it: the step and the _accel failure kind of the earliest drive escape
+    or divergence, an escape first at the same step, and (cfg.steps + 1,
+    0) if none.  Nothing is raised here; _fail_at raises it.
     """
     x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
     z = forward(operator, x, info) + dist
     z[-1] = np.nan
-    guard = cfg.response_guard
-    y, diverge = _accel.response_states(cfg.mu, cfg.k, cfg.rho, cfg.y0, z[:-1], guard)
-    stop = min((i for i in (escape, diverge) if i >= 0), default=len(z))
-    i_hat = recover(operator, z[:stop], y[:stop])
-    _fail_at(stop, x, escape, diverge, guard)
-    return x, y, z, _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z, len(z)), i_hat
+    y, diverge = _accel.response_states(cfg.mu, cfg.k, cfg.rho, cfg.y0, z[:-1],
+                                        cfg.response_guard)
+    failures = (escape, _accel.ESCAPED), (diverge, _accel.DIVERGED), (len(z), 0)
+    stop, fail = min(failure for failure in failures if failure[0] >= 0)
+    return x, y, z, _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z), stop, fail
 
 
 def run_sync_session(cfg: ScenarioConfig):
@@ -353,7 +356,8 @@ def run_sync_session(cfg: ScenarioConfig):
     if cfg.mode != "float":
         raise ConfigError("sync session runs in float mode")
     # the bare drive state is the additive line with no information on it
-    x, y, _, u, _ = _track(cfg, "additive", 0.0)
+    x, y, _, u, stop, fail = _track(cfg, "additive", 0.0)
+    _fail_at(x, stop, fail, cfg)
     errors = y - x
     trace = SessionTrace(cfg.steps + 1, x=x, y=y, e=errors, u=u)
     metrics = Metrics(
@@ -382,7 +386,10 @@ def run_transmit_session(cfg: ScenarioConfig):
     dist = (rng.uniform(-cfg.disturbance, cfg.disturbance, cfg.steps + 1)
             if cfg.disturbance > 0 else 0.0)
 
-    x, y, z, u, ihat = _track(cfg, cfg.operator, info, dist)
+    x, y, z, u, stop, fail = _track(cfg, cfg.operator, info, dist)
+    # recovery near y = 0 fails before the run's own failure
+    ihat = recover(cfg.operator, z[:stop], y[:stop])
+    _fail_at(x, stop, fail, cfg)
     decisions = threshold_detect(ihat[:-1], cfg.hold, cfg.detect_threshold)
 
     errors = y - x
@@ -475,7 +482,6 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
         raise ConfigError("hop session does not simulate a disturbance channel")
     if table is None:
         table = build_default_table()
-    guard = cfg.response_guard
     transmit = cfg.source != SOURCE_OFF and cfg.active_steps > 0
     if transmit:
         width = cfg.active_steps
@@ -492,7 +498,7 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     scale, offset = coefficients(cfg.operator, cfg.amplitude)
     x_parts, y_parts, hop_parts, fails = zip(*_accel.hop_run(
         cfg.mu, cfg.k, cfg.rho, cfg.x0, cfg.y0, scale, offset, bits, width,
-        cfg.sync_window, cfg.sync_tol, guard, transmit))
+        cfg.sync_window, cfg.sync_tol, cfg.response_guard, transmit))
     # The last row is the state the run stopped at; on a failure n is the
     # failing step, and the rows before it are the run.
     x, y, fail = np.concatenate(x_parts), np.concatenate(y_parts), fails[-1]
@@ -506,14 +512,11 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     i[n] = np.nan
     z = forward(cfg.operator, x, i) + 0.0
     i_hat = np.full(n + 1, np.nan)
-    if transmit:
-        # recovery near y = 0 fails before any later step does
-        i_hat[active] = recover(cfg.operator, z[active], y[active])
-    u = _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z, n + 1)
-    _fail_at(n, x, n if fail == _accel.ESCAPED else -1,
-             n if fail == _accel.DIVERGED else -1, guard)
-    if fail == _accel.IDLE_CAPPED:
-        raise DivergenceError(f"no sync trigger within {_accel.MAX_IDLE_STEPS} idle steps")
+    # recovery near y = 0 fails before the run's own failure; with the
+    # source off, z and so the estimate are NaN on every active row
+    i_hat[active] = recover(cfg.operator, z[active], y[active])
+    u = _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z)
+    _fail_at(x, n, fail, cfg)
     j_tx, j_rx, error = hop_session(x[hop_steps], y[hop_steps], cfg.k, table)
     hops = tuple(map(HopRecord._make, zip(
         range(cfg.sessions), hop_steps.tolist(), j_tx.tolist(), j_rx.tolist(),

@@ -36,7 +36,10 @@ def response_track(mu, k, rho, y0, z, guard):
     ys and diverge_index those of response_states, and us of z's length,
     us[n] the control on the n -> n+1 transition, 0 past a divergence."""
     ys, diverge = _accel.response_states(mu, k, rho, y0, z, guard)
-    return ys, _accel.control_column(mu, k, rho, ys, z, z.size if diverge < 0 else diverge), diverge
+    rows = z.size if diverge < 0 else diverge
+    us = np.zeros(z.size)
+    us[:rows] = _accel.control_column(mu, k, rho, ys[:rows], z[:rows])
+    return ys, us, diverge
 
 
 @given(
@@ -820,7 +823,7 @@ def test_hop_run_escape_beats_a_trigger_or_guard(x0, y0, rho, escape):
     assert xs.tolist() == _accel.logistic_orbit(4.0, 1.0, x0, escape)[0].tolist()
     # the rows are idle, so their line is the drive: the session's control
     # column is the law on each row
-    u = _accel.control_column(4.0, 1.0, rho, ys, xs, escape)
+    u = _accel.control_column(4.0, 1.0, rho, ys[:escape], xs[:escape])
     assert u[:escape].tolist() == [_accel.control_effort(4.0, 1.0, rho, y - d, d)
                                    for d, y in zip(xs[:-1].tolist(), ys[:-1].tolist())]
 

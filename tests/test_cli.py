@@ -555,6 +555,23 @@ class TestErrorPaths:
         assert message in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("field", ["steps", "hold", "settle", "frame_m", "frame_n",
+                                       "frac_bits", "sessions", "active_steps",
+                                       "sync_window"])
+    def test_integer_beyond_index_range_exit_code(self, tmp_path, capsys, field):
+        # numpy takes no size or index above sys.maxsize: a hop exited 2 on
+        # such a hold or active_steps, and a session 1 on such a steps or
+        # sessions with numpy's message; the largest index parses
+        cfg = tmp_path / "big.cfg"
+        out = tmp_path / "o.csv"
+        for command, base in COMMAND_BASES.items():
+            base = "".join(f"{name} = {value}\n" for name, value in base.items())
+            cfg.write_text(base + f"{field} = {sys.maxsize + 1}\n")
+            code, _, err = run([command, "--config", str(cfg), "--out", str(out)], capsys)
+            assert (code, err) == (1, f"error: {field} must be <= {sys.maxsize}\n")
+            assert not out.exists()
+        assert getattr(parse_config_text(f"{field} = {sys.maxsize}\n"), field) == sys.maxsize
+
     @pytest.mark.parametrize("table,message", [
         ("index,lo,hi,center\n1,60.0,61.4,60.7\n", "unexpected channel table header"),
         ("", "unexpected channel table header"),

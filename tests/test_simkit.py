@@ -1,9 +1,11 @@
+import ast
 import math
 import re
 import struct
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 from typing import get_args
 from unittest import mock
 
@@ -765,6 +767,33 @@ def _padded_copy(rows: int, values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     column[:values.size] = values
     return column
+
+
+SIMKIT = {node.name: node for node in ast.parse(Path(simkit.__file__).read_text()).body
+          if isinstance(node, ast.FunctionDef)}
+
+
+def _raised(node):
+    """The names of the exceptions node's code raises."""
+    return [ast.unparse(getattr(r.exc, "func", r.exc)).rpartition(".")[2]
+            for r in ast.walk(node) if isinstance(r, ast.Raise) and r.exc is not None]
+
+
+def test_one_failure_path_for_every_session():
+    # _track reports a run's first failure and _fail_at raises it: the two
+    # session failures are raised only there, _track neither raises nor
+    # recovers, sync recovers nothing, and the hop session hands its
+    # kernel's failure kind to _fail_at without reading it
+    session_failures = {"BasinEscapeError", "DivergenceError"}
+    raising = {name for name, node in SIMKIT.items() if session_failures & set(_raised(node))}
+    assert raising == {"_fail_at"}
+    assert set(_raised(SIMKIT["_fail_at"])) == session_failures
+    assert _raised(SIMKIT["_track"]) == []
+    for name in ("_track", "run_sync_session"):
+        assert "recover" not in {n.id for n in ast.walk(SIMKIT[name]) if isinstance(n, ast.Name)}
+    read = {n.attr for n in ast.walk(SIMKIT["run_hop_session"]) if isinstance(n, ast.Attribute)}
+    read |= {n.id for n in ast.walk(SIMKIT["run_hop_session"]) if isinstance(n, ast.Name)}
+    assert not read & {"ESCAPED", "DIVERGED", "IDLE_CAPPED"}
 
 
 class TestSessionTrace:
