@@ -175,12 +175,13 @@ def _packed(values):
 
 
 @_inlined
-def control_effort(mu, k, rho, e, d):
-    """The feedback law u = [mu(e + 2d - k) + rho*k] * e / k for error e
-    against the drive-side sample d, which makes the error e' = rho*e;
-    tests/law_oracle.py writes the law out on its own as the tests'
-    reference, with the paper's stability argument."""
-    return _law(mu, k, _gain(rho, k), e, d) / k
+def control_effort(mu, k, gain, e, d):
+    """The float feedback law u = [mu(e + 2d - k) + gain] * e / k for error
+    e against the drive-side sample d, gain the _gain of rho and k; it
+    makes the error e' = rho*e.  tests/law_oracle.py writes the law out on
+    its own as the tests' reference, with the paper's stability
+    argument."""
+    return _law(mu, k, gain, e, d) / k
 
 
 @_inlined
@@ -194,7 +195,7 @@ def _response_step(mu, k, gain, y, e, d):
     """The response state after y on line sample d with error e, on scalars
     or float64 arrays, gain the _gain of rho and k: the map plus the
     control law."""
-    return _map_step(mu, k, y) + _law(mu, k, gain, e, d) / k
+    return _map_step(mu, k, y) + control_effort(mu, k, gain, e, d)
 
 
 @_inlined
@@ -225,8 +226,8 @@ def control_column(mu, k, rho, y, z):
     samples z of the same length, row by row, as one vector call of
     control_effort.  The call does the loop step's float64 operations in
     the same order, so the column is bit for bit the loop's control."""
-    mu, k, rho = float(mu), float(k), float(rho)
-    return control_effort(mu, k, rho, y - z, z)
+    mu, k = float(mu), float(k)
+    return control_effort(mu, k, _gain(float(rho), k), y - z, z)
 
 
 @quiet

@@ -192,29 +192,23 @@ def load_config(path) -> ScenarioConfig:
 class SessionTrace:
     """Per-step records as float64 columns; NaN marks an absent field.
 
-    A trace holds its columns, not copies of them: a full-length float64
-    array is kept as passed, so the caller and the trace share it, and an
-    absent column is a read-only NaN view that takes no memory.  Copy a
-    column before writing to it.
+    A trace takes whole columns and decides nothing about them: each
+    passed column must be a float64 array of the trace's rows, and is kept
+    as passed, so the caller and the trace share it; anything else is a
+    ValueError.  Every absent column is one shared read-only NaN view that
+    takes no memory.  Copy a column before writing to it.
     """
 
     def __init__(self, rows: int, **columns):
-        """Trace of `rows` rows from whole columns: n defaults to
-        0..rows-1, a short column is padded with NaN and an absent or empty
-        one is all NaN.  A list is read as floats."""
+        """Trace of `rows` rows from whole columns; n defaults to
+        0..rows-1."""
         columns.setdefault("n", np.arange(rows, dtype=float))
-        self.data = {}
-        for name in TRACE_COLUMNS:
-            values = columns.get(name, ())
-            if not isinstance(values, np.ndarray):
-                values = np.asarray(values, dtype=float)
-            if values.dtype == np.float64 and values.shape == (rows,):
-                self.data[name] = values
-            elif values.size == 0:
-                self.data[name] = np.broadcast_to(np.nan, rows)
-            else:
-                self.data[name] = np.full(rows, np.nan)
-                self.data[name][:values.size] = values
+        absent = np.broadcast_to(np.nan, rows)
+        self.data = {name: columns.get(name, absent) for name in TRACE_COLUMNS}
+        for name, values in self.data.items():
+            if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+                    and values.shape == (rows,)):
+                raise ValueError(f"column {name} is not a float64 array of {rows} rows")
 
     def __len__(self):
         return len(self.data["n"])
@@ -434,12 +428,14 @@ def run_digital_session(cfg: ScenarioConfig):
     decided = decide(soft)
 
     # correlator soft outputs and decisions land on each r-block's last
-    # step; 16-bit states, and their differences, are exact in float
+    # step; 16-bit states, and their differences, are exact in float; the
+    # last row, the state the run ends at, carries no line bit
     rows = cfg.steps + 1
     x, y = run.x.astype(float), run.y.astype(float)
     errors = y - x
     trace = SessionTrace(
-        rows, x=x, y=y, e=errors, z=line, i=spread_bits,
+        rows, x=x, y=y, e=errors, z=np.append(line, np.nan),
+        i=np.append(spread_bits, np.nan),
         i_hat=_block_ends(soft, spec.r, rows),
         bit=_block_ends(decided, spec.r, rows),
     )
@@ -470,11 +466,11 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     state on idle steps and one of two masked levels, chosen by the source
     bit, on active ones; the trigger's window reaches back across phases.
     The columns and the hop records are built once, after the loop, each
-    at the trace's length, so SessionTrace keeps each as passed and pads
-    none.  As in every float session, the information i is NaN on each
-    row that carries no line sample (the last row, and a bare hop row when
-    the source is off); the line z = forward(operator, x, i) and the
-    control column are built over all rows, so both are NaN there too.
+    at the trace's length.  As in every float session, the information i
+    is NaN on each row that carries no line sample (the last row, and a
+    bare hop row when the source is off); the line z = forward(operator,
+    x, i) and the control column are built over all rows, so both are NaN
+    there too.
     """
     if cfg.mode != "float":
         raise ConfigError("hop session runs in float mode")
@@ -510,7 +506,7 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     i = np.zeros(n + 1)
     i[active] = bits[:active.size] * cfg.amplitude if transmit else np.nan
     i[n] = np.nan
-    z = forward(cfg.operator, x, i) + 0.0
+    z = forward(cfg.operator, x, i)
     i_hat = np.full(n + 1, np.nan)
     # recovery near y = 0 fails before the run's own failure; with the
     # source off, z and so the estimate are NaN on every active row

@@ -5,17 +5,18 @@ one _accel.hop_run generator, which keeps its loop state and yields the
 rows in chunks cut between sessions, and builds the masked line, its
 recovery and the control column after the loop; this is the per-sample
 loop the tests compare it against.  It steps the drive, the response,
-the control law, the masking operator and the trigger window one sample
-at a time, and draws each session's source bits as its active phase
-starts.
+the control law (law_oracle.law, not the kernel's), the masking operator
+and the trigger window one sample at a time, draws each session's source
+bits as its active phase starts, and hands the trace whole columns.
 """
 
 from collections import deque
 
 import numpy as np
+from law_oracle import law
 
 from chaoslink import masking
-from chaoslink._accel import MAX_IDLE_STEPS, control_effort
+from chaoslink._accel import MAX_IDLE_STEPS
 from chaoslink.core import BasinEscapeError, LogisticParams, step
 from chaoslink.hopper import build_default_table, hop_session
 from chaoslink.simkit import (
@@ -82,7 +83,7 @@ def hop_session_oracle(cfg, table=None):
         start = len(xs)
         while True:
             e = y - x
-            u = control_effort(mu, k, rho, e, x)
+            u = law(mu, k, rho, e, x)
             for column, value in zip((xs, ys, us, zs, infos, ihats),
                                      (x, y, u, x, 0.0, np.nan)):
                 column.append(value)
@@ -100,7 +101,7 @@ def hop_session_oracle(cfg, table=None):
             for value in _session_info(cfg, rng):
                 z = masking.forward(cfg.operator, x, value) + 0.0
                 i_hat = masking.recover(cfg.operator, z, y)  # fails before this step's update
-                u = control_effort(mu, k, rho, y - z, z)
+                u = law(mu, k, rho, y - z, z)
                 for column, cell in zip((xs, ys, us, zs, infos, ihats),
                                         (x, y, u, z, value, i_hat)):
                     column.append(cell)
@@ -109,21 +110,25 @@ def hop_session_oracle(cfg, table=None):
         else:
             # one bare step on the new channel, its control not recorded
             z = x + 0.0 + 0.0
-            u = control_effort(mu, k, rho, y - z, z)
+            u = law(mu, k, rho, y - z, z)
             for column, cell in zip((xs, ys, us, zs, infos, ihats),
                                     (x, y) + (np.nan,) * 4):
                 column.append(cell)
             advance(u)
 
-    x, y = np.array(xs + [x], dtype=float), np.array(ys + [y], dtype=float)
-    z = np.array(zs, dtype=float)
+    # the last row, the state the run stopped at, carries no line sample
+    for column, cell in zip((xs, ys, us, zs, infos, ihats), (x, y) + (np.nan,) * 4):
+        column.append(cell)
+    x, y, u, z, i, i_hat = (np.array(column, dtype=float)
+                            for column in (xs, ys, us, zs, infos, ihats))
     errors = y - x
     # epsilon is y - z on line samples and e on bare hop rows
-    epsilon = np.where(np.isnan(z), errors[:-1], y[:-1] - z)
+    epsilon = np.where(np.isnan(z), errors, y - z)
+    epsilon[-1] = np.nan
     channel = np.full(len(x), np.nan)
     channel[[h.step for h in hops]] = [h.j_tx for h in hops]
     trace = SessionTrace(len(x), x=x, y=y, z=z, e=errors, epsilon=epsilon,
-                         u=us, i=infos, i_hat=ihats, channel=channel)
+                         u=u, i=i, i_hat=i_hat, channel=channel)
     controlled = ~np.isnan(trace.column("u"))
     controlled[0] = True
     metrics = Metrics(

@@ -9,10 +9,12 @@ V = e^2 then changes by -e^2 (1 - rho^2) per step: it falls for |rho| < 1,
 stays for |rho| = 1 and grows otherwise.
 
 The package runs the law only inside its kernels, as _accel.control_effort
-and the response steps; no session calls these functions.  control writes
-the law out here on its own, in the kernels' order of operations, so the
-kernel tests can ask for the same bits of an independent formula.  These
-are the one-step controller, closed-loop step and Lyapunov accounting that
+and the response steps; no session calls these functions.  law writes the
+law out here on its own, in the kernels' order of operations, so the
+kernel tests and the stepwise hop oracle ask for the same bits of an
+independent formula and never call the kernel's own law; it takes any
+floats, where control takes validated ControllerGains.  These are the
+one-step controller, closed-loop step and Lyapunov accounting that
 tests/test_control.py checks against the proof, that acceptance criterion
 3 (Lyapunov classification and gain regimes) steps, and that the kernel
 and fixed-point tests compare the float law against.  Acceptance criterion
@@ -49,11 +51,15 @@ class ControllerGains:
         return UNSTABLE
 
 
-def control(gains: ControllerGains, e: float, d: float) -> float:
+def law(mu, k, rho, e, d):
     """Control effort u = [mu(e + 2d - k) + rho*k] * e / k for error e and
-    drive-side value d."""
-    mu, k, rho = gains.params.mu, gains.params.k, gains.rho
+    drive-side value d, on any floats or float64 arrays."""
     return (mu * (e + (d + d) - k) + rho * k) * e / k
+
+
+def control(gains: ControllerGains, e: float, d: float) -> float:
+    """The law's control effort under gains."""
+    return law(gains.params.mu, gains.params.k, gains.rho, e, d)
 
 
 def step_response(gains: ControllerGains, y: float, d: float) -> float:

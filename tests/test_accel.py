@@ -16,7 +16,7 @@ import pytest
 from fx_oracle import PairRun, fx_sync_oracle
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from law_oracle import ControllerGains, control, step_response
+from law_oracle import ControllerGains, control, law, step_response
 
 from chaoslink import _accel, masking
 from chaoslink.bitcodec import FrameSpec, correlate, decide, lsb_bits, mask_bits, spread
@@ -92,7 +92,7 @@ def response_track_oracle(mu, k, rho, y0, z, guard):
     ys[0] = y = y0
     for n in range(z.size):
         d = float(z[n])
-        us[n] = u = _accel.control_effort(mu, k, rho, y - d, d)
+        us[n] = u = law(mu, k, rho, y - d, d)
         ys[n + 1] = y = mu * y * (1.0 - y / k) + u
         if not abs(y) <= guard:
             return ys, us, n + 1
@@ -347,14 +347,14 @@ def one_nan(values):
        ds=st.lists(any_float, max_size=40))
 def test_response_block_is_the_scalar_law_loop(mu, k, rho, y, ds):
     # the steps take the law's gain rho * k, computed once by _gain; the
-    # reference control_effort takes rho
+    # reference law takes rho, and any float, where control validates gains
     gain = _accel._gain(rho, k)
 
     def scalar_loop():
         states, state = [], y
         for d in ds:
             state = (mu * state * (1.0 - state / k)
-                     + _accel.control_effort(mu, k, rho, state - d, d))
+                     + law(mu, k, rho, state - d, d))
             states.append(state)
         return states
 
@@ -365,13 +365,13 @@ def test_response_block_is_the_scalar_law_loop(mu, k, rho, y, ds):
     assert (float_bytes_or_error(lambda: one_nan(
                 [_accel._response_step(mu, k, gain, y, y - d, d) for d in ds]))
             == float_bytes_or_error(lambda: one_nan(
-                [mu * y * (1.0 - y / k) + _accel.control_effort(mu, k, rho, y - d, d)
+                [mu * y * (1.0 - y / k) + law(mu, k, rho, y - d, d)
                  for d in ds])))
     line = np.array(ds + [y])
     with np.errstate(all="ignore"):  # _accel.quiet's, and numpy's division by k = 0
         assert (one_nan(_accel._response_step(mu, k, gain, line, 0.0, line)).tobytes()
                 == one_nan(mu * line * (1.0 - line / k)
-                           + _accel.control_effort(mu, k, rho, line - line, line)).tobytes())
+                           + law(mu, k, rho, line - line, line)).tobytes())
 
 
 def operations(tree, op, left, right):
@@ -393,6 +393,14 @@ def written(name, tree=ACCEL):
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
+def float_laws(tree):
+    """The expressions _law(...) / k written in tree's code."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.Call) and ast.unparse(node.left.func) == "_law"
+            and ast.unparse(node.right) == "k"]
+
+
 def test_float_law_is_written_once():
     # the law's gain rho * k appears once in _accel.py, in _gain, and its
     # term d + d once, in _law, which both arithmetics use: fx_sync_run
@@ -402,8 +410,14 @@ def test_float_law_is_written_once():
         assert len(operations(written(step), op, left, right)) == 1
     assert not [node for node in ast.walk(written("fx_sync_run")) if isinstance(node, ast.BinOp)
                 and re.fullmatch(r"rho\w* \* k|2 \* \w+|(\w+) \+ \1", ast.unparse(node))]
-    # each kernel computes the gain once per run, before its loops
-    for kernel in ("response_states", "hop_run", "fx_sync_run"):
+    # the float law u = _law(...) / k appears once, in control_effort, which
+    # takes the gain and which the response step calls
+    assert len(float_laws(ACCEL)) == len(float_laws(written("control_effort"))) == 1
+    assert written("control_effort").args.args[2].arg == "gain"
+    assert "control_effort" in calls(written("_response_step"))
+    # each kernel computes the gain once per run, before its loops, and so
+    # does the control column
+    for kernel in ("response_states", "hop_run", "fx_sync_run", "control_column"):
         assert "_gain" in calls(written(kernel))
         for loop in ast.walk(written(kernel)):
             if isinstance(loop, LOOPS):
@@ -824,7 +838,7 @@ def test_hop_run_escape_beats_a_trigger_or_guard(x0, y0, rho, escape):
     # the rows are idle, so their line is the drive: the session's control
     # column is the law on each row
     u = _accel.control_column(4.0, 1.0, rho, ys[:escape], xs[:escape])
-    assert u[:escape].tolist() == [_accel.control_effort(4.0, 1.0, rho, y - d, d)
+    assert u[:escape].tolist() == [law(4.0, 1.0, rho, y - d, d)
                                    for d, y in zip(xs[:-1].tolist(), ys[:-1].tolist())]
 
 

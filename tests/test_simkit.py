@@ -314,9 +314,9 @@ class TestTransmitSession:
 
     @pytest.mark.parametrize("operator", ["additive", "multiplicative"])
     def test_trace_keeps_every_full_column_as_passed(self, operator):
-        # every column has the trace's rows, so none is padded; the line,
-        # epsilon, the information, the control and the estimate are NaN on
-        # the last row, which carries no line sample
+        # every column has the trace's rows; the line, epsilon, the
+        # information, the control and the estimate are NaN on the last row,
+        # which carries no line sample
         cfg = replace(TRANSMIT_CFG, operator=operator, amplitude=0.2)
         trace, _, passed = _passed_columns(run_transmit_session, cfg)
         assert set(passed) == set(simkit.TRACE_COLUMNS) - {"n", "channel"}
@@ -351,8 +351,8 @@ class TestTransmitSession:
     def test_peak_memory_above_the_trace(self, operator, disturbance):
         # Beyond the trace it returns, a 20 000-step transmit peaks at about
         # 3.2 columns of its rows (0.49 MiB), 4.2 with a drawn disturbance;
-        # a session that pads a short z, epsilon and i into copies peaks
-        # two columns higher.
+        # a session that builds z, epsilon and i short and copies each to
+        # the trace's length peaks two columns higher.
         cfg = replace(TRANSMIT_CFG, steps=20_000, operator=operator, disturbance=disturbance)
         run_transmit_session(cfg)
         tracemalloc.start()
@@ -405,6 +405,18 @@ class TestDigitalSession:
     def test_steps_multiple_of_frame(self):
         with pytest.raises(ConfigError):
             run_digital_session(replace(DIGITAL_CFG, steps=16001, settle=25))
+
+    def test_trace_keeps_every_column_as_passed(self):
+        # every column has the trace's rows; the line bit and the spread
+        # information bit are NaN on the last row, which carries no line bit
+        trace, _, passed = _passed_columns(run_digital_session, DIGITAL_CFG)
+        assert set(passed) == {"x", "y", "e", "z", "i", "i_hat", "bit"}
+        for name, values in passed.items():
+            assert values.shape == (len(trace),)
+            assert trace.column(name) is values
+        for name in ("z", "i"):
+            assert np.isnan(trace.column(name)[-1])
+            assert set(trace.column(name)[:-1].tolist()) == {0.0, 1.0}
 
 
 @st.composite
@@ -631,8 +643,7 @@ class TestHopSession:
 
     @pytest.mark.parametrize("source", ["bernoulli", "off"])
     def test_trace_keeps_every_column_as_passed(self, source):
-        # every column the session builds has the trace's rows, so
-        # SessionTrace keeps each as it is and pads none into a copy
+        # every column the session builds has the trace's rows
         cfg = replace(HOP_CFG, source=source)
         trace, metrics, passed = _passed_columns(run_hop_session, cfg)
         assert set(passed) == set(simkit.TRACE_COLUMNS) - {"n", "bit"}
@@ -762,7 +773,8 @@ class TestHopSession:
 
 
 def _padded_copy(rows: int, values) -> np.ndarray:
-    """Reference column: values as floats in a fresh NaN-padded array."""
+    """A whole trace column of `rows` rows: values as floats, then NaN, in
+    a fresh float64 array."""
     column = np.full(rows, np.nan)
     values = np.asarray(values, dtype=float)
     column[:values.size] = values
@@ -801,37 +813,33 @@ class TestSessionTrace:
         x = np.linspace(0.0, 1.0, 5)
         assert SessionTrace(5, x=x).column("x") is x
 
-    @pytest.mark.parametrize("columns", [{}, {"y": []}, {"y": np.empty(0)},
-                                         {"y": np.empty(0, dtype=np.uint8)}])
-    def test_absent_column_is_read_only_nan(self, columns):
-        trace = SessionTrace(4, **columns)
+    def test_absent_column_is_read_only_nan(self):
+        trace = SessionTrace(4)
         for name in ("y", "channel"):
             column = trace.column(name)
             assert column.shape == (4,) and column.dtype == np.float64
             assert np.isnan(column).all()
             with pytest.raises(ValueError):
                 column[0] = 1.0
+        # every absent column is one shared view
+        assert trace.column("y") is trace.column("channel")
 
     def test_n_defaults_to_float_row_numbers(self):
         n = SessionTrace(3).column("n")
         assert n.dtype == np.float64 and n.tolist() == [0.0, 1.0, 2.0]
 
-    @pytest.mark.parametrize("size", [1, 4, 6])
+    # a trace converts, pads and reads as absent none of these
     @pytest.mark.parametrize("values", [
+        [0.25, -0.0, math.nan, -math.inf, 1.0, 5e-324],
         np.array([-32768, -3, -1, 0, 1, 32767], dtype=np.int64),
         np.array([0, 1, 1, 0, 1, 0], dtype=np.uint8),
-        np.array([0.5, -0.0, np.inf, np.nan, 1e-300, 2.0]),
-        [3, -1, 0, 7, 2**40, -5],
-        [0.25, -0.0, math.nan, -math.inf, 1.0, 5e-324],
-    ], ids=["int64", "uint8", "float64", "int-list", "float-list"])
-    def test_other_columns_load_as_before(self, values, size):
-        rows = 6
-        values = values[:size]
-        column = SessionTrace(rows, i=values).column("i")
-        assert column.dtype == np.float64 and column.shape == (rows,)
-        # bit for bit, -0.0 and NaN payloads included
-        assert np.array_equal(column.view(np.uint64),
-                              _padded_copy(rows, values).view(np.uint64))
+        np.array([0.5, -0.0, np.inf, np.nan, 1e-300]),
+        np.empty(0),
+        [],
+    ], ids=["list", "int64", "uint8", "short", "empty", "empty-list"])
+    def test_other_columns_rejected(self, values):
+        with pytest.raises(ValueError, match="column i is not a float64 array of 6 rows"):
+            SessionTrace(6, i=values)
 
     @pytest.mark.parametrize("values", [np.arange(7.0), np.arange(7),
                                         np.ones(7, dtype=np.uint8), [0.0] * 7])
@@ -861,8 +869,10 @@ class TestTraceCsv:
 
     def test_special_values_round_trip(self, tmp_path):
         nan, inf = np.nan, np.inf
-        trace = SessionTrace(3, x=[-0.0, 1e15, 1e-300], y=[inf, -inf, 0.25],
-                             z=[nan, 2.0], bit=[1.0])
+        columns = {"x": [-0.0, 1e15, 1e-300], "y": [inf, -inf, 0.25], "z": [nan, 2.0],
+                   "bit": [1.0]}
+        trace = SessionTrace(3, **{name: _padded_copy(3, values)
+                                   for name, values in columns.items()})
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         export_csv(trace, p1)
@@ -924,7 +934,7 @@ class TestTraceCsvBlocks:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), rows=st.integers(0, 14), block=st.integers(1, 5))
     def test_matches_per_row_oracle(self, tmp_path_factory, data, rows, block):
-        columns = {name: data.draw(_column_runs(rows), label=name)
+        columns = {name: _padded_copy(rows, data.draw(_column_runs(rows), label=name))
                    for name in simkit.TRACE_COLUMNS}
         trace = SessionTrace(rows, **columns)
         workdir = tmp_path_factory.mktemp("csv")
@@ -936,7 +946,8 @@ class TestTraceCsvBlocks:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), rows=st.integers(0, 12), block=st.integers(1, 5))
     def test_arbitrary_columns_round_trip(self, tmp_path_factory, data, rows, block):
-        columns = {name: data.draw(st.lists(FLOAT64, max_size=rows), label=name)
+        columns = {name: _padded_copy(rows, data.draw(st.lists(FLOAT64, max_size=rows),
+                                                      label=name))
                    for name in simkit.TRACE_COLUMNS}
         trace = SessionTrace(rows, **columns)
         path = tmp_path_factory.mktemp("csv") / "t.csv"
