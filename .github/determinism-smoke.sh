@@ -28,7 +28,11 @@
 # load_trace_csv and written again, which must give the same bytes.  Two
 # configs whose scale factor k is too large also run twice each: a sync
 # whose 2 * x0 overflows in the control law (mu + |rho| < 2) and a sync
-# whose guard * k overflows; each must exit 1 with byte-identical stderr.
+# whose guard * k overflows; each must exit 1 with byte-identical stderr,
+# and so must six configs that fail their session's checks: a sync of
+# steps = 0, a sync with source = foo, a sync with mode = foo, a transmit
+# whose pattern 012 is not over {0,1}, a digital whose k = 1024.5 is not
+# an integer, and a bernoulli transmit in mode = fixed.
 # PYTHONWARNINGS=error turns any warning into a traceback, so a run that
 # warns fails too.
 # Run 2 of every config, failing ones included, uses the package in the
@@ -94,8 +98,15 @@ printf 'mu = 4.0\nx0 = 0.1464466094067262\nrho = 0.0\nsync_window = 1\n' > hop-e
 printf 'source = pattern\npattern = 1\namplitude = 1e6\nsessions = 2\n' > hop-guard.cfg
 printf 'mu = 1.0\nrho = 0.5\nk = 1e308\nx0 = 9.5e307\ny0 = 9.5e307\n' > sync-law-k.cfg
 printf 'k = 4.28e307\nx0 = 1e307\ny0 = 3e307\n' > sync-guard-k.cfg
+printf 'steps = 0\n' > sync-steps.cfg
+printf 'source = foo\n' > sync-source.cfg
+printf 'mode = foo\n' > sync-mode.cfg
+printf 'source = pattern\npattern = 012\n' > transmit-pattern.cfg
+printf 'mode = fixed\nk = 1024.5\nx0 = 122\ny0 = -1024\nsource = bernoulli\nseed = 3\n' > digital-k.cfg
+printf 'mode = fixed\nsource = bernoulli\nseed = 1\n' > transmit-fixed.cfg
 for case in transmit-guard:2 sync-escape:2 hop-idle:2 hop-escape:2 hop-guard:2 sync-law-k:1 \
-    sync-guard-k:1; do
+    sync-guard-k:1 sync-steps:1 sync-source:1 sync-mode:1 transmit-pattern:1 digital-k:1 \
+    transmit-fixed:1; do
   name="${case%:*}"
   expected="${case#*:}"
   command="${name%%-*}"

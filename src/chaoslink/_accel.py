@@ -20,7 +20,6 @@ bytes as they are.
 """
 
 import ast
-import linecache
 import math
 import struct
 
@@ -73,6 +72,10 @@ def logistic_orbit(mu, k, x0, n_steps):
 
 
 _STEPS = {}  # name: (parameters, return expression) of each step, its calls inlined
+# each @_inlined def of this file, by name, from one parse; @_inlined takes its own
+with open(__file__, encoding="utf-8") as _source:
+    _DEFS = {n.name: n for n in ast.parse(_source.read()).body if isinstance(n, ast.FunctionDef)
+             and "_inlined" in map(ast.unparse, n.decorator_list)}
 
 
 class _Inline(ast.NodeTransformer):
@@ -99,20 +102,14 @@ class _Inline(ast.NodeTransformer):
 
 
 def _inlined(fn):
-    """fn compiled again from its own def in this file, with each call of a
-    step replaced by the step's return expression, so a step pays no
-    Python call; the code keeps this file's name and line numbers, and an
-    inlined expression takes its call's.  A function whose body is one
-    return, after its docstring if any, becomes a step itself, unless the
-    return holds a walrus or a comprehension: put in a caller, a walrus
-    would bind the caller's names."""
-    first = fn.__code__.co_firstlineno  # the line of @_inlined, the def's is next
-    lines = linecache.getlines(__file__)
-    end = first + 1  # the def runs to the next line that starts at column 0
-    while end < len(lines) and lines[end][:1] in (" ", "\n"):
-        end += 1
-    tree = ast.parse("\n" * (first - 1) + "".join(lines[first - 1:end]))
-    node = tree.body[0]
+    """fn compiled again from its own def in this file, taken from _DEFS,
+    with each call of a step replaced by the step's return expression, so
+    a step pays no Python call; the code keeps this file's name and line
+    numbers, and an inlined expression takes its call's.  A function whose
+    body is one return, after its docstring if any, becomes a step itself,
+    unless the return holds a walrus or a comprehension: put in a caller,
+    a walrus would bind the caller's names."""
+    node = _DEFS.pop(fn.__name__)
     node.decorator_list = []
     _Inline({}).visit(node)
     match node.body:
@@ -120,7 +117,7 @@ def _inlined(fn):
                 isinstance(n, (ast.NamedExpr, ast.comprehension)) for n in ast.walk(expr)):
             _STEPS[fn.__name__] = [arg.arg for arg in node.args.args], ast.unparse(expr)
     namespace = {}
-    exec(compile(tree, __file__, "exec"), globals(), namespace)
+    exec(compile(ast.Module([node], []), __file__, "exec"), globals(), namespace)
     return namespace[fn.__name__]
 
 
@@ -423,7 +420,8 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     logistic_orbit; saturations counts clipped response states; transient
     is the first index from which the drive repeats with period `period`,
     both -1 unless the synchronized drive revisits a state within n_steps.
-    The arguments are plain ints, which keeps the arithmetic fast.
+    The arguments are plain ints, which keeps the arithmetic fast; x0 must
+    lie in (0, k), which fixedpoint.fx_run_sync checks before the call.
     """
     xs = np.zeros(n_steps + 1, dtype=np.int64)
     ys = np.zeros(n_steps + 1, dtype=np.int64)
@@ -431,8 +429,6 @@ def fx_sync_run(mu_q, rho_q, frac, k, x0, y0, n_steps):
     ys[0] = y0
     first = 0 if x0 == y0 else -1
     saturations = 0
-    if not (0 < x0 < k):
-        return xs, ys, first, 0, saturations, -1, -1
     x = x0
     y = y0
     denom = frac * k

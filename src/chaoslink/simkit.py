@@ -194,14 +194,17 @@ class SessionTrace:
 
     A trace takes whole columns and decides nothing about them: each
     passed column must be a float64 array of the trace's rows, and is kept
-    as passed, so the caller and the trace share it; anything else is a
-    ValueError.  Every absent column is one shared read-only NaN view that
-    takes no memory.  Copy a column before writing to it.
+    as passed, so the caller and the trace share it; anything else, or a
+    name not in TRACE_COLUMNS, is a ValueError.  Every absent column is one
+    shared read-only NaN view that takes no memory.  Copy a column before
+    writing to it.
     """
 
     def __init__(self, rows: int, **columns):
         """Trace of `rows` rows from whole columns; n defaults to
         0..rows-1."""
+        if unknown := sorted(columns.keys() - set(TRACE_COLUMNS)):
+            raise ValueError(f"unknown columns {unknown}")
         columns.setdefault("n", np.arange(rows, dtype=float))
         absent = np.broadcast_to(np.nan, rows)
         self.data = {name: columns.get(name, absent) for name in TRACE_COLUMNS}
@@ -320,11 +323,11 @@ def _difference(a, b):
     return a - b
 
 
-def _track(cfg: ScenarioConfig, operator: str, info, dist=0.0):
+def _track(cfg: ScenarioConfig, info, dist=0.0):
     """Drive orbit x of cfg.steps steps from cfg.x0; line z =
-    forward(operator, x, info) + dist on every drive sample but the last,
-    which carries no line sample and is NaN; response from cfg.y0 driven
-    by all of z but that last sample, which no step reads.  Returns
+    forward(cfg.operator, x, info) + dist on every drive sample but the
+    last, which carries no line sample and is NaN; response from cfg.y0
+    driven by all of z but that last sample, which no step reads.  Returns
     (x, y, z, u, stop, fail): x, y, z and the control u each of
     cfg.steps + 1 rows, u built over all rows, so NaN on the last.
 
@@ -334,7 +337,7 @@ def _track(cfg: ScenarioConfig, operator: str, info, dist=0.0):
     0) if none.  Nothing is raised here; _fail_at raises it.
     """
     x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
-    z = forward(operator, x, info) + dist
+    z = forward(cfg.operator, x, info) + dist
     z[-1] = np.nan
     y, diverge = _accel.response_states(cfg.mu, cfg.k, cfg.rho, cfg.y0, z[:-1],
                                         cfg.response_guard)
@@ -349,8 +352,8 @@ def run_sync_session(cfg: ScenarioConfig):
         raise ConfigError("sync session requires source=off")
     if cfg.mode != "float":
         raise ConfigError("sync session runs in float mode")
-    # the bare drive state is the additive line with no information on it
-    x, y, _, u, stop, fail = _track(cfg, "additive", 0.0)
+    # the bare drive state is either operator's line with no information on it
+    x, y, _, u, stop, fail = _track(cfg, 0.0)
     _fail_at(x, stop, fail, cfg)
     errors = y - x
     trace = SessionTrace(cfg.steps + 1, x=x, y=y, e=errors, u=u)
@@ -380,7 +383,7 @@ def run_transmit_session(cfg: ScenarioConfig):
     dist = (rng.uniform(-cfg.disturbance, cfg.disturbance, cfg.steps + 1)
             if cfg.disturbance > 0 else 0.0)
 
-    x, y, z, u, stop, fail = _track(cfg, cfg.operator, info, dist)
+    x, y, z, u, stop, fail = _track(cfg, info, dist)
     # recovery near y = 0 fails before the run's own failure
     ihat = recover(cfg.operator, z[:stop], y[:stop])
     _fail_at(x, stop, fail, cfg)

@@ -2,6 +2,7 @@
 digital codec against its per-frame calls."""
 
 import ast
+import importlib.util
 import math
 import re
 import tracemalloc
@@ -592,6 +593,30 @@ def test_hop_run_is_built_with_its_steps_inlined(name):
     assert not set(_accel._STEPS) & names(code)
     assert Path(code.co_filename).name == "_accel.py"
     assert code.co_firstlineno == source.lineno
+
+
+PROBE = '''
+
+@_inlined
+def _probe(a):
+    b = _gain(a, 2.0)
+# a comment at column 0 inside the def
+    return b + 1.0
+'''
+
+
+def test_build_takes_each_def_whole(tmp_path):
+    # the build takes each def from one parse of the file, so a comment at
+    # column 0 inside a def does not cut it short; each @_inlined takes its
+    # own def, and the parse leaves nothing behind
+    path = tmp_path / "_accel.py"
+    path.write_text(Path(_accel.__file__).read_text() + PROBE)
+    spec = importlib.util.spec_from_file_location("_accel_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module._probe(3.0) == 7.0
+    assert "_probe" not in module._STEPS
+    assert module._DEFS == _accel._DEFS == {}
 
 
 @pytest.mark.parametrize("name, args", [

@@ -537,13 +537,23 @@ class TestErrorPaths:
         # guard * k overflows; it exited 2 at step 2, guard inf
         ("sync", "k = 4.28e307\nx0 = 1e307\ny0 = 3e307\n",
          "scale factor k = 4.28e+307 is too large: max(mu + |rho|, 2, guard) * k overflows"),
+        ("sync", SYNC_CFG.replace("steps = 50", "steps = 0"), "error: steps must be >= 1"),
+        ("sync", SYNC_CFG + "source = foo\n", "error: unknown source 'foo'"),
+        ("sync", SYNC_CFG + "mode = foo\n", "error: unknown mode 'foo'"),
+        ("transmit", "source = pattern\npattern = 012\n",
+         "error: pattern must be a nonempty string over {0,1}"),
+        ("digital", DIGITAL_CFG.replace("k = 1024", "k = 1024.5"),
+         "error: fixed mode requires an integer scale factor"),
+        ("transmit", TRANSMIT_CFG + "mode = fixed\n",
+         "error: transmit session runs in float mode"),
     ], ids=["y0-1e12", "frac_bits-40", "frac_bits-negative", "rho-20", "hold-0",
             "rho-nan", "guard-inf", "disturbance-inf", "disturbance-negative",
             "guard-0", "guard-negative",
             "sync_tol-0", "sync_tol-negative", "source_p-1.5", "source_p-negative", "operator-bogus",
             "disturbance-unseeded", "x0-fractional", "y0-fractional", "digital-mu-4.0001",
             "sync-fixed-mode", "hop-fixed-mode", "hop-disturbance", "sync-k-1e308",
-            "hop-k-4.3e307", "sync-law-2x0", "sync-guard-k"])
+            "hop-k-4.3e307", "sync-law-2x0", "sync-guard-k", "steps-0", "source-foo",
+            "mode-foo", "pattern-012", "digital-k-fractional", "transmit-fixed-mode"])
     def test_out_of_range_config_exit_code(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -808,6 +808,63 @@ def test_one_failure_path_for_every_session():
     assert not read & {"ESCAPED", "DIVERGED", "IDLE_CAPPED"}
 
 
+def _arguments_read(node, *functions):
+    """The names and attributes that the arguments of node's calls of
+    functions read."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and ast.unparse(call.func).rpartition(".")[2] in functions
+            for arg in call.args + [kw.value for kw in call.keywords]
+            for n in ast.walk(arg) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_receiver_calls_read_no_drive_state():
+    # the sync and transmit receivers are line-only: no argument of the
+    # response's, the control column's, the recovery's or the detector's
+    # call reads the drive x or its start x0
+    track = _arguments_read(SIMKIT["_track"], "response_states", "control_column")
+    transmit = _arguments_read(SIMKIT["run_transmit_session"], "recover", "threshold_detect")
+    assert {"z", "y"} <= track and {"z", "y", "ihat"} <= transmit
+    assert not (track | transmit) & {"x", "x0"}
+
+
+def _receive(cfg, line):
+    """The receiver run on a trace's line alone: the response y, the
+    control u, the estimate i_hat and the bit decisions."""
+    y, _ = _accel.response_states(cfg.mu, cfg.k, cfg.rho, cfg.y0, line[:-1],
+                                  cfg.response_guard)
+    u = _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, line)
+    i_hat = masking.recover(cfg.operator, line, y)
+    return y, u, i_hat, masking.threshold_detect(i_hat[:-1], cfg.hold, cfg.detect_threshold)
+
+
+@pytest.mark.parametrize("operator", ["additive", "multiplicative"])
+@pytest.mark.parametrize("disturbance", [0.0, 0.01])
+@pytest.mark.parametrize("seed", [1, 7, 123])
+def test_transmit_receiver_reads_only_the_line(operator, disturbance, seed):
+    cfg = replace(TRANSMIT_CFG, operator=operator, disturbance=disturbance, seed=seed,
+                  amplitude=0.2, threshold=None)
+    trace, _ = run_transmit_session(cfg)
+    y, u, i_hat, bits = _receive(cfg, trace.column("z"))
+    assert y.tobytes() == trace.column("y").tobytes()
+    assert u.tobytes() == trace.column("u").tobytes()
+    assert i_hat.tobytes() == trace.column("i_hat").tobytes()
+    assert bits.astype(float).tobytes() == trace.column("bit")[cfg.hold - 1::cfg.hold].tobytes()
+    assert 0 < bits.sum() < bits.size
+
+
+@pytest.mark.parametrize("operator", ["additive", "multiplicative"])
+def test_sync_receiver_reads_only_the_line(operator):
+    # the sync line is the bare drive state, none on the last row
+    cfg = replace(SYNC_CFG, operator=operator, steps=2000)
+    trace, _ = run_sync_session(cfg)
+    line = trace.column("x").copy()
+    line[-1] = np.nan
+    y, u, _, _ = _receive(cfg, line)
+    assert y.tobytes() == trace.column("y").tobytes()
+    assert u.tobytes() == trace.column("u").tobytes()
+
+
 class TestSessionTrace:
     def test_full_float_column_is_kept(self):
         x = np.linspace(0.0, 1.0, 5)
@@ -840,6 +897,12 @@ class TestSessionTrace:
     def test_other_columns_rejected(self, values):
         with pytest.raises(ValueError, match="column i is not a float64 array of 6 rows"):
             SessionTrace(6, i=values)
+
+    @pytest.mark.parametrize("name", ["ihat", "I", "X", "channels", "i-hat"])
+    def test_unknown_column_names_rejected(self, name):
+        # a misspelled column was dropped, and the column it meant read NaN
+        with pytest.raises(ValueError, match=re.escape(f"unknown columns ['{name}']")):
+            SessionTrace(3, **{name: np.zeros(3)})
 
     @pytest.mark.parametrize("values", [np.arange(7.0), np.arange(7),
                                         np.ones(7, dtype=np.uint8), [0.0] * 7])
