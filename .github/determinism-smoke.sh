@@ -29,10 +29,14 @@
 # configs whose scale factor k is too large also run twice each: a sync
 # whose 2 * x0 overflows in the control law (mu + |rho| < 2) and a sync
 # whose guard * k overflows; each must exit 1 with byte-identical stderr,
-# and so must six configs that fail their session's checks: a sync of
+# and so must seven configs that fail their session's checks: a sync of
 # steps = 0, a sync with source = foo, a sync with mode = foo, a transmit
 # whose pattern 012 is not over {0,1}, a digital whose k = 1024.5 is not
-# an integer, and a bernoulli transmit in mode = fixed.
+# an integer, a bernoulli transmit in mode = fixed and a hop of
+# sessions = -1.  Two failing commands that read no config run twice each
+# too: diagnose --steps 0 --lyapunov, and lut --emit with a channel table
+# whose second entry has index 3; each must exit 1 with byte-identical
+# stdout and stderr.
 # PYTHONWARNINGS=error turns any warning into a traceback, so a run that
 # warns fails too.
 # Run 2 of every config, failing ones included, uses the package in the
@@ -104,9 +108,10 @@ printf 'mode = foo\n' > sync-mode.cfg
 printf 'source = pattern\npattern = 012\n' > transmit-pattern.cfg
 printf 'mode = fixed\nk = 1024.5\nx0 = 122\ny0 = -1024\nsource = bernoulli\nseed = 3\n' > digital-k.cfg
 printf 'mode = fixed\nsource = bernoulli\nseed = 1\n' > transmit-fixed.cfg
+printf 'sessions = -1\n' > hop-sessions.cfg
 for case in transmit-guard:2 sync-escape:2 hop-idle:2 hop-escape:2 hop-guard:2 sync-law-k:1 \
     sync-guard-k:1 sync-steps:1 sync-source:1 sync-mode:1 transmit-pattern:1 digital-k:1 \
-    transmit-fixed:1; do
+    transmit-fixed:1 hop-sessions:1; do
   name="${case%:*}"
   expected="${case#*:}"
   command="${name%%-*}"
@@ -120,5 +125,24 @@ for case in transmit-guard:2 sync-escape:2 hop-idle:2 hop-escape:2 hop-guard:2 s
       exit 1
     fi
   done
+  cmp "$name-1.err" "$name-2.err"
+done
+printf 'j,f_low,f_high,f_center\n1,60.0,61.4,60.7\n3,61.4,62.8,62.1\n' > table-order.csv
+for name in diagnose-steps lut-order; do
+  case "$name" in
+    diagnose-steps) set -- diagnose --mu 3.7 --steps 0 --lyapunov ;;
+    lut-order) set -- lut --emit lut-order.csv --table table-order.csv ;;
+  esac
+  for run in 1 2; do
+    status=0
+    PYTHONPATH="$(tree "$run")" python -m chaoslink.cli "$@" > "$name-$run.out" \
+      2> "$name-$run.err" || status=$?
+    if [ "$status" -ne 1 ]; then
+      echo "$name run $run: exit $status, expected 1" >&2
+      cat "$name-$run.err" >&2
+      exit 1
+    fi
+  done
+  cmp "$name-1.out" "$name-2.out"
   cmp "$name-1.err" "$name-2.err"
 done

@@ -323,27 +323,45 @@ def _difference(a, b):
     return a - b
 
 
-def _track(cfg: ScenarioConfig, info, dist=0.0):
-    """Drive orbit x of cfg.steps steps from cfg.x0; line z =
-    forward(cfg.operator, x, info) + dist on every drive sample but the
-    last, which carries no line sample and is NaN; response from cfg.y0
-    driven by all of z but that last sample, which no step reads.  Returns
-    (x, y, z, u, stop, fail): x, y, z and the control u each of
-    cfg.steps + 1 rows, u built over all rows, so NaN on the last.
-
-    (stop, fail) is the run's first failure, as a step-by-step loop meets
-    it: the step and the _accel failure kind of the earliest drive escape
-    or divergence, an escape first at the same step, and (cfg.steps + 1,
-    0) if none.  Nothing is raised here; _fail_at raises it.
-    """
+def _transmit(cfg: ScenarioConfig, info, dist=0.0):
+    """The transmitter: the drive orbit x of cfg.steps steps from cfg.x0,
+    its first escape step (-1 if none), and the line z = forward(
+    cfg.operator, x, info) + dist, each of cfg.steps + 1 rows.  The last
+    drive sample carries no line sample, so z is NaN there."""
     x, escape = _accel.logistic_orbit(cfg.mu, cfg.k, cfg.x0, cfg.steps)
     z = forward(cfg.operator, x, info) + dist
     z[-1] = np.nan
+    return x, escape, z
+
+
+def _receive(cfg: ScenarioConfig, z):
+    """The receiver, which reads the line z and its key cfg alone: the
+    response y from cfg.y0 driven by all of z but its last sample, which
+    no step reads, its first divergence step (-1 if none), and the control
+    u, built over all rows, so NaN on the last."""
     y, diverge = _accel.response_states(cfg.mu, cfg.k, cfg.rho, cfg.y0, z[:-1],
                                         cfg.response_guard)
-    failures = (escape, _accel.ESCAPED), (diverge, _accel.DIVERGED), (len(z), 0)
-    stop, fail = min(failure for failure in failures if failure[0] >= 0)
-    return x, y, z, _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z), stop, fail
+    return y, diverge, _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, z)
+
+
+def _first_failure(escape, diverge, rows: int):
+    """(stop, fail): a run's first failure as a step-by-step loop meets it,
+    the step and the _accel failure kind of the earliest drive escape or
+    response divergence (-1: none), an escape first at the same step, and
+    (rows, 0) if neither.  Nothing is raised here; _fail_at raises it."""
+    failures = (escape, _accel.ESCAPED), (diverge, _accel.DIVERGED), (rows, 0)
+    return min(failure for failure in failures if failure[0] >= 0)
+
+
+def _report(cfg: ScenarioConfig, x, y, fields=(), **columns):
+    """The session's trace and metrics, the one place where the drive x
+    meets the response y: the error e = y - x, the trace of x, y, e and
+    the other columns, and Metrics of e's sync_step and max_abs_error
+    and of the further fields, a mapping such as _bit_errors returns."""
+    errors = y - x
+    trace = SessionTrace(cfg.steps + 1, x=x, y=y, e=errors, **columns)
+    return trace, Metrics(sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
+                          max_abs_error=float(np.max(np.abs(errors))), **dict(fields))
 
 
 def run_sync_session(cfg: ScenarioConfig):
@@ -353,15 +371,10 @@ def run_sync_session(cfg: ScenarioConfig):
     if cfg.mode != "float":
         raise ConfigError("sync session runs in float mode")
     # the bare drive state is either operator's line with no information on it
-    x, y, _, u, stop, fail = _track(cfg, 0.0)
-    _fail_at(x, stop, fail, cfg)
-    errors = y - x
-    trace = SessionTrace(cfg.steps + 1, x=x, y=y, e=errors, u=u)
-    metrics = Metrics(
-        sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
-        max_abs_error=float(np.max(np.abs(errors))),
-    )
-    return trace, metrics
+    x, escape, z = _transmit(cfg, 0.0)
+    y, diverge, u = _receive(cfg, z)
+    _fail_at(x, *_first_failure(escape, diverge, len(z)), cfg)
+    return _report(cfg, x, y, u=u)
 
 
 def run_transmit_session(cfg: ScenarioConfig):
@@ -383,25 +396,18 @@ def run_transmit_session(cfg: ScenarioConfig):
     dist = (rng.uniform(-cfg.disturbance, cfg.disturbance, cfg.steps + 1)
             if cfg.disturbance > 0 else 0.0)
 
-    x, y, z, u, stop, fail = _track(cfg, info, dist)
+    x, escape, z = _transmit(cfg, info, dist)
+    y, diverge, u = _receive(cfg, z)
+    stop, fail = _first_failure(escape, diverge, len(z))
     # recovery near y = 0 fails before the run's own failure
     ihat = recover(cfg.operator, z[:stop], y[:stop])
     _fail_at(x, stop, fail, cfg)
     decisions = threshold_detect(ihat[:-1], cfg.hold, cfg.detect_threshold)
 
-    errors = y - x
-    trace = SessionTrace(
-        cfg.steps + 1, x=x, y=y, e=errors, z=z, epsilon=y - z, u=u,
-        i=info, i_hat=ihat, bit=_block_ends(decisions, cfg.hold, cfg.steps + 1),
-    )
-
     post = np.arange(n_blocks) * cfg.hold >= cfg.settle
-    metrics = Metrics(
-        sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
-        max_abs_error=float(np.max(np.abs(errors))),
-        **_bit_errors(decisions, bits, post),
-    )
-    return trace, metrics
+    return _report(cfg, x, y, _bit_errors(decisions, bits, post), z=z, epsilon=y - z,
+                   u=u, i=info, i_hat=ihat,
+                   bit=_block_ends(decisions, cfg.hold, cfg.steps + 1))
 
 
 def run_digital_session(cfg: ScenarioConfig):

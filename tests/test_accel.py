@@ -33,7 +33,7 @@ def open_interval(lo, hi):
 
 def response_track(mu, k, rho, y0, z, guard):
     """The response's states and its control column over the stepped rows,
-    the two kernel calls simkit._track makes: (ys, us, diverge_index), with
+    the two kernel calls simkit._receive makes: (ys, us, diverge_index), with
     ys and diverge_index those of response_states, and us of z's length,
     us[n] the control on the n -> n+1 transition, 0 past a divergence."""
     ys, diverge = _accel.response_states(mu, k, rho, y0, z, guard)

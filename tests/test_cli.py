@@ -331,6 +331,17 @@ class TestDiagnoseAndLut:
         assert err == f"error: scale factor k = {k} is too large: mu * k overflows\n"
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (["--steps", "0", "--lyapunov"], "n_steps must be >= 1"),
+        (["--mu-min", "3.9", "--mu-max", "3.5", "--bifurcation-out", "b.csv"],
+         "mu range must satisfy 0 < mu_min <= mu_max <= 4"),
+    ], ids=["steps-0", "mu-range-reversed"])
+    def test_bad_argument_exit_code(self, tmp_path, capsys, monkeypatch, args, message):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(["diagnose", "--mu", "3.7"] + args, capsys)
+        assert (code, err) == (1, f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_lut_emit(self, tmp_path, capsys):
         path = tmp_path / "lut.csv"
         code, out, _ = run(["lut", "--emit", str(path)], capsys)
@@ -546,6 +557,10 @@ class TestErrorPaths:
          "error: fixed mode requires an integer scale factor"),
         ("transmit", TRANSMIT_CFG + "mode = fixed\n",
          "error: transmit session runs in float mode"),
+        ("hop", HOP_CFG.replace("sessions = 20", "sessions = -1"),
+         "error: sessions and active_steps must be >= 0"),
+        ("hop", HOP_CFG.replace("active_steps = 40", "active_steps = -1"),
+         "error: sessions and active_steps must be >= 0"),
     ], ids=["y0-1e12", "frac_bits-40", "frac_bits-negative", "rho-20", "hold-0",
             "rho-nan", "guard-inf", "disturbance-inf", "disturbance-negative",
             "guard-0", "guard-negative",
@@ -553,7 +568,8 @@ class TestErrorPaths:
             "disturbance-unseeded", "x0-fractional", "y0-fractional", "digital-mu-4.0001",
             "sync-fixed-mode", "hop-fixed-mode", "hop-disturbance", "sync-k-1e308",
             "hop-k-4.3e307", "sync-law-2x0", "sync-guard-k", "steps-0", "source-foo",
-            "mode-foo", "pattern-012", "digital-k-fractional", "transmit-fixed-mode"])
+            "mode-foo", "pattern-012", "digital-k-fractional", "transmit-fixed-mode",
+            "hop-sessions-negative", "hop-active_steps-negative"])
     def test_out_of_range_config_exit_code(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -586,7 +602,11 @@ class TestErrorPaths:
         ("index,lo,hi,center\n1,60.0,61.4,60.7\n", "unexpected channel table header"),
         ("", "unexpected channel table header"),
         ("j,f_low,f_high,f_center\n1,60.0,61.4\n", "data row 0 has 3 cells, not 4"),
-    ], ids=["header", "empty", "ragged"])
+        ("j,f_low,f_high,f_center\n1,60.0,61.4,60.7\n3,61.4,62.8,62.1\n",
+         "error: entry 2 has index 3"),
+        ("j,f_low,f_high,f_center\n1,60.0,61.4,60.0\n",
+         "error: entry 1: center is not the slot midpoint"),
+    ], ids=["header", "empty", "ragged", "index-order", "center-off"])
     @pytest.mark.parametrize("command", ["hop", "lut"])
     def test_malformed_table_exit_code(self, workdir, capsys, command, table, message):
         path = workdir / "table.csv"

@@ -100,6 +100,10 @@ class TestThresholdDetect:
         with pytest.raises(ValueError):
             threshold_detect([1.0, 0.0, 1.0], 2, 0.5)
 
+    def test_hold_below_one(self):
+        with pytest.raises(ValueError, match=r"^hold must be >= 1$"):
+            threshold_detect(np.zeros(4), 0, 0.5)
+
     def test_overflowing_block_mean_is_quiet(self):
         # eight estimates of 4.28e307 (an amplitude at about the largest k a
         # config accepts) sum past the float range: the mean is inf, quietly

@@ -792,16 +792,18 @@ def _raised(node):
 
 
 def test_one_failure_path_for_every_session():
-    # _track reports a run's first failure and _fail_at raises it: the two
-    # session failures are raised only there, _track neither raises nor
-    # recovers, sync recovers nothing, and the hop session hands its
-    # kernel's failure kind to _fail_at without reading it
+    # _first_failure picks a run's first failure and _fail_at raises it: the
+    # two session failures are raised only there; the transmitter, the
+    # receiver, _first_failure and the report raise nothing; neither the
+    # receiver nor sync recovers; and the hop session hands its kernel's
+    # failure kind to _fail_at without reading it
     session_failures = {"BasinEscapeError", "DivergenceError"}
     raising = {name for name, node in SIMKIT.items() if session_failures & set(_raised(node))}
     assert raising == {"_fail_at"}
     assert set(_raised(SIMKIT["_fail_at"])) == session_failures
-    assert _raised(SIMKIT["_track"]) == []
-    for name in ("_track", "run_sync_session"):
+    for name in ("_transmit", "_receive", "_first_failure", "_report"):
+        assert _raised(SIMKIT[name]) == []
+    for name in ("_receive", "run_sync_session"):
         assert "recover" not in {n.id for n in ast.walk(SIMKIT[name]) if isinstance(n, ast.Name)}
     read = {n.attr for n in ast.walk(SIMKIT["run_hop_session"]) if isinstance(n, ast.Attribute)}
     read |= {n.id for n in ast.walk(SIMKIT["run_hop_session"]) if isinstance(n, ast.Name)}
@@ -818,11 +820,29 @@ def _arguments_read(node, *functions):
             for n in ast.walk(arg) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _called(node):
+    """The names of the functions node calls, in source order."""
+    calls = sorted((c.lineno, c.col_offset, ast.unparse(c.func).rpartition(".")[2])
+                   for c in ast.walk(node) if isinstance(c, ast.Call))
+    return [name for _, _, name in calls]
+
+
 def test_receiver_calls_read_no_drive_state():
-    # the sync and transmit receivers are line-only: no argument of the
-    # response's, the control column's, the recovery's or the detector's
-    # call reads the drive x or its start x0
-    track = _arguments_read(SIMKIT["_track"], "response_states", "control_column")
+    # the float receiver is line-only: _receive takes the line z and the
+    # key cfg alone, reads neither the drive x nor its start x0, steps no
+    # drive, and both float sessions run it after the transmitter; no
+    # argument of its response's or control column's call, nor of the
+    # transmit session's recovery's or detector's call, reads x or x0
+    receive = SIMKIT["_receive"]
+    assert [a.arg for a in ast.walk(receive.args) if isinstance(a, ast.arg)] == ["cfg", "z"]
+    body = {n.id for n in ast.walk(receive) if isinstance(n, ast.Name)}
+    body |= {n.attr for n in ast.walk(receive) if isinstance(n, ast.Attribute)}
+    assert not body & {"x", "x0"}
+    assert "logistic_orbit" not in _called(receive)
+    for name in ("run_sync_session", "run_transmit_session"):
+        ends = [f for f in _called(SIMKIT[name]) if f in ("_transmit", "_receive")]
+        assert ends == ["_transmit", "_receive"]
+    track = _arguments_read(receive, "response_states", "control_column")
     transmit = _arguments_read(SIMKIT["run_transmit_session"], "recover", "threshold_detect")
     assert {"z", "y"} <= track and {"z", "y", "ihat"} <= transmit
     assert not (track | transmit) & {"x", "x0"}
@@ -830,12 +850,11 @@ def test_receiver_calls_read_no_drive_state():
 
 def _receive(cfg, line):
     """The receiver run on a trace's line alone: the response y, the
-    control u, the estimate i_hat and the bit decisions."""
+    control u and the estimate i_hat on every row."""
     y, _ = _accel.response_states(cfg.mu, cfg.k, cfg.rho, cfg.y0, line[:-1],
                                   cfg.response_guard)
     u = _accel.control_column(cfg.mu, cfg.k, cfg.rho, y, line)
-    i_hat = masking.recover(cfg.operator, line, y)
-    return y, u, i_hat, masking.threshold_detect(i_hat[:-1], cfg.hold, cfg.detect_threshold)
+    return y, u, masking.recover(cfg.operator, line, y)
 
 
 @pytest.mark.parametrize("operator", ["additive", "multiplicative"])
@@ -845,7 +864,8 @@ def test_transmit_receiver_reads_only_the_line(operator, disturbance, seed):
     cfg = replace(TRANSMIT_CFG, operator=operator, disturbance=disturbance, seed=seed,
                   amplitude=0.2, threshold=None)
     trace, _ = run_transmit_session(cfg)
-    y, u, i_hat, bits = _receive(cfg, trace.column("z"))
+    y, u, i_hat = _receive(cfg, trace.column("z"))
+    bits = masking.threshold_detect(i_hat[:-1], cfg.hold, cfg.detect_threshold)
     assert y.tobytes() == trace.column("y").tobytes()
     assert u.tobytes() == trace.column("u").tobytes()
     assert i_hat.tobytes() == trace.column("i_hat").tobytes()
@@ -860,9 +880,33 @@ def test_sync_receiver_reads_only_the_line(operator):
     trace, _ = run_sync_session(cfg)
     line = trace.column("x").copy()
     line[-1] = np.nan
-    y, u, _, _ = _receive(cfg, line)
+    y, u, _ = _receive(cfg, line)
     assert y.tobytes() == trace.column("y").tobytes()
     assert u.tobytes() == trace.column("u").tobytes()
+
+
+@pytest.mark.parametrize("operator", ["additive", "multiplicative"])
+@pytest.mark.parametrize("rho", [0.5, 0.9, -0.5, 0.0])
+@pytest.mark.parametrize("amplitude", [1.0, 0.2, 0.05])
+@pytest.mark.parametrize("seed", [1, 7, 123])
+def test_hop_receiver_reads_only_the_line(operator, rho, amplitude, seed):
+    """The hop receiver is line-only too: its response y and control u,
+    which the hop kernel steps together with the drive, and its estimate
+    on the active rows come back bit for bit from the trace's line alone.
+    The hop session's exception is the transmitter, which learns the
+    receiver's sync trigger.  A source-off hop is not covered: its trace
+    writes NaN for the line sample of each bare hop row."""
+    cfg = replace(HOP_CFG, operator=operator, rho=rho, amplitude=amplitude, seed=seed)
+    trace, metrics = run_hop_session(cfg)
+    line = trace.column("z")
+    y, u, i_hat = _receive(cfg, line)
+    assert y.tobytes() == trace.column("y").tobytes()
+    assert u.tobytes() == trace.column("u").tobytes()
+    active = ~np.isnan(trace.column("i_hat"))
+    assert active.any()
+    assert i_hat[active].tobytes() == trace.column("i_hat")[active].tobytes()
+    assert len(metrics.hops) == cfg.sessions
+    assert np.any(line[:-1] != trace.column("x")[:-1])
 
 
 class TestSessionTrace:
