@@ -5,9 +5,10 @@
 # multiplicative line with a drawn disturbance and, for each operator, over
 # 20 000 steps (the benchmark's analog size; the additive one at the
 # paper's rho = 0.5, y0 = -1), digital also at rho = 2 (the README config
-# never syncs and saturates 15 996 response states) and at mu = 4, k =
+# never syncs and saturates 15 996 response states), at mu = 4, k =
 # 32 768, x0 = y0 = 16 384 (synced from step 0, one drive clip after the
-# sync, a carrier of period 20), and hop also as a multiplicative pattern hop
+# sync, a carrier of period 20) and with source = off (every information
+# bit 0), and hop also as a multiplicative pattern hop
 # (both line levels), as a bare source = off hop, as a hop whose first idle
 # phase takes about 6 960 steps at rho = 0.998 (more than the 4 096 rows
 # of a kernel chunk, which the hop kernel cuts only between sessions, so
@@ -33,10 +34,12 @@
 # steps = 0, a sync with source = foo, a sync with mode = foo, a transmit
 # whose pattern 012 is not over {0,1}, a digital whose k = 1024.5 is not
 # an integer, a bernoulli transmit in mode = fixed and a hop of
-# sessions = -1.  Two failing commands that read no config run twice each
-# too: diagnose --steps 0 --lyapunov, and lut --emit with a channel table
-# whose second entry has index 3; each must exit 1 with byte-identical
-# stdout and stderr.
+# sessions = -1.  Three failing commands that read no config run twice
+# each too: diagnose --steps 0 --lyapunov, a diagnose with a spectrum and a
+# bifurcation scan whose mu range is reversed (the spectrum computes, the
+# scan fails), and lut --emit with a channel table whose second entry has
+# index 3; each must exit 1 with byte-identical stdout and stderr, and the
+# last two must leave none of their CSVs.
 # PYTHONWARNINGS=error turns any warning into a traceback, so a run that
 # warns fails too.
 # Run 2 of every config, failing ones included, uses the package in the
@@ -62,6 +65,7 @@ printf 'operator = multiplicative\namplitude = 0.2\nsource = bernoulli\nseed = 4
 printf 'mode = fixed\nk = 1024\nx0 = 122\ny0 = -1024\nsteps = 16000\nsource = bernoulli\nseed = 3\n' > digital.cfg
 printf 'mode = fixed\nk = 1024\nx0 = 122\ny0 = -1024\nsteps = 16000\nsource = bernoulli\nseed = 3\nrho = 2.0\n' > digital-unsynced.cfg
 printf 'mode = fixed\nmu = 4.0\nk = 32768\nx0 = 16384\ny0 = 16384\nsteps = 16000\nsource = bernoulli\nseed = 3\n' > digital-clip.cfg
+printf 'mode = fixed\nk = 1024\nx0 = 122\ny0 = -1024\nsteps = 16000\nsource = off\n' > digital-off.cfg
 printf 'source = bernoulli\nseed = 5\nsessions = 20\nactive_steps = 40\n' > hop.cfg
 printf 'operator = multiplicative\namplitude = 0.2\nsource = pattern\npattern = 0110\nhold = 4\nsessions = 120\nactive_steps = 40\n' > hop-mul.cfg
 printf 'source = off\nsessions = 120\n' > hop-off.cfg
@@ -69,7 +73,7 @@ printf 'rho = 0.998\nsource = pattern\npattern = 01\nsessions = 2\nactive_steps 
 printf 'source = bernoulli\nseed = 1\nsessions = 300\nactive_steps = 40\n' > hop-long.cfg
 traces=""
 for name in sync sync-long transmit transmit-mul transmit-long transmit-mul-long digital \
-    digital-unsynced digital-clip hop hop-mul hop-off hop-slow hop-long; do
+    digital-unsynced digital-clip digital-off hop hop-mul hop-off hop-slow hop-long; do
   command="${name%%-*}"
   for run in 1 2; do
     traces="$traces $name-$run.csv"
@@ -128,10 +132,17 @@ for case in transmit-guard:2 sync-escape:2 hop-idle:2 hop-escape:2 hop-guard:2 s
   cmp "$name-1.err" "$name-2.err"
 done
 printf 'j,f_low,f_high,f_center\n1,60.0,61.4,60.7\n3,61.4,62.8,62.1\n' > table-order.csv
-for name in diagnose-steps lut-order; do
+for name in diagnose-steps diagnose-range lut-order; do
+  files=""
   case "$name" in
     diagnose-steps) set -- diagnose --mu 3.7 --steps 0 --lyapunov ;;
-    lut-order) set -- lut --emit lut-order.csv --table table-order.csv ;;
+    diagnose-range)
+      files="range-spectrum.csv range-bifurcation.csv"
+      set -- diagnose --mu 3.7 --spectrum-out range-spectrum.csv --mu-min 3.9 --mu-max 3.5 \
+        --bifurcation-out range-bifurcation.csv ;;
+    lut-order)
+      files="lut-order.csv"
+      set -- lut --emit lut-order.csv --table table-order.csv ;;
   esac
   for run in 1 2; do
     status=0
@@ -142,6 +153,7 @@ for name in diagnose-steps lut-order; do
       cat "$name-$run.err" >&2
       exit 1
     fi
+    for file in $files; do test ! -e "$file"; done
   done
   cmp "$name-1.out" "$name-2.out"
   cmp "$name-1.err" "$name-2.err"

@@ -6,6 +6,9 @@ a flat key=value config file, write a CSV trace, and print a one-page
 metric summary (key: value lines) to stdout.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime or session error.
+Every command computes its results before it writes a file, and writes its
+files before it prints, so a command that fails prints no result and writes
+no file, unless it fails writing a file after an earlier one.
 """
 
 import argparse
@@ -23,7 +26,6 @@ from .core import (
 )
 from .hopper import build_default_table, load_table_csv, save_table_csv
 from .simkit import (
-    ConfigError,
     DivergenceError,
     export_csv,
     export_hops_csv,
@@ -55,18 +57,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="chaoslink", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def session_cmd(name, help_text):
+    def session_cmd(name, help_text, session):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario config file")
         p.add_argument("--out", required=True, help="trace CSV output path")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
+        p.set_defaults(run=_run_session, session=session)
         return p
 
-    session_cmd("sync", "idle synchronization session")
-    session_cmd("transmit", "analog masked transmission session")
-    session_cmd("digital", "fixed-point bitstream session")
-    hop = session_cmd("hop", "synchronization-gated channel hopping session")
+    # Each lambda looks its runner up when the command runs, so a runner
+    # replaced on this module is the one called.
+    session_cmd("sync", "idle synchronization session",
+                lambda cfg, args: run_sync_session(cfg))
+    session_cmd("transmit", "analog masked transmission session",
+                lambda cfg, args: run_transmit_session(cfg))
+    session_cmd("digital", "fixed-point bitstream session",
+                lambda cfg, args: run_digital_session(cfg))
+    hop = session_cmd("hop", "synchronization-gated channel hopping session", _hop_session)
     hop.add_argument("--table", default=None, help="channel LUT CSV (default built-in)")
     hop.add_argument("--hops-out", default=None, help="per-hop CSV output path")
 
@@ -84,64 +92,62 @@ def _build_parser() -> _Parser:
     diag.add_argument("--mu-min", type=float, default=2.5)
     diag.add_argument("--mu-max", type=float, default=4.0)
     diag.add_argument("--mu-steps", type=int, default=301)
+    diag.set_defaults(run=_run_diagnose)
 
     lut = sub.add_parser("lut", help="channel lookup table tooling")
     lut.add_argument("--emit", required=True, help="write the LUT to this CSV path")
     lut.add_argument("--table", default=None,
                      help="load this LUT CSV instead of the default table")
+    lut.set_defaults(run=_run_lut)
     return parser
-
-
-_SESSIONS = {
-    "sync": run_sync_session,
-    "transmit": run_transmit_session,
-    "digital": run_digital_session,
-}
 
 
 def _run_session(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.command == "hop":
-        table = load_table_csv(args.table) if args.table else None
-        trace, metrics = run_hop_session(cfg, table)
-        if args.hops_out:
-            export_hops_csv(metrics.hops, args.hops_out)
-    else:
-        trace, metrics = _SESSIONS[args.command](cfg)
+    trace, metrics = args.session(cfg, args)
     export_csv(trace, args.out)
-    print(f"command: {args.command}")
-    print(f"steps: {len(trace) - 1}")
-    for line in metrics.summary_lines():
-        print(line)
+    print(f"command: {args.command}", f"steps: {len(trace) - 1}",
+          *metrics.summary_lines(), sep="\n")
     return EXIT_OK
 
 
+def _hop_session(cfg, args):
+    table = load_table_csv(args.table) if args.table else None
+    trace, metrics = run_hop_session(cfg, table)
+    if args.hops_out:
+        export_hops_csv(metrics.hops, args.hops_out)
+    return trace, metrics
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+
+
 def _run_diagnose(args) -> int:
+    """Compute every requested result, then write the CSVs, then print."""
     params = LogisticParams(mu=args.mu, k=args.k)
-    print(f"mu: {args.mu}")
+    lines, tables = [f"mu: {args.mu}"], []
     if args.lyapunov:
         value = lyapunov_exponent(params, args.x0, args.steps)
-        print(f"lyapunov_exponent: {value!r}")
-        print(f"chaotic: {value > 0}")
+        lines += [f"lyapunov_exponent: {value!r}", f"chaotic: {value > 0}"]
     if args.spectrum_out:
         orbit = iterate(params, args.x0, max(args.steps, 4096))
         report = amplitude_spectrum(orbit[-4096:])
-        with open(args.spectrum_out, "w", newline="") as fh:
-            fh.write("bin,magnitude\n")
-            for b, m in enumerate(report.magnitudes):
-                fh.write(f"{b},{format(m, '.17g')}\n")
-        print(f"spectral_flatness: {report.flatness!r}")
+        lines.append(f"spectral_flatness: {report.flatness!r}")
+        tables.append((args.spectrum_out, "bin,magnitude", enumerate(report.magnitudes)))
     if args.bifurcation_out:
         rows = bifurcation_scan(args.mu_min, args.mu_max, args.mu_steps,
                                 settle=500, keep=200, x0=args.x0, k=args.k)
-        with open(args.bifurcation_out, "w", newline="") as fh:
-            fh.write("mu,value\n")
-            for mu, samples in rows:
-                for v in samples:
-                    fh.write(f"{format(mu, '.17g')},{format(v, '.17g')}\n")
-        print(f"bifurcation_rows: {sum(len(s) for _, s in rows)}")
+        lines.append(f"bifurcation_rows: {sum(len(s) for _, s in rows)}")
+        tables.append((args.bifurcation_out, "mu,value",
+                       ((mu, v) for mu, samples in rows for v in samples)))
+    for table in tables:
+        _write_csv(*table)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -163,12 +169,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command in ("sync", "transmit", "digital", "hop"):
-            return _run_session(args)
-        if args.command == "diagnose":
-            return _run_diagnose(args)
-        return _run_lut(args)
-    except (ConfigError, ValueError) as exc:
+        return args.run(args)
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:

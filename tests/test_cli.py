@@ -1,7 +1,10 @@
+import ast
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -193,6 +196,20 @@ def test_parser_keeps_nothing_between_calls(workdir, capsys):
     assert digest == PINNED_SHA256["digital.csv"]
 
 
+def test_parser_is_the_only_dispatch():
+    """Each command's subparser sets the code it runs, and main runs it
+    without looking at the command's name."""
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    assert set(commands) == {"sync", "transmit", "digital", "hop", "diagnose", "lut"}
+    for command in commands.values():
+        assert callable(command.get_default("run"))
+    main_tree = ast.parse(textwrap.dedent(inspect.getsource(cli.main)))
+    assert [ast.unparse(node) for node in ast.walk(main_tree)
+            if isinstance(node, ast.Compare)] == ["args.command is None"]
+    assert not any(isinstance(value, dict) for name, value in vars(cli).items()
+                   if not name.startswith("__"))
+
+
 class TestSessionCommands:
     def test_sync(self, workdir, capsys):
         out_path = workdir / "trace.csv"
@@ -311,9 +328,10 @@ class TestDiagnoseAndLut:
     ], ids=["lyapunov", "bifurcation"])
     def test_escape_exit_code(self, tmp_path, capsys, monkeypatch, args, message):
         monkeypatch.chdir(tmp_path)
-        code, _, err = run(["diagnose"] + args, capsys)
+        code, out, err = run(["diagnose"] + args, capsys)
         assert code == 2
         assert err == f"error: orbit escaped the basin (0, k) {message}\n"
+        assert out == ""
         assert not (tmp_path / "bif.csv").exists()
 
     @pytest.mark.parametrize("args", [
@@ -335,11 +353,15 @@ class TestDiagnoseAndLut:
         (["--steps", "0", "--lyapunov"], "n_steps must be >= 1"),
         (["--mu-min", "3.9", "--mu-max", "3.5", "--bifurcation-out", "b.csv"],
          "mu range must satisfy 0 < mu_min <= mu_max <= 4"),
-    ], ids=["steps-0", "mu-range-reversed"])
+        # the spectrum is computed, but neither printed nor written, before
+        # the scan's range fails
+        (["--spectrum-out", "s.csv", "--mu-min", "3.9", "--mu-max", "3.5",
+          "--bifurcation-out", "b.csv"], "mu range must satisfy 0 < mu_min <= mu_max <= 4"),
+    ], ids=["steps-0", "mu-range-reversed", "spectrum-then-mu-range-reversed"])
     def test_bad_argument_exit_code(self, tmp_path, capsys, monkeypatch, args, message):
         monkeypatch.chdir(tmp_path)
-        code, _, err = run(["diagnose", "--mu", "3.7"] + args, capsys)
-        assert (code, err) == (1, f"error: {message}\n")
+        code, out, err = run(["diagnose", "--mu", "3.7"] + args, capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_lut_emit(self, tmp_path, capsys):
@@ -491,11 +513,12 @@ class TestErrorPaths:
         (MemoryError("Unable to allocate 72.8 TiB"), "error: Unable to allocate 72.8 TiB\n"),
     ])
     def test_memory_error_exit_code(self, workdir, capsys, monkeypatch, exc, message):
-        # a config too large to allocate, without allocating it
+        # a config too large to allocate, without allocating it; the parser
+        # is cached, but the sync command looks its runner up when it runs
         def runner(cfg):
             raise exc
 
-        monkeypatch.setitem(cli._SESSIONS, "sync", runner)
+        monkeypatch.setattr(cli, "run_sync_session", runner)
         code, _, err = run(
             ["sync", "--config", str(workdir / "sync.cfg"), "--out", str(workdir / "o.csv")],
             capsys,

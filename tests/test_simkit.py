@@ -372,10 +372,16 @@ class TestDigitalSession:
         assert metrics.ber == 0.0
         assert metrics.bits_total >= 1000 * 4 - 4 * 4  # ~1000 post-sync frames
 
-    def test_all_zero_word_recovers(self):
-        cfg = replace(DIGITAL_CFG, source="pattern", pattern="0", steps=1600)
-        trace, metrics = run_digital_session(cfg)
-        assert metrics.ber == 0.0
+    @pytest.mark.parametrize("changes,bits_total", [
+        ({"source": "pattern", "pattern": "0", "steps": 1600}, 396),
+        # no source draws no bit: every information bit is 0
+        ({"source": "off"}, 3996),
+    ], ids=["pattern-0", "source-off"])
+    def test_all_zero_word_recovers(self, changes, bits_total):
+        trace, metrics = run_digital_session(replace(DIGITAL_CFG, **changes))
+        assert (metrics.sync_step, metrics.bits_total, metrics.ber) == (11, bits_total, 0.0)
+        i = trace.column("i")
+        assert np.all(i[:-1] == 0) and np.isnan(i[-1])
         bit = trace.column("bit")
         decided = bit[~np.isnan(bit)]
         post = decided[metrics.sync_step // 4:]
