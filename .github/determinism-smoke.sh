@@ -34,12 +34,16 @@
 # steps = 0, a sync with source = foo, a sync with mode = foo, a transmit
 # whose pattern 012 is not over {0,1}, a digital whose k = 1024.5 is not
 # an integer, a bernoulli transmit in mode = fixed and a hop of
-# sessions = -1.  Three failing commands that read no config run twice
-# each too: diagnose --steps 0 --lyapunov, a diagnose with a spectrum and a
+# sessions = -1.  Five more failing commands run twice each too:
+# diagnose --steps 0 --lyapunov, a diagnose with a spectrum and a
 # bifurcation scan whose mu range is reversed (the spectrum computes, the
-# scan fails), and lut --emit with a channel table whose second entry has
-# index 3; each must exit 1 with byte-identical stdout and stderr, and the
-# last two must leave none of their CSVs.
+# scan fails), lut --emit with a channel table whose second entry has
+# index 3, and two commands whose second write fails on a missing
+# directory after the first succeeded: a hop whose trace goes to
+# nodir/t.csv after its --hops-out CSV, and a diagnose whose bifurcation
+# scan goes to nodir/b.csv after its spectrum; each must exit 1 with
+# byte-identical stdout and stderr, and the last four must leave none of
+# their CSVs.
 # PYTHONWARNINGS=error turns any warning into a traceback, so a run that
 # warns fails too.
 # Run 2 of every config, failing ones included, uses the package in the
@@ -132,7 +136,7 @@ for case in transmit-guard:2 sync-escape:2 hop-idle:2 hop-escape:2 hop-guard:2 s
   cmp "$name-1.err" "$name-2.err"
 done
 printf 'j,f_low,f_high,f_center\n1,60.0,61.4,60.7\n3,61.4,62.8,62.1\n' > table-order.csv
-for name in diagnose-steps diagnose-range lut-order; do
+for name in diagnose-steps diagnose-range lut-order hop-nodir diagnose-nodir; do
   files=""
   case "$name" in
     diagnose-steps) set -- diagnose --mu 3.7 --steps 0 --lyapunov ;;
@@ -143,6 +147,13 @@ for name in diagnose-steps diagnose-range lut-order; do
     lut-order)
       files="lut-order.csv"
       set -- lut --emit lut-order.csv --table table-order.csv ;;
+    hop-nodir)
+      files="nodir-hops.csv"
+      set -- hop --config hop.cfg --out nodir/t.csv --hops-out nodir-hops.csv ;;
+    diagnose-nodir)
+      files="nodir-spectrum.csv"
+      set -- diagnose --mu 3.7 --spectrum-out nodir-spectrum.csv \
+        --bifurcation-out nodir/b.csv ;;
   esac
   for run in 1 2; do
     status=0

@@ -7,12 +7,13 @@ metric summary (key: value lines) to stdout.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime or session error.
 Every command computes its results before it writes a file, and writes its
-files before it prints, so a command that fails prints no result and writes
-no file, unless it fails writing a file after an earlier one.
+files before it prints, so a command that fails prints no result and leaves
+no file: when one write fails, the files written before it are removed.
 """
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import replace
 
@@ -63,7 +64,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="trace CSV output path")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.set_defaults(run=_run_session, session=session)
+        p.set_defaults(run=_run_session, session=session, hops_out=None)
         return p
 
     # Each lambda looks its runner up when the command runs, so a runner
@@ -107,21 +108,33 @@ def _run_session(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     trace, metrics = args.session(cfg, args)
-    export_csv(trace, args.out)
+    hops = [(args.hops_out, export_hops_csv, metrics.hops)] if args.hops_out else []
+    _write(hops + [(args.out, export_csv, trace)])
     print(f"command: {args.command}", f"steps: {len(trace) - 1}",
           *metrics.summary_lines(), sep="\n")
     return EXIT_OK
 
 
 def _hop_session(cfg, args):
-    table = load_table_csv(args.table) if args.table else None
-    trace, metrics = run_hop_session(cfg, table)
-    if args.hops_out:
-        export_hops_csv(metrics.hops, args.hops_out)
-    return trace, metrics
+    return run_hop_session(cfg, load_table_csv(args.table) if args.table else None)
 
 
-def _write_csv(path, header, rows) -> None:
+def _write(outputs) -> None:
+    """Write each output (path, writer, *data) in order, as writer(*data,
+    path); if one fails, remove the files written before it, then
+    re-raise."""
+    written = []
+    try:
+        for path, writer, *data in outputs:
+            writer(*data, path)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
+
+
+def _write_csv(header, rows, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         fh.writelines(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
@@ -138,15 +151,15 @@ def _run_diagnose(args) -> int:
         orbit = iterate(params, args.x0, max(args.steps, 4096))
         report = amplitude_spectrum(orbit[-4096:])
         lines.append(f"spectral_flatness: {report.flatness!r}")
-        tables.append((args.spectrum_out, "bin,magnitude", enumerate(report.magnitudes)))
+        tables.append((args.spectrum_out, _write_csv, "bin,magnitude",
+                       enumerate(report.magnitudes)))
     if args.bifurcation_out:
         rows = bifurcation_scan(args.mu_min, args.mu_max, args.mu_steps,
                                 settle=500, keep=200, x0=args.x0, k=args.k)
         lines.append(f"bifurcation_rows: {sum(len(s) for _, s in rows)}")
-        tables.append((args.bifurcation_out, "mu,value",
+        tables.append((args.bifurcation_out, _write_csv, "mu,value",
                        ((mu, v) for mu, samples in rows for v in samples)))
-    for table in tables:
-        _write_csv(*table)
+    _write(tables)
     print("\n".join(lines))
     return EXIT_OK
 

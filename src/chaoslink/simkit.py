@@ -316,13 +316,6 @@ def _fail_at(x, stop: int, fail: int, cfg: ScenarioConfig) -> None:
         raise DivergenceError(f"no sync trigger within {_accel.MAX_IDLE_STEPS} idle steps")
 
 
-@_accel.quiet
-def _difference(a, b):
-    """a - b, which for states near the top of the float range overflows to
-    inf as quietly as the kernels' arithmetic."""
-    return a - b
-
-
 def _transmit(cfg: ScenarioConfig, info, dist=0.0):
     """The transmitter: the drive orbit x of cfg.steps steps from cfg.x0,
     its first escape step (-1 if none), and the line z = forward(
@@ -353,15 +346,21 @@ def _first_failure(escape, diverge, rows: int):
     return min(failure for failure in failures if failure[0] >= 0)
 
 
-def _report(cfg: ScenarioConfig, x, y, fields=(), **columns):
+@_accel.quiet
+def _report(cfg: ScenarioConfig, x, y, fields=(), counted=slice(None), **columns):
     """The session's trace and metrics, the one place where the drive x
-    meets the response y: the error e = y - x, the trace of x, y, e and
-    the other columns, and Metrics of e's sync_step and max_abs_error
-    and of the further fields, a mapping such as _bit_errors returns."""
+    meets the response y: the error e = y - x (which for states near the
+    top of the float range overflows to inf as quietly as the kernels'
+    arithmetic), the trace of x, y, e and the other columns, one row per
+    sample of x, and Metrics of the further fields, a mapping such as
+    _bit_errors returns, and of e's max_abs_error over the counted rows
+    (all by default) and its sync_step, unless the fields give one."""
     errors = y - x
-    trace = SessionTrace(cfg.steps + 1, x=x, y=y, e=errors, **columns)
-    return trace, Metrics(sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
-                          max_abs_error=float(np.max(np.abs(errors))), **dict(fields))
+    fields = dict(fields)
+    if "sync_step" not in fields:
+        fields["sync_step"] = _sync_step(errors, cfg.sync_tol, cfg.sync_window)
+    trace = SessionTrace(len(x), x=x, y=y, e=errors, **columns)
+    return trace, Metrics(max_abs_error=float(np.max(np.abs(errors[counted]))), **fields)
 
 
 def run_sync_session(cfg: ScenarioConfig):
@@ -419,7 +418,8 @@ def run_digital_session(cfg: ScenarioConfig):
 
     The response couples to the exact 16-bit drive word x, which is never
     put on any line: the digital link assumes a noiseless side channel for
-    the drive state.
+    the drive state.  _report builds the trace and metrics; the sync_step
+    it reports is the kernel's first exact equality, not the trigger.
     """
     if cfg.mode != "fixed":
         raise ConfigError("digital session requires mode=fixed")
@@ -440,25 +440,14 @@ def run_digital_session(cfg: ScenarioConfig):
     # step; 16-bit states, and their differences, are exact in float; the
     # last row, the state the run ends at, carries no line bit
     rows = cfg.steps + 1
-    x, y = run.x.astype(float), run.y.astype(float)
-    errors = y - x
-    trace = SessionTrace(
-        rows, x=x, y=y, e=errors, z=np.append(line, np.nan),
-        i=np.append(spread_bits, np.nan),
-        i_hat=_block_ends(soft, spec.r, rows),
-        bit=_block_ends(decided, spec.r, rows),
-    )
-
     # a bit counts when its frame starts at or after sync; no sync, no bits
     sync_at = cfg.steps if run.first_equal is None else run.first_equal
     post_bits = np.arange(info_bits.size) // spec.n * spec.m >= sync_at
-    metrics = Metrics(
-        sync_step=run.first_equal,
-        max_abs_error=float(np.max(np.abs(errors))),
-        **_bit_errors(decided, info_bits, post_bits),
-        saturations=run.saturations,
-    )
-    return trace, metrics
+    fields = {**_bit_errors(decided, info_bits, post_bits),
+              "sync_step": run.first_equal, "saturations": run.saturations}
+    return _report(cfg, run.x.astype(float), run.y.astype(float), fields,
+                   z=np.append(line, np.nan), i=np.append(spread_bits, np.nan),
+                   i_hat=_block_ends(soft, spec.r, rows), bit=_block_ends(decided, spec.r, rows))
 
 
 def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
@@ -475,11 +464,13 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     state on idle steps and one of two masked levels, chosen by the source
     bit, on active ones; the trigger's window reaches back across phases.
     The columns and the hop records are built once, after the loop, each
-    at the trace's length.  As in every float session, the information i
-    is NaN on each row that carries no line sample (the last row, and a
-    bare hop row when the source is off); the line z = forward(operator,
-    x, i) and the control column are built over all rows, so both are NaN
-    there too.
+    at the trace's length, and _report builds the trace and metrics, its
+    max_abs_error over row 0 and the rows with control; a bare hop row's
+    epsilon then reads e from that trace.  As in every float session, the
+    information i is NaN on each row that carries no line sample (the last
+    row, and a bare hop row when the source is off); the line z =
+    forward(operator, x, i) and the control column are built over all
+    rows, so both are NaN there too.
     """
     if cfg.mode != "float":
         raise ConfigError("hop session runs in float mode")
@@ -526,25 +517,18 @@ def run_hop_session(cfg: ScenarioConfig, table: ChannelTable | None = None):
     hops = tuple(map(HopRecord._make, zip(
         range(cfg.sessions), hop_steps.tolist(), j_tx.tolist(), j_rx.tolist(),
         error.tolist())))
-    errors = _difference(y, x)
-    # epsilon is y - z on line samples and e on bare hop rows
-    epsilon = y - z
-    if not transmit:
-        epsilon[active] = errors[active]
     channel = np.full(len(x), np.nan)
     channel[hop_steps] = j_tx
-    trace = SessionTrace(len(x), x=x, y=y, z=z, e=errors, epsilon=epsilon,
-                         u=u, i=i, i_hat=i_hat, channel=channel)
     # The maximum error skips rows without control (bare hop steps and the
     # final row) other than row 0.
-    controlled = ~np.isnan(trace.column("u"))
+    controlled = ~np.isnan(u)
     controlled[0] = True
-    metrics = Metrics(
-        sync_step=_sync_step(errors, cfg.sync_tol, cfg.sync_window),
-        max_abs_error=float(np.max(np.abs(errors[controlled]))),
-        channel_error_count=int(np.count_nonzero(error)),
-        hops=hops,
-    )
+    trace, metrics = _report(
+        cfg, x, y, {"channel_error_count": int(np.count_nonzero(error)), "hops": hops},
+        controlled, z=z, epsilon=y - z, u=u, i=i, i_hat=i_hat, channel=channel)
+    # epsilon is y - z on line samples and e on bare hop rows
+    if not transmit:
+        trace.column("epsilon")[active] = trace.column("e")[active]
     return trace, metrics
 
 

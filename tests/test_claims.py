@@ -6,17 +6,26 @@ README's claims table lists these rows.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chaoslink.core import LogisticParams, step
 from chaoslink.fixedpoint import fx_run_sync
-from chaoslink.simkit import ScenarioConfig, run_sync_session, run_transmit_session
+from chaoslink.simkit import (
+    ScenarioConfig,
+    run_hop_session,
+    run_sync_session,
+    run_transmit_session,
+)
 
 # the README's digital config
 DIGITAL_CFG = ScenarioConfig(mode="fixed", k=1024, x0=122, y0=-1024, steps=16000,
                              source="bernoulli", seed=3)
+
+# the hop config of the CLI tests and the determinism smoke
+HOP_CFG = ScenarioConfig(source="bernoulli", seed=5, sessions=20, active_steps=40)
 
 
 @pytest.mark.parametrize("rho,exact_from", [(0.5, 54), (-0.5, 55), (0.0, 3)])
@@ -73,3 +82,36 @@ def test_digital_carrier_is_periodic():
     x = run.x
     assert np.array_equal(x[38:], x[36:-2]) and x[36] != x[37]
     assert x[35] not in x[36:38]
+
+
+def sent_bits(trace, metrics, width):
+    """The information on each active row, session after session; a
+    session's active rows are the width rows from its hop on."""
+    rows = np.concatenate([h.step + np.arange(width) for h in metrics.hops])
+    return trace.column("i")[rows[rows < len(trace) - 1]]
+
+
+@pytest.mark.parametrize("receiver,first_hops", [
+    ({"rho": 0.9}, [138, 351, 558]),
+    ({"y0": 0.5}, [24, 93, 154]),
+], ids=["rho-0.9", "y0-0.5"])
+def test_channels_are_selected_through_a_return_channel(receiver, first_hops):
+    """"the broadband spectrum can be used to randomly select RF channels",
+    each end from its own states -- holds only through a return channel:
+    both ends select the same channel at every hop, but the transmitter
+    starts each active phase on the receiver's trigger, so a change to the
+    receiver's key or start alone moves the transmitter's hops and line."""
+    base_trace, base = run_hop_session(HOP_CFG)
+    trace, metrics = run_hop_session(replace(HOP_CFG, **receiver))
+    base_hops, hops = [h.step for h in base.hops], [h.step for h in metrics.hops]
+    assert base_hops[:3] == [26, 95, 156] and hops[:3] == first_hops
+    assert len(base_hops) == len(hops) == 20
+    assert base.channel_error_count == metrics.channel_error_count == 0
+    # the transmitter's own inputs are unchanged: its drive and its bits
+    rows = min(len(trace), len(base_trace))
+    assert np.array_equal(trace.column("x")[:rows], base_trace.column("x")[:rows])
+    width = HOP_CFG.active_steps
+    assert np.array_equal(sent_bits(trace, metrics, width), sent_bits(base_trace, base, width))
+    # yet its schedule and its line are not
+    assert not np.array_equal(trace.column("z")[:rows], base_trace.column("z")[:rows],
+                              equal_nan=True)

@@ -394,6 +394,21 @@ class TestErrorPaths:
         assert "missing file" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("args,missing", [
+        (["hop", "--config", "hop.cfg", "--out", "nodir/t.csv", "--hops-out", "hops.csv"],
+         "nodir/t.csv"),
+        (["diagnose", "--mu", "3.7", "--spectrum-out", "s.csv",
+          "--bifurcation-out", "nodir/b.csv"], "nodir/b.csv"),
+    ], ids=["hop-trace-after-hops", "diagnose-bifurcation-after-spectrum"])
+    def test_failed_write_leaves_no_file(self, workdir, capsys, monkeypatch, args, missing):
+        # the write that fails comes after one that succeeded, whose file
+        # is removed again
+        monkeypatch.chdir(workdir)
+        before = sorted(workdir.iterdir())
+        code, out, err = run(args, capsys)
+        assert (code, out, err) == (1, "", f"error: missing file: {missing}\n")
+        assert sorted(workdir.iterdir()) == before
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")

@@ -816,6 +816,19 @@ def test_one_failure_path_for_every_session():
     assert not read & {"ESCAPED", "DIVERGED", "IDLE_CAPPED"}
 
 
+def test_report_builds_every_session_trace_and_metrics():
+    # _report is the one report path: in simkit only it and load_trace_csv
+    # construct a SessionTrace, only it constructs Metrics, and every
+    # session runner reaches its trace and metrics through one _report call
+    module = ast.parse(Path(simkit.__file__).read_text()).body
+    builders = {cls: {node.name for node in module if hasattr(node, "name")
+                      and cls in _called(node)} for cls in ("SessionTrace", "Metrics")}
+    assert builders == {"SessionTrace": {"_report", "load_trace_csv"}, "Metrics": {"_report"}}
+    for name in ("run_sync_session", "run_transmit_session", "run_digital_session",
+                 "run_hop_session"):
+        assert _called(SIMKIT[name]).count("_report") == 1
+
+
 def _arguments_read(node, *functions):
     """The names and attributes that the arguments of node's calls of
     functions read."""
